@@ -11,7 +11,7 @@ import (
 
 // The batch-experiment harness (internal/harness) exposed through the
 // facade: declare a matrix of models × traces × scenarios × trace
-// lengths, execute it on a sharded worker pool, stream records to a
+// lengths, execute it on a worker pool, stream records to a
 // sink, and diff runs against a JSONL baseline. cmd/bpbench is a thin
 // wrapper over these entry points.
 type (
@@ -294,23 +294,6 @@ func RunBench(m *BenchMatrix, cfg BenchConfig, sink BenchSink) (*BenchSummary, e
 // plans against this expansion before running).
 func ExpandBench(m *BenchMatrix) ([]BenchJob, error) {
 	return m.Expand()
-}
-
-// PlanBenchResume partitions an expanded grid against the records of a
-// prior store: cells with a successful prior record are reused, the rest
-// (missing or failed) are queued to run. head is the provenance new
-// records would be stamped with (CurrentProvenance for a persisted
-// store; the zero value disables the drift check): reused cells recorded
-// under a different git SHA are flagged in the plan's ProvenanceDrift.
-func PlanBenchResume(jobs []BenchJob, prior []BenchRecord, head BenchProvenance) *BenchResumePlan {
-	return harness.PlanResume(jobs, prior, head)
-}
-
-// RunBenchResume executes a resume plan, streaming only the records the
-// store is missing (new cells in expansion order, then aggregates over
-// the merged run) — the append half of the resumable result store.
-func RunBenchResume(plan *BenchResumePlan, cfg BenchConfig, sink BenchSink) (*BenchSummary, error) {
-	return harness.RunResume(plan, cfg, sink)
 }
 
 // RunBenchResumeStore runs the whole store-backed resume sequence

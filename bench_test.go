@@ -7,9 +7,10 @@ import (
 )
 
 // Each table/figure of the paper's evaluation has one benchmark that
-// regenerates it (the E1..E15 index of DESIGN.md). Benchmarks run the
-// experiment harness at a reduced per-trace scale so `go test -bench=.`
-// completes in minutes; cmd/bptables runs the same code at full scale.
+// regenerates it (the E1..E15 index of experiments.Registry). Benchmarks
+// run the experiment harness at a reduced per-trace scale so `go test
+// -bench=.` completes in minutes; cmd/bptables runs the same code at full
+// scale.
 const benchBranchesPerTrace = 25000
 
 func benchExperiment(b *testing.B, id string) {

@@ -1,5 +1,5 @@
 // Command bpbench sweeps a declarative experiment matrix — models ×
-// traces × update scenarii × trace lengths — on a sharded worker pool
+// traces × update scenarii × trace lengths — on a worker pool
 // and streams per-cell plus aggregate records to a table, JSONL or CSV
 // sink. A saved JSONL run doubles as a baseline for regression diffing:
 //
@@ -110,14 +110,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		format      = fs.String("format", "table", "output format: table, jsonl or csv")
 		outPath     = fs.String("o", "", "write records to this file instead of stdout")
 		parallel    = fs.Int("parallelism", 0, "max concurrent jobs (default: NumCPU)")
-		cellPar     = fs.Int("cell-par", 0, "intra-cell workers: shard each cell group's traces across this many goroutines (deterministic; 0/1 = off)")
 		window      = fs.Int("window", 0, "in-flight branch window (default 24)")
 		execDelay   = fs.Int("execdelay", 0, "fetch-to-execute distance in branches (default 6)")
 		warmCache   = fs.Bool("warm-cache", false, "checkpoint every cell into a store-adjacent blob cache (derived from -resume or -o: path + \".ckpt/\") and warm-start matching cells from it on repeat runs")
 		warmDir     = fs.String("warm-cache-dir", "", "blob cache directory for -warm-cache (overrides the derived location; implies -warm-cache)")
 		ckEvery     = fs.Uint64("checkpoint-every", 0, "periodic checkpoint interval in branches for -warm-cache (default 1000000)")
 		noCache     = fs.Bool("notracecache", false, "regenerate the trace for every job instead of sharing per (trace, length)")
-		noPool      = fs.Bool("nopredictorpool", false, "construct a fresh predictor per cell instead of Reset-reusing a pooled instance per worker")
 		noAgg       = fs.Bool("noaggregates", false, "suppress category/hard/suite rollup records")
 		perf        = fs.Bool("perf", false, "print a simulator-throughput (branches/sec) table to stderr after the run")
 		list        = fs.Bool("list", false, "list models and traces, then exit")
@@ -149,10 +147,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *window < 0 || *execDelay < 0 {
 		log.Error("bpbench: -window and -execdelay must be non-negative (0 = default)")
-		return 2
-	}
-	if *cellPar < 0 {
-		log.Error("bpbench: -cell-par must be non-negative (0 = off)")
 		return 2
 	}
 	lengths, err := parseLengths(*branches)
@@ -277,13 +271,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	m.Window = *window
 	m.ExecDelay = *execDelay
 	m.DeltaLogs = deltas
-	m.IntraCellWorkers = *cellPar
 
 	// Every record bpbench writes — stdout, -o file, or resume store —
 	// is stamped with the revision that produced it, so saved runs stay
 	// interpretable after the predictor changes underneath them.
 	prov := repro.CurrentProvenance()
-	cfg := repro.BenchConfig{Parallelism: *parallel, IntraCellWorkers: *cellPar, NoTraceCache: *noCache, NoAggregates: *noAgg, NoPredictorPool: *noPool, Provenance: &prov, Metrics: reg}
+	cfg := repro.BenchConfig{Parallelism: *parallel, NoTraceCache: *noCache, NoAggregates: *noAgg, Provenance: &prov, Metrics: reg}
 	if *warmDir != "" {
 		*warmCache = true
 	}

@@ -111,10 +111,8 @@ func runWork(args []string, stdout, stderr io.Writer, ctx context.Context) int {
 		connect     = fs.String("connect", "", "coordinator base URL, e.g. http://host:9090 (required)")
 		id          = fs.String("id", "", "worker id reported in leases and coordinator metrics (default: hostname-pid)")
 		parallel    = fs.Int("parallelism", 0, "max concurrent jobs (default: NumCPU)")
-		cellPar     = fs.Int("cell-par", 0, "intra-cell workers per cell group (deterministic; 0/1 = off)")
 		poll        = fs.Duration("poll", 500*time.Millisecond, "sleep between empty lease polls")
 		metricsAddr = fs.String("metrics-addr", "", "serve this worker's own /metrics and /debug/pprof on this address")
-		noPool      = fs.Bool("nopredictorpool", false, "construct a fresh predictor per cell instead of Reset-reusing a pooled instance")
 		noCache     = fs.Bool("notracecache", false, "regenerate the trace for every job instead of sharing per (trace, length)")
 	)
 	verbose, quiet := cli.Verbosity(fs)
@@ -156,11 +154,9 @@ func runWork(args []string, stdout, stderr io.Writer, ctx context.Context) int {
 		ID:      *id,
 		Resolve: repro.BenchResolver(),
 		Config: repro.BenchConfig{
-			Parallelism:      *parallel,
-			IntraCellWorkers: *cellPar,
-			NoPredictorPool:  *noPool,
-			NoTraceCache:     *noCache,
-			Metrics:          reg,
+			Parallelism:  *parallel,
+			NoTraceCache: *noCache,
+			Metrics:      reg,
 		},
 		Poll: *poll,
 		Log:  log,

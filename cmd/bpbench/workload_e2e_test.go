@@ -94,16 +94,15 @@ func TestTraceSweepExpandsCells(t *testing.T) {
 	}
 }
 
-// TestSpecDeterministicAcrossCellPar: the same generator spec + seed
-// measures identically no matter how many intra-cell workers simulate
-// it.
-func TestSpecDeterministicAcrossCellPar(t *testing.T) {
-	cells := func(cellPar string) map[string]repro.BenchRecord {
+// TestSpecDeterministicAcrossParallelism: the same generator spec + seed
+// measures identically no matter how many workers simulate it.
+func TestSpecDeterministicAcrossParallelism(t *testing.T) {
+	cells := func(parallelism string) map[string]repro.BenchRecord {
 		code, out, errOut := runCapture(t, "-models", "tage", "-traces", "mix:loopy=2,datadep=1#3",
 			"-scenarios", "A,C", "-branches", "5000", "-format", "jsonl", "-noaggregates",
-			"-cell-par", cellPar)
+			"-parallelism", parallelism)
 		if code != 0 {
-			t.Fatalf("-cell-par %s exited %d:\n%s", cellPar, code, errOut)
+			t.Fatalf("-parallelism %s exited %d:\n%s", parallelism, code, errOut)
 		}
 		recs, err := repro.ReadBenchRecords(strings.NewReader(out))
 		if err != nil {
@@ -123,7 +122,7 @@ func TestSpecDeterministicAcrossCellPar(t *testing.T) {
 	}
 	for k, s := range serial {
 		if p := par[k]; p != s {
-			t.Fatalf("cell %s differs across -cell-par:\n1: %+v\n4: %+v", k, s, p)
+			t.Fatalf("cell %s differs across -parallelism:\n1: %+v\n4: %+v", k, s, p)
 		}
 	}
 }

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"strings"
 
@@ -73,17 +74,26 @@ func main() {
 		log.Error(fmt.Sprintf("bpsim: %v (try -list)", err))
 		os.Exit(1)
 	}
-	opt := repro.Options{Scenario: sc, Window: *window}
+	fmt.Printf("# model=%s storage=%dKbit scenario=%s branches/trace=%d\n",
+		m.Name(), m.StorageBits()/1024, sc, *branches)
+
 	if *ckPath != "" {
-		// Resume from an earlier checkpoint when one is on disk (a blob
-		// the simulator cannot use — wrong model, wrong pipeline — is
-		// reported and the run falls back to a cold start), and keep the
-		// file pointing at the latest checkpoint while running, so a
-		// killed long run continues mid-trace next time.
+		// One trace has nothing to schedule: run the model directly, so
+		// the resume outcome is visible. Resume from an earlier checkpoint
+		// when one is on disk (a blob the simulator cannot use — wrong
+		// model, wrong pipeline — is reported and the run falls back to a
+		// cold start), and keep the file pointing at the latest checkpoint
+		// while running, so a killed long run continues mid-trace next
+		// time.
+		tr, err := repro.GenerateTrace(*traceName, *branches)
+		if err != nil {
+			log.Error(fmt.Sprintf("bpsim: %v", err))
+			os.Exit(1)
+		}
+		opt := repro.Options{Scenario: sc, Window: *window, CheckpointEvery: 1_000_000}
 		if blob, err := os.ReadFile(*ckPath); err == nil {
 			opt.Resume = &repro.Checkpoint{Blob: blob}
 		}
-		opt.CheckpointEvery = 1_000_000
 		opt.OnCheckpoint = func(blob []byte, at uint64) {
 			tmp := *ckPath + ".tmp"
 			if err := os.WriteFile(tmp, blob, 0o644); err != nil {
@@ -95,41 +105,69 @@ func main() {
 				log.Warn(fmt.Sprintf("bpsim: -checkpoint: %v", err))
 			}
 		}
-	}
-
-	names := repro.TraceNames()
-	if *traceName != "" {
-		names = []string{*traceName}
-	}
-	log.Debug(fmt.Sprintf("bpsim: running %d trace(s) of %d branches", len(names), *branches))
-	fmt.Printf("# model=%s storage=%dKbit scenario=%s branches/trace=%d\n",
-		m.Name(), m.StorageBits()/1024, sc, *branches)
-
-	// With -cell-par 1 the suite still goes through one pooled instance
-	// (RunSuite's single shard): the predictor's tables and the simulation
-	// buffers are allocated once and Reset between traces, which is
-	// byte-identical to a fresh instance per trace.
-	results, err := m.RunSuite(names, *branches, opt, *cellPar)
-	if err != nil {
-		log.Error(fmt.Sprintf("bpsim: %v", err))
-		os.Exit(1)
-	}
-	suite := &repro.Suite{}
-	for _, res := range results {
-		suite.Add(res)
+		res := m.Run(tr, opt)
 		if res.ResumeErr != nil {
 			log.Warn(fmt.Sprintf("bpsim: checkpoint unusable, ran cold: %v", res.ResumeErr))
 		} else if res.ResumedAt > 0 {
 			log.Info(fmt.Sprintf("bpsim: %s resumed from checkpoint at branch %d", res.Trace, res.ResumedAt))
 		}
-		fmt.Printf("%-10s MPKI=%7.3f MPPKI=%8.2f mispredict=%5.2f%% accesses/branch=%.3f\n",
-			res.Trace, res.MPKI, res.MPPKI, 100*res.Misprediction,
-			res.Access.AccessesPerBranch())
+		printTrace(res.Trace, res.MPKI, res.MPPKI, res.Misprediction, res.Access)
+		return
 	}
-	if len(names) > 1 {
-		acc := suite.AccessTotals()
+
+	// Every trace is one harness cell: -cell-par of them simulate at once
+	// on pooled predictors, and the lines stream out in suite order. Each
+	// trace is used once, so none is kept in a cache.
+	var traces []string
+	if *traceName != "" {
+		traces = []string{*traceName}
+	}
+	bm, err := repro.NewBenchMatrix([]string{*model}, traces, *scenario, []int{*branches})
+	if err != nil {
+		log.Error(fmt.Sprintf("bpsim: %v", err))
+		os.Exit(1)
+	}
+	bm.Window = *window
+	log.Debug(fmt.Sprintf("bpsim: running %d trace(s) of %d branches", len(bm.Traces), *branches))
+	suite := &suitePrinter{log: log}
+	sum, err := repro.RunBench(bm, repro.BenchConfig{Parallelism: *cellPar, NoTraceCache: true, NoAggregates: true}, suite)
+	if err != nil {
+		log.Error(fmt.Sprintf("bpsim: %v", err))
+		os.Exit(1)
+	}
+	if sum.Failed > 0 {
+		os.Exit(1)
+	}
+	if sum.Jobs > 1 {
 		fmt.Printf("# suite: MPKI-sum=%.1f MPPKI-sum=%.0f silent-updates=%.1f%% writes/100br=%.2f\n",
-			suite.TotalMPKI(), suite.TotalMPPKI(),
-			100*acc.SilentFraction(), acc.WritesPer100Branches())
+			suite.mpki, suite.mppki, 100*suite.access.SilentFraction(), suite.access.WritesPer100Branches())
 	}
 }
+
+// printTrace prints one trace's result line.
+func printTrace(name string, mpki, mppki, mispredictRate float64, acc repro.AccessStats) {
+	fmt.Printf("%-10s MPKI=%7.3f MPPKI=%8.2f mispredict=%5.2f%% accesses/branch=%.3f\n",
+		name, mpki, mppki, 100*mispredictRate, acc.AccessesPerBranch())
+}
+
+// suitePrinter is the run's sink: it prints each trace's line as its cell
+// arrives (in suite order) and sums the suite totals in that order.
+type suitePrinter struct {
+	log         *slog.Logger
+	mpki, mppki float64
+	access      repro.AccessStats
+}
+
+func (p *suitePrinter) Emit(r repro.BenchRecord) error {
+	if r.Failed() {
+		p.log.Error(fmt.Sprintf("bpsim: %s: %s", r.Trace, r.Err))
+		return nil
+	}
+	printTrace(r.Trace, r.MPKI, r.MPPKI, r.Misprediction, r.Access)
+	p.mpki += r.MPKI
+	p.mppki += r.MPPKI
+	p.access.Add(r.Access)
+	return nil
+}
+
+func (p *suitePrinter) Close() error { return nil }

@@ -1,5 +1,5 @@
 // Command bptables regenerates the paper's tables and figures
-// (experiments E1..E15, see the internal/experiments index), printing
+// (experiments E1..E15, see the internal/experiments registry), printing
 // paper-vs-measured rows and the shape checks each experiment must
 // satisfy. With -model it instead evaluates one arbitrary model spec
 // over the whole 40-trace suite — the quick answer to "how would this
@@ -10,7 +10,7 @@
 //	bptables                    # run every experiment at the default scale
 //	bptables -exp E2,E11        # run a subset
 //	bptables -branches 1000000  # full-scale run
-//	bptables -markdown          # emit EXPERIMENTS.md-style markdown
+//	bptables -markdown          # emit the reports as markdown sections
 //	bptables -model 'tage:tables=9,hist=6:500'   # one spec, full suite
 package main
 
@@ -31,18 +31,12 @@ func main() {
 	expFlag := flag.String("exp", "", "comma-separated experiment ids (default: all)")
 	branches := flag.Int("branches", 200000, "branches per trace")
 	markdown := flag.Bool("markdown", false, "emit markdown instead of text")
-	store := flag.String("store", "", "resumable JSONL result store for the harness-backed sweeps (E11): interrupted runs continue, complete ones re-render for free")
+	store := flag.String("store", "", "resumable JSONL result store for every experiment's sweep: interrupted runs continue, complete ones re-render for free")
 	warm := flag.Bool("warm-cache", false, "keep a checkpoint blob cache next to -store (store + \".ckpt/\"): cells warm-start from cached snapshots and interrupted cells resume mid-trace (requires -store)")
 	model := flag.String("model", "", "evaluate this model spec over the full suite instead of running experiments (scenario A)")
-	cellPar := flag.Int("cell-par", 0, "intra-cell workers for harness-backed runs: shard each cell group's traces across this many goroutines (deterministic; 0/1 = off)")
 	verbose, quiet := cli.Verbosity(flag.CommandLine)
 	flag.Parse()
 	log := cli.NewLogger(os.Stderr, *verbose, *quiet)
-
-	if *cellPar < 0 {
-		log.Error(fmt.Sprintf("bptables: -cell-par must be >= 0 (got %d)", *cellPar))
-		os.Exit(2)
-	}
 
 	if *warm && *store == "" {
 		log.Error("bptables: -warm-cache caches checkpoints next to the result store; set -store")
@@ -54,10 +48,10 @@ func main() {
 			log.Error("bptables: -model runs a one-off suite evaluation (plain table only); drop -exp/-store/-markdown")
 			os.Exit(2)
 		}
-		os.Exit(runModelSpec(*model, *branches, *cellPar, log))
+		os.Exit(runModelSpec(*model, *branches, log))
 	}
 
-	cfg := repro.ExperimentConfig{BranchesPerTrace: *branches, ResultStore: *store, IntraCellWorkers: *cellPar, WarmCache: *warm}
+	cfg := repro.ExperimentConfig{BranchesPerTrace: *branches, ResultStore: *store, WarmCache: *warm}
 	ids := repro.ExperimentIDs()
 	if *expFlag != "" {
 		ids = strings.Split(*expFlag, ",")
@@ -94,7 +88,7 @@ func main() {
 // runModelSpec evaluates one model spec across the whole benchmark
 // suite through the harness (scenario A, the paper's default reporting
 // scenario) and prints the per-trace table with its aggregates.
-func runModelSpec(spec string, branches, cellPar int, log *slog.Logger) int {
+func runModelSpec(spec string, branches int, log *slog.Logger) int {
 	m, err := repro.NewBenchMatrix([]string{spec}, nil, "A", []int{branches})
 	if err != nil {
 		log.Error(fmt.Sprintf("bptables: %v", err))
@@ -108,7 +102,7 @@ func runModelSpec(spec string, branches, cellPar int, log *slog.Logger) int {
 		log.Error(fmt.Sprintf("bptables: %v", err))
 		return 2
 	}
-	sum, err := repro.RunBench(m, repro.BenchConfig{IntraCellWorkers: cellPar}, sink)
+	sum, err := repro.RunBench(m, repro.BenchConfig{}, sink)
 	if err != nil {
 		log.Error(fmt.Sprintf("bptables: %v", err))
 		return 2

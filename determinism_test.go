@@ -54,12 +54,8 @@ func assertIdenticalRuns(t *testing.T, m *BenchMatrix) {
 	a := normalizedJSONL(t, m, BenchConfig{Parallelism: 4, Provenance: &prov})
 	configs := []BenchConfig{
 		{Parallelism: 1, NoTraceCache: true},
-		// Pooling off: fresh predictor per cell must match Reset reuse.
-		{Parallelism: 2, NoPredictorPool: true},
-		// Intra-cell sharding on: each cell group's traces split across
-		// goroutines must land byte-identically where the serial run put them.
-		{Parallelism: 1, IntraCellWorkers: 4},
-		{Parallelism: 2, IntraCellWorkers: 4, NoPredictorPool: true},
+		{Parallelism: 1},
+		{Parallelism: 3, NoTraceCache: true},
 	}
 	for _, cfg := range configs {
 		b := normalizedJSONL(t, m, cfg)

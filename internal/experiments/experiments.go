@@ -1,10 +1,15 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (the E1–E15 index of DESIGN.md). Each experiment returns a
+// evaluation (the E1–E15 index of Registry). Each experiment returns a
 // Report pairing the paper's published values with the values measured on
 // this repository's synthetic benchmark suite: absolute numbers differ
 // (the substrate is synthetic), the *shapes* — orderings, ratios,
 // crossovers — are the reproduction targets, and each report carries the
 // shape checks it is expected to satisfy.
+//
+// Every experiment declares its predictors as harness models and runs
+// them over the 40-trace suite as one harness matrix, so all fifteen get
+// the pooled predictors, the shared trace cache, the resumable result
+// store and the warm cache; every number is read from the cell records.
 package experiments
 
 import (
@@ -15,32 +20,30 @@ import (
 	"repro/internal/gehl"
 	"repro/internal/gshare"
 	"repro/internal/harness"
+	"repro/internal/memarray"
 	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/tage"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // Config controls the experiment scale.
 type Config struct {
-	// BranchesPerTrace sets the trace length (default 200000; the full
-	// runs in EXPERIMENTS.md use 1000000).
+	// BranchesPerTrace sets the trace length (default 200000; full-scale
+	// runs use 1000000).
 	BranchesPerTrace int
 	// Window and ExecDelay configure the pipeline model.
 	Window    int
 	ExecDelay int
 	// Parallelism bounds concurrent trace simulations (default NumCPU).
 	Parallelism int
-	// IntraCellWorkers shards each cell group's traces across this many
-	// goroutines in the harness-backed sweeps (see harness.Config); the
-	// results are byte-identical to a serial run. Zero or one disables it.
-	IntraCellWorkers int
-	// ResultStore, when set, routes the harness-backed sweeps (E11's
-	// Figure 9 grid) through the resumable append-only result store at
-	// this path: cells already present are reused, only the missing or
-	// failed ones run, and appended records are stamped with provenance
-	// — so the most expensive experiment survives interruption and can
-	// be re-rendered for free. Empty keeps the in-memory behaviour.
+	// ResultStore, when set, routes every experiment's sweep through the
+	// resumable append-only result store at this path: cells already
+	// present are reused, only the missing or failed ones run, and
+	// appended records are stamped with provenance — so an interrupted
+	// run survives and a complete one can be re-rendered for free. Empty
+	// keeps the in-memory behaviour.
 	ResultStore string
 	// WarmCache additionally keeps a checkpoint blob cache next to the
 	// store (ResultStore + ".ckpt/"): cells warm-start from their cached
@@ -66,32 +69,41 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) simOptions(sc predictor.Scenario) sim.Options {
-	return sim.Options{Scenario: sc, Window: c.Window, ExecDelay: c.ExecDelay}
+// suiteMatrix declares models × the 40-trace suite × scenarios at the
+// configured trace length and pipeline.
+func (c Config) suiteMatrix(models []harness.Model, scenarios ...predictor.Scenario) *harness.Matrix {
+	return &harness.Matrix{
+		Models:    models,
+		Traces:    workload.All(),
+		Scenarios: scenarios,
+		Lengths:   []int{c.BranchesPerTrace},
+		Window:    c.Window,
+		ExecDelay: c.ExecDelay,
+	}
 }
 
-// runMatrix executes a harness matrix for an experiment and returns the
-// full record stream (cells in expansion order, then aggregates) plus
-// any provenance-drift notes. With cfg.ResultStore unset it is a plain
-// in-memory harness run; with it set, the sweep becomes resumable
-// exactly like `bpbench -resume` (the two share harness.ResumeStoreFile):
-// cells the store already holds are reused, only the rest execute, and
-// the new records — provenance-stamped — are appended. The returned
-// stream is the merged view either way, so callers render identical
-// reports from a fresh run, a partial resume, or a complete store;
-// reused cells recorded under a different git SHA than HEAD surface as
-// notes for the report rather than vanishing silently.
-func runMatrix(m *harness.Matrix, cfg Config) (recs []harness.Record, notes []string, err error) {
-	hcfg := harness.Config{Parallelism: cfg.Parallelism, IntraCellWorkers: cfg.IntraCellWorkers}
+// runMatrix executes a harness matrix for an experiment and returns its
+// cell records in expansion order plus any provenance-drift notes. With
+// cfg.ResultStore unset it is a plain in-memory harness run; with it
+// set, the sweep becomes resumable exactly like `bpbench -resume` (the
+// two share harness.ResumeStoreFile): cells the store already holds are
+// reused, only the rest execute, and the new records — provenance-stamped
+// — are appended. The returned cells are the merged view either way, so
+// callers render identical reports from a fresh run, a partial resume, or
+// a complete store; reused cells recorded under a different git SHA than
+// HEAD surface as notes for the report rather than vanishing silently.
+func runMatrix(m *harness.Matrix, cfg Config) (cells []harness.Record, notes []string, err error) {
+	hcfg := harness.Config{Parallelism: cfg.Parallelism}
 	if cfg.ResultStore == "" {
 		if cfg.WarmCache {
 			return nil, nil, fmt.Errorf("experiments: WarmCache caches checkpoints next to the result store; set ResultStore")
 		}
+		hcfg.NoAggregates = true
 		sum, err := harness.Run(m, hcfg, harness.Discard)
 		if err != nil {
 			return nil, nil, err
 		}
-		return sum.Records, nil, nil
+		return sum.Merged, nil, nil
 	}
 	jobs, err := m.Expand()
 	if err != nil {
@@ -113,7 +125,181 @@ func runMatrix(m *harness.Matrix, cfg Config) (recs []harness.Record, notes []st
 	if err != nil {
 		return nil, nil, err
 	}
-	return append(append([]harness.Record(nil), sum.Merged...), harness.Aggregate(sum.Merged)...), notes, nil
+	return sum.Merged, notes, nil
+}
+
+// suites holds an experiment's cell records per (model, scenario), each
+// list in suite order — the order the paper's sums run in.
+type suites map[string][]harness.Record
+
+// of returns the cells of one model under one scenario.
+func (s suites) of(model string, sc predictor.Scenario) []harness.Record {
+	return s[model+"/"+sc.Letter()]
+}
+
+// mppki is one model's suite MPPKI under one scenario.
+func (s suites) mppki(model string, sc predictor.Scenario) float64 {
+	return totalMPPKI(s.of(model, sc))
+}
+
+// run executes an experiment's matrix and groups its cells. A failed run
+// or cell fails the whole report — its rows are dropped, a failing check
+// and a note say why — so no experiment ever sums a short suite; run then
+// returns nil.
+func (r *Report) run(m *harness.Matrix, cfg Config) suites {
+	cells, notes, err := runMatrix(m, cfg)
+	if err != nil {
+		r.fail(err)
+		return nil
+	}
+	s := suites{}
+	for _, c := range cells {
+		if c.Failed() {
+			r.fail(fmt.Errorf("cell %s: %s", c.Key(), c.Err))
+			return nil
+		}
+		k := c.Model + "/" + c.Scenario
+		s[k] = append(s[k], c)
+	}
+	r.Notes = append(r.Notes, notes...)
+	return s
+}
+
+// fail marks the report as failed by err, dropping whatever it measured.
+func (r *Report) fail(err error) {
+	r.Rows, r.Checks = nil, nil
+	r.check("harness sweep ran", false)
+	r.Notes = append(r.Notes, "sweep failed: "+err.Error())
+}
+
+// totalMPPKI sums per-trace MPPKI in suite order: the paper's suite MPPKI.
+func totalMPPKI(cells []harness.Record) float64 {
+	t := 0.0
+	for _, c := range cells {
+		t += c.MPPKI
+	}
+	return t
+}
+
+// accessTotals sums the cells' predictor access counters. A cell without
+// counters was reused from a store written before records carried them;
+// it is refused rather than summed as zeros.
+func accessTotals(cells []harness.Record) (memarray.Stats, error) {
+	var t memarray.Stats
+	for _, c := range cells {
+		if c.Access == (memarray.Stats{}) {
+			return t, fmt.Errorf("cell %s carries no access counters (recorded before store schema 5); rerun it into a fresh store", c.Key())
+		}
+		t.Add(c.Access)
+	}
+	return t, nil
+}
+
+// pooledModel adapts a typed predictor constructor into a harness model:
+// Run simulates a freshly-constructed predictor, NewRunner one pooled
+// predictor Reset between cells (byte-identical, and free of
+// construction after a worker's first cell of the model). The name keys
+// the model's cells, so it must be unique to one configuration.
+func pooledModel[C any](name string, mk func() predictor.Predictor[C]) harness.Model {
+	return harness.Model{
+		Name:        name,
+		StorageBits: mk().StorageBits(),
+		Run: func(tr *trace.Trace, opt sim.Options) sim.Result {
+			return sim.Pooled(mk())(tr, opt)
+		},
+		NewRunner: func() func(tr *trace.Trace, opt sim.Options) sim.Result {
+			return sim.Pooled(mk())
+		},
+	}
+}
+
+// specModel is pooledModel for a configuration that a canonical model
+// spec builds identically: the spec names the model and rides along in
+// its records, so experiment cells share keys and store records with
+// `bpbench -models <spec>`, and a resume validates them the same way.
+func specModel[C any](spec string, mk func() predictor.Predictor[C]) harness.Model {
+	m := pooledModel(spec, mk)
+	m.Spec = spec
+	return m
+}
+
+// scalableModel is specModel with the Figure 9 budget-scaling hook: mk(d)
+// builds the configuration with every budget scaled by 2^d, the model
+// itself is the d = 0 variant, and every variant reports its own storage
+// budget (the harness names and specs the variants).
+func scalableModel[C any](spec string, mk func(d int) predictor.Predictor[C]) harness.Model {
+	m := specModel(spec, func() predictor.Predictor[C] { return mk(0) })
+	m.Scale = func(d int) harness.Model {
+		return pooledModel("", func() predictor.Predictor[C] { return mk(d) })
+	}
+	return m
+}
+
+// tageModel is a TAGE configuration as a harness model.
+func tageModel(spec string, cfg func() tage.Config) harness.Model {
+	return specModel(spec, func() predictor.Predictor[tage.Ctx] { return tage.New(cfg()) })
+}
+
+// composedModel is a composed-stack configuration as a harness model.
+func composedModel(spec string, cfg func() composed.Config) harness.Model {
+	return specModel(spec, func() predictor.Predictor[composed.Ctx] { return composed.New(cfg()) })
+}
+
+// --- the paper's configurations shared across experiments ---
+
+// refTAGE is the reference 512 Kbit TAGE of Section 3.4.
+func refTAGE() harness.Model { return tageModel("tage", tage.Reference) }
+
+// gshareModel is the 512 Kbit gshare of Section 4.1.
+func gshareModel() harness.Model {
+	return specModel("gshare", func() predictor.Predictor[gshare.Ctx] { return gshare.New(18) })
+}
+
+// gehlModel is the 520 Kbit GEHL of Section 4.1.
+func gehlModel() harness.Model {
+	return specModel("gehl", func() predictor.Predictor[gehl.Ctx] { return gehl.New(gehl.Config{}) })
+}
+
+// tageIUM is the reference TAGE with the Immediate Update Mimicker.
+func tageIUM() harness.Model {
+	return composedModel("tage-ium", func() composed.Config {
+		return composed.TageIUM(tage.Reference(), "TAGE+IUM")
+	})
+}
+
+// tageIUMLoop adds the loop predictor to TAGE+IUM (Section 5.2).
+func tageIUMLoop() harness.Model {
+	return composedModel("composed:tage+ium+loop", func() composed.Config {
+		cfg := composed.TageIUM(tage.Reference(), "TAGE+IUM+loop")
+		cfg.UseLoop = true
+		return cfg
+	})
+}
+
+// islTAGE is the Section 5 ISL-TAGE: TAGE+IUM+loop+SC.
+func islTAGE() harness.Model {
+	return composedModel("isl-tage", func() composed.Config {
+		return composed.ISLTAGE(tage.Reference(), "ISL-TAGE")
+	})
+}
+
+// tageLSC is the Section 6.1 budget-matched 512 Kbit TAGE-LSC.
+func tageLSC() harness.Model {
+	return composedModel("tage-lsc", func() composed.Config {
+		return composed.TAGELSC(composed.Budget512K(), "TAGE-LSC")
+	})
+}
+
+// tageLSCBanked is the Section 7 TAGE-LSC with 4-way interleaved
+// single-ported tables in both the global and the local components.
+func tageLSCBanked() harness.Model {
+	return composedModel("tage-lsc-banked", func() composed.Config {
+		tcfg := composed.Budget512K()
+		tcfg.Interleaved = true
+		c := composed.TAGELSC(tcfg, "TAGE-LSC-interleaved")
+		c.LSC.Interleaved = true
+		return c
+	})
 }
 
 // Row is one line of a report: a labelled paper-vs-measured pair.
@@ -155,75 +341,6 @@ func (r *Report) check(name string, pass bool) {
 
 func (r *Report) row(label, paper, format string, args ...any) {
 	r.Rows = append(r.Rows, Row{Label: label, Paper: paper, Measured: fmt.Sprintf(format, args...)})
-}
-
-// SuiteRunner runs a freshly-constructed predictor over the whole suite.
-type SuiteRunner func(cfg Config, opts sim.Options) *sim.Suite
-
-// MakeRunner adapts a typed predictor constructor into a SuiteRunner. The
-// constructor is invoked once per trace so every trace sees cold state;
-// the sweep fans out on the harness worker pool (results stay in suite
-// order, trace generation stays keyed to each spec's own seed, so suite
-// values are identical at any parallelism).
-func MakeRunner[C any](mk func() predictor.Predictor[C]) SuiteRunner {
-	return func(cfg Config, opts sim.Options) *sim.Suite {
-		cfg = cfg.withDefaults()
-		specs := workload.All()
-		results := harness.Map(len(specs), cfg.Parallelism, func(i int) sim.Result {
-			tr := workload.Generate(specs[i], cfg.BranchesPerTrace)
-			return sim.RunTrace(mk(), tr, opts)
-		})
-		s := &sim.Suite{}
-		for _, r := range results {
-			s.Add(r)
-		}
-		return s
-	}
-}
-
-// --- predictor factories (the paper's configurations) ---
-
-// GshareRunner is the 512 Kbit gshare of Section 4.1.
-func GshareRunner() SuiteRunner {
-	return MakeRunner(func() predictor.Predictor[gshare.Ctx] {
-		return gshare.New(18)
-	})
-}
-
-// GEHLRunner is the 520 Kbit GEHL of Section 4.1.
-func GEHLRunner() SuiteRunner {
-	return MakeRunner(func() predictor.Predictor[gehl.Ctx] {
-		return gehl.New(gehl.Config{})
-	})
-}
-
-// TAGERunner is the reference 512 Kbit TAGE of Section 3.4, optionally
-// interleaved and with IUM.
-func TAGERunner(interleaved, useIUM bool) SuiteRunner {
-	return MakeRunner(func() predictor.Predictor[tage.Ctx] {
-		cfg := tage.Reference()
-		cfg.Interleaved = interleaved
-		cfg.UseIUM = useIUM
-		return tage.New(cfg)
-	})
-}
-
-// ComposedRunner wraps a composed-stack configuration.
-func ComposedRunner(mk func() composed.Config) SuiteRunner {
-	return MakeRunner(func() predictor.Predictor[composed.Ctx] {
-		return composed.New(mk())
-	})
-}
-
-// scenarioSet runs one runner across the four update scenarii.
-func scenarioSet(r SuiteRunner, cfg Config) map[predictor.Scenario]*sim.Suite {
-	out := make(map[predictor.Scenario]*sim.Suite, 4)
-	for _, sc := range []predictor.Scenario{
-		predictor.ScenarioI, predictor.ScenarioA, predictor.ScenarioB, predictor.ScenarioC,
-	} {
-		out[sc] = r(cfg, cfg.simOptions(sc))
-	}
-	return out
 }
 
 func pct(delta, base float64) string {

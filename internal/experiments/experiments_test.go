@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/memarray"
 	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -90,32 +93,104 @@ func TestReportPassed(t *testing.T) {
 	}
 }
 
-func TestMakeRunnerColdStatePerTrace(t *testing.T) {
-	// The runner must construct a fresh predictor per trace: two identical
-	// invocations give identical totals.
-	cfg := Config{BranchesPerTrace: 5000}
-	r := GshareRunner()
-	a := r(cfg, cfg.simOptions(predictor.ScenarioA)).TotalMispredictions()
-	b := r(cfg, cfg.simOptions(predictor.ScenarioA)).TotalMispredictions()
-	if a != b {
-		t.Fatalf("suite runs not reproducible: %d vs %d", a, b)
+// TestExperimentsStoreRoundTrip runs E1–E15 once in memory, then twice
+// into one result store. The second store pass must execute zero cells,
+// and all three report sets must be identical: the access counters E1
+// and E3 read survive the store, and no two experiment configurations
+// share a model name (a shared name would reuse the other
+// configuration's cells and move a number).
+func TestExperimentsStoreRoundTrip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment runs in -short mode")
+	}
+	runAll := func(cfg Config) []string {
+		var reps []string
+		for _, e := range Registry() {
+			rep := e.Run(cfg)
+			if len(rep.Rows) == 0 {
+				t.Fatalf("%s measured nothing: %v", rep.ID, rep.Notes)
+			}
+			// Provenance-drift notes only say the tree is dirty; they are
+			// not measurements.
+			var notes []string
+			for _, n := range rep.Notes {
+				if !strings.HasPrefix(n, "store ") {
+					notes = append(notes, n)
+				}
+			}
+			rep.Notes = notes
+			var buf bytes.Buffer
+			Render(&buf, rep)
+			reps = append(reps, buf.String())
+		}
+		return reps
+	}
+	storedCells := func(path string) int {
+		recs, _, err := harness.ReadStoreFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, r := range recs {
+			if r.Kind == harness.KindCell {
+				n++
+			}
+		}
+		return n
+	}
+
+	cfg := Config{BranchesPerTrace: 1500, Parallelism: 2}
+	mem := runAll(cfg)
+	cfg.ResultStore = filepath.Join(t.TempDir(), "store.jsonl")
+	first := runAll(cfg)
+	cells := storedCells(cfg.ResultStore)
+	second := runAll(cfg)
+	if got := storedCells(cfg.ResultStore); got != cells {
+		t.Fatalf("second store pass executed %d cells, want 0", got-cells)
+	}
+	for i := range mem {
+		if mem[i] != first[i] || mem[i] != second[i] {
+			t.Fatalf("report differs between the in-memory and store runs:\nmemory:\n%s\nfirst:\n%s\nsecond:\n%s",
+				mem[i], first[i], second[i])
+		}
 	}
 }
 
-func TestSuiteRunnerCovers40Traces(t *testing.T) {
-	cfg := Config{BranchesPerTrace: 2000}
-	suite := GshareRunner()(cfg, cfg.simOptions(predictor.ScenarioA))
-	if len(suite.Results) != 40 {
-		t.Fatalf("suite has %d results, want 40", len(suite.Results))
-	}
-	seen := map[string]bool{}
-	for _, res := range suite.Results {
-		if seen[res.Trace] {
-			t.Fatalf("duplicate trace %s", res.Trace)
+// TestAccessExperimentsRefusePreSchema5Cells: cells from a store written
+// before records carried access counters (schema < 5) must fail E1 and
+// E3 loudly instead of rendering zero writes and accesses.
+func TestAccessExperimentsRefusePreSchema5Cells(t *testing.T) {
+	cfg := Config{BranchesPerTrace: 500, Parallelism: 2, ResultStore: filepath.Join(t.TempDir(), "store.jsonl")}
+	accessExperiments := []func(Config) Report{E1, E3}
+	for _, run := range accessExperiments {
+		if rep := run(cfg); len(rep.Rows) == 0 {
+			t.Fatalf("%s measured nothing: %v", rep.ID, rep.Notes)
 		}
-		seen[res.Trace] = true
-		if res.Branches == 0 {
-			t.Fatalf("trace %s ran no branches", res.Trace)
+	}
+	recs, _, err := harness.ReadStoreFile(cfg.ResultStore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old bytes.Buffer
+	enc := json.NewEncoder(&old)
+	for _, r := range recs {
+		r.Access = memarray.Stats{}
+		if r.Provenance != nil {
+			p := *r.Provenance
+			p.Schema = 4
+			r.Provenance = &p
+		}
+		if err := enc.Encode(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(cfg.ResultStore, old.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range accessExperiments {
+		rep := run(cfg)
+		if rep.Passed() || len(rep.Rows) != 0 || !strings.Contains(strings.Join(rep.Notes, " "), "no access counters") {
+			t.Fatalf("%s rendered cells without access counters: %+v", rep.ID, rep)
 		}
 	}
 }

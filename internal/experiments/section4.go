@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/cactimodel"
+	"repro/internal/harness"
 	"repro/internal/predictor"
+	"repro/internal/tage"
 )
 
 // E1 reproduces Section 4.1.1: effective writes per misprediction and per
@@ -15,19 +17,30 @@ func E1(cfg Config) Report {
 	r := Report{ID: "E1", Title: "Effective writes with silent-update elimination (§4.1.1)"}
 	type entry struct {
 		name    string
-		runner  SuiteRunner
+		model   harness.Model
 		paperWM string
 		paperWB string
 	}
 	entries := []entry{
-		{"TAGE 512Kb", TAGERunner(false, false), "2.17", "9.06"},
-		{"GEHL 520Kb", GEHLRunner(), "1.94", "9.10"},
-		{"gshare 512Kb", GshareRunner(), "1.54", "9.61"},
+		{"TAGE 512Kb", refTAGE(), "2.17", "9.06"},
+		{"GEHL 520Kb", gehlModel(), "1.94", "9.10"},
+		{"gshare 512Kb", gshareModel(), "1.54", "9.61"},
+	}
+	models := make([]harness.Model, len(entries))
+	for i, e := range entries {
+		models[i] = e.model
+	}
+	s := r.run(cfg.suiteMatrix(models, predictor.ScenarioA), cfg)
+	if s == nil {
+		return r
 	}
 	silentOK := true
 	for _, e := range entries {
-		suite := e.runner(cfg, cfg.simOptions(predictor.ScenarioA))
-		acc := suite.AccessTotals()
+		acc, err := accessTotals(s.of(e.model.Name, predictor.ScenarioA))
+		if err != nil {
+			r.fail(err)
+			return r
+		}
 		r.row(e.name+" writes/mispredict", e.paperWM, "%.2f", acc.WritesPerMisprediction())
 		r.row(e.name+" writes/100 branches", e.paperWB, "%.2f", acc.WritesPer100Branches())
 		r.row(e.name+" silent fraction", ">0.90", "%.3f", acc.SilentFraction())
@@ -52,22 +65,29 @@ func E2(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E2", Title: "Delayed-update scenarii (§4.1.2)"}
 	type entry struct {
-		name   string
-		runner SuiteRunner
-		paper  [4]string // I, A, B, C
+		name  string
+		model harness.Model
+		paper [4]string // I, A, B, C
 	}
 	entries := []entry{
-		{"gshare", GshareRunner(), [4]string{"944", "970", "1292", "1011"}},
-		{"GEHL", GEHLRunner(), [4]string{"664", "685", "801", "744"}},
-		{"TAGE", TAGERunner(false, false), [4]string{"609", "617", "640", "625"}},
+		{"gshare", gshareModel(), [4]string{"944", "970", "1292", "1011"}},
+		{"GEHL", gehlModel(), [4]string{"664", "685", "801", "744"}},
+		{"TAGE", refTAGE(), [4]string{"609", "617", "640", "625"}},
 	}
 	order := []predictor.Scenario{predictor.ScenarioI, predictor.ScenarioA, predictor.ScenarioB, predictor.ScenarioC}
+	models := make([]harness.Model, len(entries))
+	for i, e := range entries {
+		models[i] = e.model
+	}
+	s := r.run(cfg.suiteMatrix(models, order...), cfg)
+	if s == nil {
+		return r
+	}
 	mppki := map[string]map[predictor.Scenario]float64{}
 	for _, e := range entries {
-		suites := scenarioSet(e.runner, cfg)
 		mppki[e.name] = map[predictor.Scenario]float64{}
 		for i, sc := range order {
-			v := suites[sc].TotalMPPKI()
+			v := s.mppki(e.model.Name, sc)
 			mppki[e.name][sc] = v
 			r.row(fmt.Sprintf("%s %s MPPKI", e.name, sc), e.paper[i], "%.0f", v)
 		}
@@ -105,13 +125,25 @@ func E2(cfg Config) Report {
 func E3(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E3", Title: "Bank-interleaved single-ported TAGE (§4.3)"}
-	flat := TAGERunner(false, false)(cfg, cfg.simOptions(predictor.ScenarioC))
-	inter := TAGERunner(true, false)(cfg, cfg.simOptions(predictor.ScenarioC))
-	fm, im := flat.TotalMPPKI(), inter.TotalMPPKI()
+	flat := refTAGE()
+	inter := tageModel("tage:banked=1", func() tage.Config {
+		c := tage.Reference()
+		c.Interleaved = true
+		return c
+	})
+	s := r.run(cfg.suiteMatrix([]harness.Model{flat, inter}, predictor.ScenarioC), cfg)
+	if s == nil {
+		return r
+	}
+	acc, err := accessTotals(s.of(flat.Name, predictor.ScenarioC))
+	if err != nil {
+		r.fail(err)
+		return r
+	}
+	fm, im := s.mppki(flat.Name, predictor.ScenarioC), s.mppki(inter.Name, predictor.ScenarioC)
 	r.row("TAGE [C] flat MPPKI", "625", "%.0f", fm)
 	r.row("TAGE [C] 4-way interleaved MPPKI", "627", "%.0f", im)
 	r.row("interleaving penalty", "+0.3%", "%s", pct(im-fm, fm))
-	acc := flat.AccessTotals()
 	r.row("accesses per retired branch [C]", "1.13", "%.3f", acc.AccessesPerBranch())
 	r.check("interleaving penalty marginal (<4%)", im <= fm*1.04 && im >= fm*0.99)
 	r.check("~1.0-1.4 accesses per retired branch", acc.AccessesPerBranch() >= 1.0 && acc.AccessesPerBranch() <= 1.4)
@@ -134,16 +166,27 @@ func E3(cfg Config) Report {
 func E4(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E4", Title: "Immediate Update Mimicker (§5.1)"}
-	plain := scenarioSet(TAGERunner(false, false), cfg)
-	withIUM := scenarioSet(TAGERunner(false, true), cfg)
-	base := plain[predictor.ScenarioI].TotalMPPKI()
+	plainM := refTAGE()
+	iumM := tageModel("tage:ium=1", func() tage.Config {
+		c := tage.Reference()
+		c.UseIUM = true
+		return c
+	})
+	s := r.run(cfg.suiteMatrix([]harness.Model{plainM, iumM},
+		predictor.ScenarioI, predictor.ScenarioA, predictor.ScenarioB, predictor.ScenarioC), cfg)
+	if s == nil {
+		return r
+	}
+	plain := func(sc predictor.Scenario) float64 { return s.mppki(plainM.Name, sc) }
+	withIUM := func(sc predictor.Scenario) float64 { return s.mppki(iumM.Name, sc) }
+	base := plain(predictor.ScenarioI)
 	r.row("TAGE [I] (oracle)", "609", "%.0f", base)
 	paperPlain := map[predictor.Scenario]string{predictor.ScenarioA: "617", predictor.ScenarioB: "640", predictor.ScenarioC: "625"}
 	paperIUM := map[predictor.Scenario]string{predictor.ScenarioA: "611", predictor.ScenarioB: "624", predictor.ScenarioC: "614"}
 	recovered := map[predictor.Scenario]float64{}
 	for _, sc := range []predictor.Scenario{predictor.ScenarioA, predictor.ScenarioB, predictor.ScenarioC} {
-		p := plain[sc].TotalMPPKI()
-		w := withIUM[sc].TotalMPPKI()
+		p := plain(sc)
+		w := withIUM(sc)
 		r.row(fmt.Sprintf("TAGE %s no IUM", sc), paperPlain[sc], "%.0f", p)
 		r.row(fmt.Sprintf("TAGE %s with IUM", sc), paperIUM[sc], "%.0f", w)
 		if p > base {
@@ -153,9 +196,9 @@ func E4(cfg Config) Report {
 			predictor.ScenarioA: "~3/4", predictor.ScenarioB: "~1/2", predictor.ScenarioC: "most"}[sc],
 			"%.0f%%", 100*recovered[sc])
 	}
-	r.check("IUM helps in scenario A", withIUM[predictor.ScenarioA].TotalMPPKI() < plain[predictor.ScenarioA].TotalMPPKI())
-	r.check("IUM helps in scenario B (the largest gap)", withIUM[predictor.ScenarioB].TotalMPPKI() < plain[predictor.ScenarioB].TotalMPPKI())
-	r.check("IUM neutral-or-better in scenario C", withIUM[predictor.ScenarioC].TotalMPPKI() <= plain[predictor.ScenarioC].TotalMPPKI()*1.01)
+	r.check("IUM helps in scenario A", withIUM(predictor.ScenarioA) < plain(predictor.ScenarioA))
+	r.check("IUM helps in scenario B (the largest gap)", withIUM(predictor.ScenarioB) < plain(predictor.ScenarioB))
+	r.check("IUM neutral-or-better in scenario C", withIUM(predictor.ScenarioC) <= plain(predictor.ScenarioC)*1.01)
 	r.check("IUM recovers a substantial part of the delayed-update gap",
 		recovered[predictor.ScenarioA] > 0.3 || recovered[predictor.ScenarioB] > 0.3)
 	return r

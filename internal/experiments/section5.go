@@ -1,30 +1,10 @@
 package experiments
 
 import (
-	"repro/internal/composed"
+	"repro/internal/harness"
 	"repro/internal/predictor"
 	"repro/internal/tage"
 )
-
-func tageIUMRunner() SuiteRunner {
-	return ComposedRunner(func() composed.Config {
-		return composed.TageIUM(tage.Reference(), "TAGE+IUM")
-	})
-}
-
-func tageIUMLoopRunner() SuiteRunner {
-	return ComposedRunner(func() composed.Config {
-		cfg := composed.TageIUM(tage.Reference(), "TAGE+IUM+loop")
-		cfg.UseLoop = true
-		return cfg
-	})
-}
-
-func islRunner() SuiteRunner {
-	return ComposedRunner(func() composed.Config {
-		return composed.ISLTAGE(tage.Reference(), "ISL-TAGE")
-	})
-}
 
 // E5 reproduces Section 5.2: the loop predictor on top of TAGE+IUM.
 // Paper: 611 -> 593 MPPKI, "approximately a 3% reduction of the
@@ -32,9 +12,12 @@ func islRunner() SuiteRunner {
 func E5(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E5", Title: "Loop predictor on top of TAGE+IUM (§5.2)"}
-	base := tageIUMRunner()(cfg, cfg.simOptions(predictor.ScenarioA))
-	withLoop := tageIUMLoopRunner()(cfg, cfg.simOptions(predictor.ScenarioA))
-	b, w := base.TotalMPPKI(), withLoop.TotalMPPKI()
+	base, withLoop := tageIUM(), tageIUMLoop()
+	s := r.run(cfg.suiteMatrix([]harness.Model{base, withLoop}, predictor.ScenarioA), cfg)
+	if s == nil {
+		return r
+	}
+	b, w := s.mppki(base.Name, predictor.ScenarioA), s.mppki(withLoop.Name, predictor.ScenarioA)
 	r.row("TAGE+IUM MPPKI", "611", "%.0f", b)
 	r.row("TAGE+IUM+loop MPPKI", "593", "%.0f", w)
 	r.row("reduction", "-3%", "%s", pct(w-b, b))
@@ -48,9 +31,12 @@ func E5(cfg Config) Report {
 func E6(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E6", Title: "Statistical Corrector on top of TAGE+IUM+loop (§5.3)"}
-	base := tageIUMLoopRunner()(cfg, cfg.simOptions(predictor.ScenarioA))
-	isl := islRunner()(cfg, cfg.simOptions(predictor.ScenarioA))
-	b, w := base.TotalMPPKI(), isl.TotalMPPKI()
+	base, isl := tageIUMLoop(), islTAGE()
+	s := r.run(cfg.suiteMatrix([]harness.Model{base, isl}, predictor.ScenarioA), cfg)
+	if s == nil {
+		return r
+	}
+	b, w := s.mppki(base.Name, predictor.ScenarioA), s.mppki(isl.Name, predictor.ScenarioA)
 	r.row("TAGE+IUM+loop MPPKI", "593", "%.0f", b)
 	r.row("ISL-TAGE (+SC) MPPKI", "580", "%.0f", w)
 	r.row("reduction", "-2%", "%s", pct(w-b, b))
@@ -64,13 +50,14 @@ func E6(cfg Config) Report {
 func E7(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E7", Title: "ISL-TAGE vs scaling TAGE to 2 Mbits (§5.4)"}
-	opts := cfg.simOptions(predictor.ScenarioA)
-	t512 := TAGERunner(false, false)(cfg, opts)
-	isl := islRunner()(cfg, opts)
-	t2m := MakeRunner(func() predictor.Predictor[tage.Ctx] {
-		return tage.New(tage.Scale(tage.Reference(), 2))
-	})(cfg, opts)
-	a, b, c := t512.TotalMPPKI(), isl.TotalMPPKI(), t2m.TotalMPPKI()
+	t512, isl := refTAGE(), islTAGE()
+	t2m := tageModel("tage@+2", func() tage.Config { return tage.Scale(tage.Reference(), 2) })
+	s := r.run(cfg.suiteMatrix([]harness.Model{t512, isl, t2m}, predictor.ScenarioA), cfg)
+	if s == nil {
+		return r
+	}
+	sum := func(m harness.Model) float64 { return s.mppki(m.Name, predictor.ScenarioA) }
+	a, b, c := sum(t512), sum(isl), sum(t2m)
 	r.row("TAGE 512Kb MPPKI", "617", "%.0f", a)
 	r.row("ISL-TAGE 512Kb MPPKI", "580", "%.0f", b)
 	r.row("TAGE 2Mb MPPKI", "~580", "%.0f", c)

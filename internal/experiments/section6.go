@@ -10,21 +10,8 @@ import (
 	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/tage"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
-
-func tageLSCRunner() SuiteRunner {
-	return ComposedRunner(func() composed.Config {
-		return composed.TAGELSC(composed.Budget512K(), "TAGE-LSC")
-	})
-}
-
-func fullStackRunner() SuiteRunner {
-	return ComposedRunner(func() composed.Config {
-		return composed.FullStack(tage.Reference(), "TAGE+IUM+loop+SC+LSC")
-	})
-}
 
 // E8 reproduces Section 6.1: the LSC on top of the full stack reaches 555
 // MPPKI; the LSC *alone* on TAGE+IUM reaches 559, i.e. it captures most
@@ -33,17 +20,21 @@ func fullStackRunner() SuiteRunner {
 func E8(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E8", Title: "Local Statistical Corrector (§6.1)"}
-	opts := cfg.simOptions(predictor.ScenarioA)
-	base := tageIUMRunner()(cfg, opts)
-	isl := islRunner()(cfg, opts)
-	full := fullStackRunner()(cfg, opts)
-	lscOnly := ComposedRunner(func() composed.Config {
+	base, isl := tageIUM(), islTAGE()
+	full := composedModel("composed:tage+ium+loop+gsc+lsc", func() composed.Config {
+		return composed.FullStack(tage.Reference(), "TAGE+IUM+loop+SC+LSC")
+	})
+	lscOnly := composedModel("composed:tage+ium+lsc", func() composed.Config {
 		return composed.TAGELSC(tage.Reference(), "TAGE+IUM+LSC")
-	})(cfg, opts)
-	b := base.TotalMPPKI()
-	i := isl.TotalMPPKI()
-	f := full.TotalMPPKI()
-	lo := lscOnly.TotalMPPKI()
+	})
+	s := r.run(cfg.suiteMatrix([]harness.Model{base, isl, full, lscOnly}, predictor.ScenarioA), cfg)
+	if s == nil {
+		return r
+	}
+	b := s.mppki(base.Name, predictor.ScenarioA)
+	i := s.mppki(isl.Name, predictor.ScenarioA)
+	f := s.mppki(full.Name, predictor.ScenarioA)
+	lo := s.mppki(lscOnly.Name, predictor.ScenarioA)
 	r.row("TAGE+IUM MPPKI", "611", "%.0f", b)
 	r.row("ISL-TAGE (loop+SC) MPPKI", "580", "%.0f", i)
 	r.row("full stack +LSC MPPKI", "555", "%.0f", f)
@@ -53,10 +44,13 @@ func E8(cfg Config) Report {
 	r.check("LSC alone beats loop+SC (subsumption)", lo < i)
 	r.check("LSC alone close to full stack (within 6%)", lo <= f*1.06)
 
-	// Revert usefulness, measured on one representative trace.
+	// Revert usefulness, measured on one representative trace: a single
+	// simulation whose predictor internals are read back afterwards, so it
+	// runs directly rather than as a harness cell.
 	p := composed.New(composed.TAGELSC(tage.Reference(), "probe"))
 	tr := workload.Generate(mustFind("WS03"), cfg.BranchesPerTrace)
-	sim.RunTrace[composed.Ctx](p, tr, opts)
+	var rn sim.Runner[composed.Ctx]
+	rn.RunTrace(p, tr, sim.Options{Scenario: predictor.ScenarioA, Window: cfg.Window, ExecDelay: cfg.ExecDelay})
 	rate := p.LSC().RevertSuccessRate()
 	r.row("LSC revert success rate (WS03)", ">70%", "%.0f%%", 100*rate)
 	r.check("reverts are profitable (>50% correct)", rate > 0.5)
@@ -77,15 +71,20 @@ func mustFind(name string) workload.Spec {
 func E9(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E9", Title: "512Kbit budget match: TAGE-LSC vs ISL-TAGE (§6.1)"}
-	opts := cfg.simOptions(predictor.ScenarioA)
-	tagelsc := tageLSCRunner()(cfg, opts)
-	islSame := ComposedRunner(func() composed.Config {
+	tagelsc := tageLSC()
+	// No model spec describes this one (its TAGE core halves T7 and its SC
+	// has five tables), so it carries an experiment-local name.
+	islSame := pooledModel("isl-tage-512k-sc5", func() predictor.Predictor[composed.Ctx] {
 		c := composed.ISLTAGE(composed.Budget512K(), "ISL-TAGE-512K")
 		// "5 tables GEHL-like predictor for Statistical Corrector".
 		c.SC.Lengths = []int{0, 4, 10, 17, 31}
-		return c
-	})(cfg, opts)
-	a, b := tagelsc.TotalMPPKI(), islSame.TotalMPPKI()
+		return composed.New(c)
+	})
+	s := r.run(cfg.suiteMatrix([]harness.Model{tagelsc, islSame}, predictor.ScenarioA), cfg)
+	if s == nil {
+		return r
+	}
+	a, b := s.mppki(tagelsc.Name, predictor.ScenarioA), s.mppki(islSame.Name, predictor.ScenarioA)
 	r.row("TAGE-LSC 512Kb MPPKI", "562", "%.0f", a)
 	r.row("ISL-TAGE 512Kb (same structure) MPPKI", "581", "%.0f", b)
 	r.row("TAGE-LSC advantage", "-3.3%", "%s", pct(a-b, b))
@@ -136,7 +135,6 @@ func tageConfigFor(nTagged, minHist, maxHist int, name string) tage.Config {
 func E10(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E10", Title: "History series robustness of TAGE-LSC (§6.2)"}
-	opts := cfg.simOptions(predictor.ScenarioA)
 	type variant struct {
 		label   string
 		paper   string
@@ -152,20 +150,30 @@ func E10(cfg Config) Report {
 		{"9-comp (6,1000)", "566", 8, 6, 1000},
 		{"6-comp (6,500)", "583", 5, 6, 500},
 	}
-	var baseV float64
-	var worst float64
+	// No model spec describes these cores (the 13-component ones halve
+	// T7, the others use their own size ladders), so each variant carries
+	// an experiment-local name unique to its configuration.
+	models := make([]harness.Model, len(variants))
 	for i, v := range variants {
-		v := v
-		runner := ComposedRunner(func() composed.Config {
+		name := fmt.Sprintf("tage-lsc-%dcomp-hist%d:%d", v.nTagged+1, v.min, v.max)
+		models[i] = pooledModel(name, func() predictor.Predictor[composed.Ctx] {
 			tcfg := tageConfigFor(v.nTagged, v.min, v.max, v.label)
 			if v.nTagged >= 12 {
 				tcfg = composed.Budget512K()
 				tcfg.MinHist, tcfg.MaxHist = v.min, v.max
 				tcfg.Name = v.label
 			}
-			return composed.TAGELSC(tcfg, v.label)
+			return composed.New(composed.TAGELSC(tcfg, v.label))
 		})
-		m := runner(cfg, opts).TotalMPPKI()
+	}
+	s := r.run(cfg.suiteMatrix(models, predictor.ScenarioA), cfg)
+	if s == nil {
+		return r
+	}
+	var baseV float64
+	var worst float64
+	for i, v := range variants {
+		m := s.mppki(models[i].Name, predictor.ScenarioA)
 		r.row(v.label+" MPPKI", v.paper, "%.0f", m)
 		if i == 0 {
 			baseV = m
@@ -179,60 +187,20 @@ func E10(cfg Config) Report {
 	return r
 }
 
-// scalableModel adapts a per-deltaLog predictor constructor into a
-// harness model with the Figure 9 budget-scaling hook: the base model is
-// the deltaLog-0 variant, and every variant reports its actual storage
-// budget.
-func scalableModel[C any](name string, mk func(d int) func() predictor.Predictor[C]) harness.Model {
-	scale := func(d int) harness.Model {
-		return harness.Model{
-			StorageBits: mk(d)().StorageBits(),
-			Run: func(tr *trace.Trace, opt sim.Options) sim.Result {
-				return sim.RunTrace(mk(d)(), tr, opt)
-			},
-			NewRunner: func() func(tr *trace.Trace, opt sim.Options) sim.Result {
-				p := mk(d)()
-				var rn sim.Runner[C]
-				dirty := false
-				return func(tr *trace.Trace, opt sim.Options) sim.Result {
-					if dirty {
-						p.Reset()
-					}
-					dirty = true
-					return rn.RunTrace(p, tr, opt)
-				}
-			},
-		}
-	}
-	m := scale(0)
-	m.Name = name
-	// The identifier is the canonical model spec for these two (the same
-	// ones `bpbench -models` resolves), so experiment store records are
-	// spec-validated exactly like bpbench's; the harness stamps scaled
-	// variants with the rescaled spec.
-	m.Spec = name
-	m.Scale = scale
-	return m
-}
-
 // ScalableTAGEModel is the reference TAGE as a harness model with the
 // Figure 9 budget-scaling hook; deltaLog 0 is the 512Kbit reference.
 func ScalableTAGEModel() harness.Model {
-	return scalableModel("tage", func(d int) func() predictor.Predictor[tage.Ctx] {
-		return func() predictor.Predictor[tage.Ctx] {
-			return tage.New(tage.Scale(tage.Reference(), d))
-		}
+	return scalableModel("tage", func(d int) predictor.Predictor[tage.Ctx] {
+		return tage.New(tage.Scale(tage.Reference(), d))
 	})
 }
 
 // ScalableTAGELSCModel is TAGE-LSC as a harness model with the budget
 // hook scaling its TAGE component (the Figure 9 protocol).
 func ScalableTAGELSCModel() harness.Model {
-	return scalableModel("tage-lsc", func(d int) func() predictor.Predictor[composed.Ctx] {
-		return func() predictor.Predictor[composed.Ctx] {
-			return composed.New(composed.TAGELSC(
-				tage.Scale(composed.Budget512K(), d), fmt.Sprintf("TAGE-LSC%+d", d)))
-		}
+	return scalableModel("tage-lsc", func(d int) predictor.Predictor[composed.Ctx] {
+		return composed.New(composed.TAGELSC(
+			tage.Scale(composed.Budget512K(), d), fmt.Sprintf("TAGE-LSC%+d", d)))
 	})
 }
 
@@ -247,39 +215,23 @@ func E11(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E11", Title: "Figure 9: TAGE vs TAGE-LSC size scaling"}
 	deltas := []int{-2, -1, 0, 1, 2, 3, 4, 5, 6} // 128Kb .. 32Mb
-	m := &harness.Matrix{
-		Models:    []harness.Model{ScalableTAGEModel(), ScalableTAGELSCModel()},
-		Traces:    workload.All(),
-		Scenarios: []predictor.Scenario{predictor.ScenarioA},
-		Lengths:   []int{cfg.BranchesPerTrace},
-		DeltaLogs: deltas,
-		Window:    cfg.Window,
-		ExecDelay: cfg.ExecDelay,
-	}
-	recs, storeNotes, err := runMatrix(m, cfg)
-	if err != nil {
-		r.check("harness sweep ran", false)
-		r.Notes = append(r.Notes, "sweep failed: "+err.Error())
+	m := cfg.suiteMatrix([]harness.Model{ScalableTAGEModel(), ScalableTAGELSCModel()}, predictor.ScenarioA)
+	m.DeltaLogs = deltas
+	s := r.run(m, cfg)
+	if s == nil {
 		return r
 	}
-	r.Notes = append(r.Notes, storeNotes...)
 	tageM := map[int]float64{}
 	lscM := map[int]float64{}
 	client02 := map[int]float64{}
-	suites := map[string]float64{}
-	for _, rec := range recs {
-		switch rec.Kind {
-		case harness.KindSuite:
-			suites[rec.Model] = rec.MPPKISum
-		case harness.KindCell:
-			if rec.Trace == "CLIENT02" && rec.Model == harness.ScaledName("tage-lsc", rec.DeltaLog) {
-				client02[rec.DeltaLog] = rec.MPPKI
+	for _, d := range deltas {
+		tageM[d] = s.mppki(harness.ScaledName("tage", d), predictor.ScenarioA)
+		lscM[d] = s.mppki(harness.ScaledName("tage-lsc", d), predictor.ScenarioA)
+		for _, c := range s.of(harness.ScaledName("tage-lsc", d), predictor.ScenarioA) {
+			if c.Trace == "CLIENT02" {
+				client02[d] = c.MPPKI
 			}
 		}
-	}
-	for _, d := range deltas {
-		tageM[d] = suites[harness.ScaledName("tage", d)]
-		lscM[d] = suites[harness.ScaledName("tage-lsc", d)]
 		size := 512
 		if d >= 0 {
 			size <<= uint(d)
@@ -335,36 +287,42 @@ func figure9Paper(d int, isLSC bool) string {
 func E12(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E12", Title: "Figure 10: TAGE family vs neural predictors"}
-	opts := cfg.simOptions(predictor.ScenarioA)
-	runners := []struct {
+	entries := []struct {
 		name      string
-		runner    SuiteRunner
+		model     harness.Model
 		paperEasy string
 		paperHard string
 	}{
-		{"ISL-TAGE", islRunner(), "196", "2311"},
-		{"TAGE-LSC", tageLSCRunner(), "198", "2287"},
-		{"OH-SNAP", MakeRunner(func() predictor.Predictor[neural.Ctx] {
+		{"ISL-TAGE", islTAGE(), "196", "2311"},
+		{"TAGE-LSC", tageLSC(), "198", "2287"},
+		{"OH-SNAP", specModel("ohsnap", func() predictor.Predictor[neural.Ctx] {
 			return neural.New(neural.Config{})
 		}), "254", "2227"},
-		{"FTL++", MakeRunner(func() predictor.Predictor[ftlpp.Ctx] {
+		{"FTL++", specModel("ftlpp", func() predictor.Predictor[ftlpp.Ctx] {
 			return ftlpp.New(ftlpp.Config{})
 		}), "232", "2222"},
 	}
+	models := make([]harness.Model, len(entries))
+	for i, e := range entries {
+		models[i] = e.model
+	}
+	s := r.run(cfg.suiteMatrix(models, predictor.ScenarioA), cfg)
+	if s == nil {
+		return r
+	}
 	easy := map[string]float64{}
 	hard := map[string]float64{}
-	for _, e := range runners {
-		suite := e.runner(cfg, opts)
-		h := suite.Subset(workload.HardNames)
-		easyNames := map[string]bool{}
-		for _, res := range suite.Results {
-			if !workload.HardNames[res.Trace] {
-				easyNames[res.Trace] = true
+	for _, e := range entries {
+		var easyCells, hardCells []harness.Record
+		for _, c := range s.of(e.model.Name, predictor.ScenarioA) {
+			if workload.HardNames[c.Trace] {
+				hardCells = append(hardCells, c)
+			} else {
+				easyCells = append(easyCells, c)
 			}
 		}
-		ez := suite.Subset(easyNames)
-		easy[e.name] = ez.TotalMPPKI()
-		hard[e.name] = h.TotalMPPKI()
+		easy[e.name] = totalMPPKI(easyCells)
+		hard[e.name] = totalMPPKI(hardCells)
 		r.row(e.name+" 33 easy MPPKI", e.paperEasy, "%.0f", easy[e.name])
 		r.row(e.name+" 7 hard MPPKI", e.paperHard, "%.0f", hard[e.name])
 	}

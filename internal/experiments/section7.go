@@ -2,20 +2,10 @@ package experiments
 
 import (
 	"repro/internal/cactimodel"
-	"repro/internal/composed"
+	"repro/internal/harness"
 	"repro/internal/predictor"
 	"repro/internal/workload"
 )
-
-func tageLSCInterleavedRunner() SuiteRunner {
-	return ComposedRunner(func() composed.Config {
-		tcfg := composed.Budget512K()
-		tcfg.Interleaved = true
-		c := composed.TAGELSC(tcfg, "TAGE-LSC-interleaved")
-		c.LSC.Interleaved = true
-		return c
-	})
-}
 
 // E13 reproduces Section 7.1: the 512Kbit TAGE-LSC with 4-way interleaved
 // single-ported tables (both global and local components). Paper: 569
@@ -25,10 +15,12 @@ func tageLSCInterleavedRunner() SuiteRunner {
 func E13(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E13", Title: "Interleaved TAGE-LSC (§7.1)"}
-	opts := cfg.simOptions(predictor.ScenarioA)
-	flat := tageLSCRunner()(cfg, opts)
-	inter := tageLSCInterleavedRunner()(cfg, opts)
-	f, i := flat.TotalMPPKI(), inter.TotalMPPKI()
+	flat, inter := tageLSC(), tageLSCBanked()
+	s := r.run(cfg.suiteMatrix([]harness.Model{flat, inter}, predictor.ScenarioA), cfg)
+	if s == nil {
+		return r
+	}
+	f, i := s.mppki(flat.Name, predictor.ScenarioA), s.mppki(inter.Name, predictor.ScenarioA)
 	r.row("TAGE-LSC flat MPPKI", "562", "%.0f", f)
 	r.row("TAGE-LSC interleaved MPPKI", "569", "%.0f", i)
 	r.row("interleaving cost", "+1.2%", "%s", pct(i-f, f))
@@ -48,10 +40,15 @@ func E13(cfg Config) Report {
 func E14(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E14", Title: "Eliminating retire reads on TAGE-LSC (§7.2)"}
-	runner := tageLSCInterleavedRunner()
-	a := runner(cfg, cfg.simOptions(predictor.ScenarioA)).TotalMPPKI()
-	c := runner(cfg, cfg.simOptions(predictor.ScenarioC)).TotalMPPKI()
-	b := runner(cfg, cfg.simOptions(predictor.ScenarioB)).TotalMPPKI()
+	banked := tageLSCBanked()
+	s := r.run(cfg.suiteMatrix([]harness.Model{banked},
+		predictor.ScenarioA, predictor.ScenarioC, predictor.ScenarioB), cfg)
+	if s == nil {
+		return r
+	}
+	a := s.mppki(banked.Name, predictor.ScenarioA)
+	c := s.mppki(banked.Name, predictor.ScenarioC)
+	b := s.mppki(banked.Name, predictor.ScenarioB)
 	r.row("interleaved TAGE-LSC [A] MPPKI", "569", "%.0f", a)
 	r.row("interleaved TAGE-LSC [C] MPPKI", "575", "%.0f", c)
 	r.row("interleaved TAGE-LSC [B] MPPKI", "599", "%.0f", b)
@@ -69,11 +66,15 @@ func E14(cfg Config) Report {
 func E15(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E15", Title: "Benchmark set characterisation (§2.2)"}
-	suite := tageIUMLoopRunner()(cfg, cfg.simOptions(predictor.ScenarioA))
+	model := tageIUMLoop()
+	s := r.run(cfg.suiteMatrix([]harness.Model{model}, predictor.ScenarioA), cfg)
+	if s == nil {
+		return r
+	}
 	var hardMisp, totalMisp uint64
 	var worstEasy, bestHard float64
 	bestHard = 1e18
-	for _, res := range suite.Results {
+	for _, res := range s.of(model.Name, predictor.ScenarioA) {
 		totalMisp += res.Mispredicts
 		if workload.HardNames[res.Trace] {
 			hardMisp += res.Mispredicts

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/memarray"
 )
 
 func cell(model, trace, scenario string, branches int, mpki float64) Record {
@@ -269,6 +271,8 @@ func TestDiffIgnoresTelemetryFields(t *testing.T) {
 				fv.SetFloat(fv.Float() + 7)
 			case reflect.Ptr:
 				fv.Set(reflect.ValueOf(&Provenance{GitSHA: "deadbeefdeadbeef", Schema: 3}))
+			case reflect.Struct:
+				fv.Set(reflect.ValueOf(memarray.Stats{PredictReads: 7, WriteEvents: 7}))
 			default:
 				t.Fatalf("Record.%s has kind %s this test cannot mutate; extend it", f.Name, f.Type.Kind())
 			}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/gshare"
@@ -13,61 +11,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
-
-func TestMapOrderedAndBounded(t *testing.T) {
-	const n, workers = 100, 4
-	var cur, max int64
-	var mu sync.Mutex
-	out := Map(n, workers, func(i int) int {
-		c := atomic.AddInt64(&cur, 1)
-		mu.Lock()
-		if c > max {
-			max = c
-		}
-		mu.Unlock()
-		defer atomic.AddInt64(&cur, -1)
-		return i * i
-	})
-	if len(out) != n {
-		t.Fatalf("got %d results, want %d", len(out), n)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-	if max > workers {
-		t.Fatalf("observed %d concurrent workers, bound is %d", max, workers)
-	}
-}
-
-func TestMapZeroAndNegativeWorkers(t *testing.T) {
-	// workers<=0 means "as many as items": must still complete correctly.
-	out := Map(5, 0, func(i int) int { return i })
-	if !reflect.DeepEqual(out, []int{0, 1, 2, 3, 4}) {
-		t.Fatalf("out = %v", out)
-	}
-	if got := Map(0, 3, func(i int) int { return i }); len(got) != 0 {
-		t.Fatalf("n=0 returned %v", got)
-	}
-}
-
-func TestForEachPanicPropagates(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("panic did not propagate")
-		}
-		if s, ok := r.(string); !ok || !strings.Contains(s, "boom") {
-			t.Fatalf("unexpected panic value %v", r)
-		}
-	}()
-	ForEach(10, 3, func(i int) {
-		if i == 7 {
-			panic("boom 7")
-		}
-	})
-}
 
 func TestProtect(t *testing.T) {
 	if err := Protect(func() {}); err != nil {
@@ -375,9 +318,26 @@ func TestRunIsolatesPanickingJobs(t *testing.T) {
 	}
 }
 
+// TestRunIsolatesPanickingRunnerConstruction: a model whose pooled
+// runner cannot even be built fails its cells like a panicking run does,
+// instead of killing the worker that tried.
+func TestRunIsolatesPanickingRunnerConstruction(t *testing.T) {
+	broken := fakeModel("broken", flat(1))
+	broken.NewRunner = func() func(*trace.Trace, sim.Options) sim.Result { panic("no tables") }
+	m := testMatrix(t, []Model{broken}, []string{"INT01", "INT02"},
+		[]predictor.Scenario{predictor.ScenarioA}, []int{40})
+	sum, err := Run(m, Config{Parallelism: 2}, &collectSink{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Failed != 2 || !strings.Contains(sum.Merged[0].Err, "no tables") {
+		t.Fatalf("summary = %+v", sum)
+	}
+}
+
 func TestRunRealPredictorDeterministic(t *testing.T) {
 	real := Model{Name: "gshare12", Run: func(tr *trace.Trace, opt sim.Options) sim.Result {
-		return sim.RunTrace(gshare.New(12), tr, opt)
+		return sim.Pooled(gshare.New(12))(tr, opt)
 	}}
 	m := testMatrix(t, []Model{real}, []string{"CLIENT01", "INT01"},
 		[]predictor.Scenario{predictor.ScenarioA, predictor.ScenarioB}, []int{2000})

@@ -82,15 +82,6 @@ type Matrix struct {
 	// any non-positive value as "use the default").
 	Window    int
 	ExecDelay int
-	// IntraCellWorkers shards the traces of each cell group — the jobs
-	// sharing (model, scenario, branches, deltaLog) and differing only by
-	// trace — across this many goroutines during execution. Every trace
-	// still starts from a cold predictor, so results are byte-identical
-	// to a serial run; only wall-clock changes. Zero or one means no
-	// intra-cell parallelism; negative values are rejected by Expand.
-	// Run copies the setting into the execution Config when the caller
-	// left Config.IntraCellWorkers unset.
-	IntraCellWorkers int
 }
 
 // Job is one expanded cell of the matrix.
@@ -173,9 +164,6 @@ func (m *Matrix) Expand() ([]Job, error) {
 	}
 	if m.Window < 0 || m.ExecDelay < 0 {
 		return nil, fmt.Errorf("harness: negative Window/ExecDelay (%d/%d); zero selects the defaults", m.Window, m.ExecDelay)
-	}
-	if m.IntraCellWorkers < 0 {
-		return nil, fmt.Errorf("harness: negative IntraCellWorkers (%d); zero disables intra-cell parallelism", m.IntraCellWorkers)
 	}
 	if len(m.Models) == 0 {
 		return nil, fmt.Errorf("harness: matrix has no models")

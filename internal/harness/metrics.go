@@ -31,7 +31,7 @@ const (
 	MetricTraceCacheMisses = "bpbench_trace_cache_misses_total"
 	// MetricPredictorPoolHits / Misses count predictor-pool outcomes: a
 	// hit reuses a worker's warmed predictor via Reset, a miss constructs
-	// one (the first cell of each model on each worker or shard).
+	// one (the first cell of each model on each worker).
 	MetricPredictorPoolHits   = "bpbench_predictor_pool_hits_total"
 	MetricPredictorPoolMisses = "bpbench_predictor_pool_misses_total"
 	// MetricWarmCacheHits / Misses count checkpoint-cache outcomes when

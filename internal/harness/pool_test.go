@@ -2,7 +2,6 @@ package harness
 
 import (
 	"reflect"
-	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -27,19 +26,10 @@ func pooledGshare(constructions *atomic.Int64) Model {
 	return Model{
 		Name: "gshare12",
 		Run: func(tr *trace.Trace, opt sim.Options) sim.Result {
-			return sim.RunTrace(mk(), tr, opt)
+			return sim.Pooled(mk())(tr, opt)
 		},
 		NewRunner: func() func(tr *trace.Trace, opt sim.Options) sim.Result {
-			p := mk()
-			var rn sim.Runner[gshare.Ctx]
-			dirty := false
-			return func(tr *trace.Trace, opt sim.Options) sim.Result {
-				if dirty {
-					p.Reset()
-				}
-				dirty = true
-				return rn.RunTrace(p, tr, opt)
-			}
+			return sim.Pooled(mk())
 		},
 	}
 }
@@ -51,62 +41,14 @@ func clearTiming(recs []Record) {
 	}
 }
 
-// TestGroupJobs: cell groups partition the expanded grid by (model,
-// scenario, branches, deltaLog) — i.e. by everything except the trace —
-// in first-appearance order, covering every job exactly once.
-func TestGroupJobs(t *testing.T) {
-	m := testMatrix(t,
-		[]Model{fakeModel("m1", flat(1)), fakeModel("m2", flat(2))},
-		[]string{"INT01", "INT02", "MM05"},
-		[]predictor.Scenario{predictor.ScenarioA, predictor.ScenarioB},
-		[]int{60})
-	jobs, err := m.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups := groupJobs(jobs)
-	if len(groups) != 4 { // 2 models x 2 scenarios
-		t.Fatalf("got %d groups, want 4: %v", len(groups), groups)
-	}
-	seen := make(map[int]bool)
-	prevFirst := -1
-	for gi, g := range groups {
-		if len(g) != 3 {
-			t.Fatalf("group %d has %d members, want 3 (one per trace)", gi, len(g))
-		}
-		if g[0] < prevFirst {
-			t.Fatalf("groups not in first-appearance order: %v", groups)
-		}
-		prevFirst = g[0]
-		first := jobs[g[0]]
-		for k, i := range g {
-			if seen[i] {
-				t.Fatalf("job %d appears in two groups", i)
-			}
-			seen[i] = true
-			if k > 0 && g[k] <= g[k-1] {
-				t.Fatalf("group %d members out of expansion order: %v", gi, g)
-			}
-			j := jobs[i]
-			if j.Model.Name != first.Model.Name || j.Scenario != first.Scenario ||
-				j.Branches != first.Branches || j.DeltaLog != first.DeltaLog {
-				t.Fatalf("group %d mixes cells: %s vs %s", gi, j.Key(), first.Key())
-			}
-		}
-	}
-	if len(seen) != len(jobs) {
-		t.Fatalf("groups cover %d of %d jobs", len(seen), len(jobs))
-	}
-}
-
 // TestPredictorPoolReusesAndMeters: one worker running N cells of the
 // same model constructs exactly one predictor, and the hit/miss
-// counters account every arena lookup. The pooled records must match a
-// pool-disabled run exactly.
+// counters account every arena lookup. The pooled records must match
+// cold construction (the same model without a NewRunner hook) exactly.
 func TestPredictorPoolReusesAndMeters(t *testing.T) {
 	traces := []string{"INT01", "INT02", "MM05", "WS01"}
-	run := func(cfg Config, ctor *atomic.Int64) []Record {
-		m := testMatrix(t, []Model{pooledGshare(ctor)}, traces,
+	run := func(cfg Config, mdl Model) []Record {
+		m := testMatrix(t, []Model{mdl}, traces,
 			[]predictor.Scenario{predictor.ScenarioA}, []int{500})
 		sink := &collectSink{}
 		if _, err := Run(m, cfg, sink); err != nil {
@@ -117,7 +59,7 @@ func TestPredictorPoolReusesAndMeters(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	var pooledCtor atomic.Int64
-	pooled := run(Config{Parallelism: 1, Metrics: reg}, &pooledCtor)
+	pooled := run(Config{Parallelism: 1, Metrics: reg}, pooledGshare(&pooledCtor))
 	if got := pooledCtor.Load(); got != 1 {
 		t.Fatalf("pooled run constructed %d predictors, want 1", got)
 	}
@@ -127,9 +69,11 @@ func TestPredictorPoolReusesAndMeters(t *testing.T) {
 	}
 
 	var coldCtor atomic.Int64
-	cold := run(Config{Parallelism: 1, NoPredictorPool: true}, &coldCtor)
+	coldModel := pooledGshare(&coldCtor)
+	coldModel.NewRunner = nil
+	cold := run(Config{Parallelism: 1}, coldModel)
 	if got := coldCtor.Load(); got != int64(len(traces)) {
-		t.Fatalf("NoPredictorPool run constructed %d predictors, want %d", got, len(traces))
+		t.Fatalf("cold run constructed %d predictors, want %d", got, len(traces))
 	}
 	clearTiming(pooled)
 	clearTiming(cold)
@@ -138,79 +82,20 @@ func TestPredictorPoolReusesAndMeters(t *testing.T) {
 	}
 }
 
-// TestNoPredictorPoolReportsNoPoolTraffic: with the pool disabled the
-// counters stay silent, mirroring the trace-cache convention.
-func TestNoPredictorPoolReportsNoPoolTraffic(t *testing.T) {
+// TestColdModelReportsNoPoolTraffic: a model without a NewRunner hook
+// runs through its cold Run and leaves the pool counters silent,
+// mirroring the trace-cache convention.
+func TestColdModelReportsNoPoolTraffic(t *testing.T) {
 	reg := metrics.NewRegistry()
-	m := testMatrix(t, []Model{pooledGshare(nil)}, []string{"INT01", "INT02"},
+	cold := pooledGshare(nil)
+	cold.NewRunner = nil
+	m := testMatrix(t, []Model{cold}, []string{"INT01", "INT02"},
 		[]predictor.Scenario{predictor.ScenarioA}, []int{200})
-	if _, err := Run(m, Config{Parallelism: 1, NoPredictorPool: true, Metrics: reg}, &collectSink{}); err != nil {
+	if _, err := Run(m, Config{Parallelism: 1, Metrics: reg}, &collectSink{}); err != nil {
 		t.Fatal(err)
 	}
 	s := reg.Snapshot()
 	if h, ms := s.Value(MetricPredictorPoolHits), s.Value(MetricPredictorPoolMisses); h != 0 || ms != 0 {
-		t.Fatalf("pool traffic with NoPredictorPool: hits=%v misses=%v", h, ms)
-	}
-}
-
-// TestMatrixExpandRejectsNegativeIntraCellWorkers mirrors the other
-// Expand-time validations: a nonsensical worker count fails fast.
-func TestMatrixExpandRejectsNegativeIntraCellWorkers(t *testing.T) {
-	m := testMatrix(t, []Model{fakeModel("m", flat(1))}, []string{"INT01"},
-		[]predictor.Scenario{predictor.ScenarioA}, []int{50})
-	m.IntraCellWorkers = -2
-	if _, err := m.Expand(); err == nil {
-		t.Fatal("Expand accepted negative IntraCellWorkers")
-	}
-}
-
-// TestIntraCellShardingMatchesSerialAndMeters: sharding each cell
-// group's traces across goroutines must leave the record stream —
-// values and emission order — byte-identical to the serial schedule,
-// while the per-shard branch counters account every simulated branch.
-func TestIntraCellShardingMatchesSerialAndMeters(t *testing.T) {
-	traces := []string{"INT01", "INT02", "MM05", "WS01", "CLIENT01", "SERVER01"}
-	scenarios := []predictor.Scenario{predictor.ScenarioA, predictor.ScenarioB}
-	run := func(cfg Config) []Record {
-		m := testMatrix(t, []Model{pooledGshare(nil)}, traces, scenarios, []int{400})
-		sink := &collectSink{}
-		if _, err := Run(m, cfg, sink); err != nil {
-			t.Fatal(err)
-		}
-		return sink.recs
-	}
-
-	serial := run(Config{Parallelism: 1})
-	reg := metrics.NewRegistry()
-	const shards = 3
-	sharded := run(Config{Parallelism: 2, IntraCellWorkers: shards, Metrics: reg})
-	clearTiming(serial)
-	clearTiming(sharded)
-	if !reflect.DeepEqual(serial, sharded) {
-		t.Fatalf("sharded records diverge from serial schedule:\n%+v\nvs\n%+v", serial, sharded)
-	}
-
-	var cellBranches uint64
-	for _, r := range sharded {
-		if r.Kind == KindCell {
-			cellBranches += r.SimBranches
-		}
-	}
-	s := reg.Snapshot()
-	var metered float64
-	active := 0
-	for sh := 0; sh < shards; sh++ {
-		smp, ok := s.Sample(sim.MetricShardBranches, strconv.Itoa(sh))
-		if !ok {
-			continue
-		}
-		active++
-		metered += smp.Value
-	}
-	if active < 2 {
-		t.Fatalf("only %d shard counters advanced, want >= 2 (families: %+v)", active, s)
-	}
-	if metered != float64(cellBranches) {
-		t.Fatalf("shard counters sum to %v branches, cells report %d", metered, cellBranches)
+		t.Fatalf("pool traffic from a model without NewRunner: hits=%v misses=%v", h, ms)
 	}
 }

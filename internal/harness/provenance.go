@@ -19,10 +19,13 @@ import (
 // migrateRecord — and records from schemas newer than this constant are
 // rejected on read rather than misread); version 4 added the trace-spec
 // field (empty means the trace identity is its own spec, which holds for
-// every record from older schemas, so no backfill is needed). Bump this
-// whenever a Record field changes meaning, so long-lived stores can tell
-// which revision of the harness wrote each line.
-const SchemaVersion = 4
+// every record from older schemas, so no backfill is needed); version 5
+// added the nested access-counter object on cell records (older records
+// leave it nil: the counters were never measured, and there is nothing
+// to backfill). Bump this whenever a Record field changes meaning, so
+// long-lived stores can tell which revision of the harness wrote each
+// line.
+const SchemaVersion = 5
 
 // Provenance records where a result came from: the source revision the
 // harness was built from, whether the tree was dirty, and the toolchain.

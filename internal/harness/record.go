@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"repro/internal/memarray"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -64,6 +65,14 @@ type Record struct {
 	Mispredicts   uint64  `json:"mispredicts"`
 	MicroOps      uint64  `json:"micro_ops,omitempty"`
 	Misprediction float64 `json:"misprediction_rate,omitempty"`
+	// Access is the cell's predictor access accounting (schema >= 5):
+	// prediction and retire-time reads, effective and silent writes — the
+	// counts the paper's Section 4 numbers (silent updates, writes per
+	// misprediction, accesses per retired branch) are computed from. Set
+	// on successful cell records only; zero (and omitted from JSON) on
+	// aggregates, failed cells and cells recorded under older schemas.
+	// Diff ignores it.
+	Access memarray.Stats `json:"access,omitzero"`
 
 	// Simulator-throughput telemetry: how many branches were actually
 	// simulated, how long the cell took on the wall clock, and the derived
@@ -138,6 +147,7 @@ func cellRecord(j Job, res sim.Result) Record {
 		Mispredicts:    res.Mispredicts,
 		MicroOps:       res.MicroOps,
 		Misprediction:  res.Misprediction,
+		Access:         res.Access,
 		SimBranches:    res.Branches,
 		ElapsedSec:     res.Elapsed.Seconds(),
 		BranchesPerSec: res.BranchesPerSec,

@@ -9,6 +9,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -104,6 +105,9 @@ func tailHasData(br *bufio.Reader) bool {
 //     backfill — every trace identity those schemas could record (named
 //     benchmarks) is its own spec, which is exactly what an empty
 //     TraceSpec means.
+//   - schema < 5: cells carry no Access counters, and none can be
+//     backfilled; readers that need them (the paper's Section 4
+//     experiments) must refuse such cells rather than read zeros.
 func migrateRecord(r *Record) error {
 	schema := 1 // records that predate provenance stamping
 	if r.Provenance != nil && r.Provenance.Schema > 0 {
@@ -261,12 +265,16 @@ func driftWarning(key string, p *Provenance, head Provenance) string {
 }
 
 // effectivePipeline resolves the job's pipeline options the way the
-// simulator will (non-positive selects the default), matching the
-// values RunTrace records.
+// simulator will (non-positive selects the default; the oracle scenario
+// [I] updates immediately, with no in-flight window), matching the values
+// RunTrace records.
 func effectivePipeline(j Job) (window, execDelay int) {
 	window, execDelay = j.Opts.Window, j.Opts.ExecDelay
 	if window <= 0 {
 		window = sim.DefaultWindow
+	}
+	if j.Scenario == predictor.ScenarioI {
+		window = 0
 	}
 	if execDelay <= 0 {
 		execDelay = sim.DefaultExecDelay
@@ -357,7 +365,9 @@ func ResumeStoreFileTee(path string, jobs []Job, cfg Config, onPlan func(*Resume
 // resumes is record-for-record identical to one written in a single
 // uninterrupted run, modulo wall-clock telemetry. Aggregates are
 // suppressed when there was nothing to run and the store already has
-// them: re-resuming a complete store is a no-op append.
+// them: re-resuming a complete store is a no-op append. It is the one
+// executor every run goes through: RunJobs hands it a plan with nothing
+// reused.
 func RunResume(plan *ResumePlan, cfg Config, sink Sink) (*Summary, error) {
 	sum := &Summary{Jobs: len(plan.Jobs), Skipped: len(plan.Jobs) - len(plan.Todo)}
 	rm := newRunMetrics(cfg.Metrics)

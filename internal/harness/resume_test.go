@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/gshare"
 	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -279,6 +280,29 @@ func TestPlanResumeConfigMismatch(t *testing.T) {
 	plan = PlanResume(jobs, first.recs, Provenance{})
 	if len(plan.Reused) != 1 || len(plan.ConfigConflicts) != 0 {
 		t.Fatalf("explicit-default config must reuse: %+v", plan)
+	}
+}
+
+// TestPlanResumeReusesOracleScenario: the oracle scenario [I] runs with
+// no in-flight window and its records say so (window 0); a resume must
+// still recognise them as the requested pipeline and reuse them.
+func TestPlanResumeReusesOracleScenario(t *testing.T) {
+	real := Model{Name: "gshare12", Run: func(tr *trace.Trace, opt sim.Options) sim.Result {
+		return sim.Pooled(gshare.New(12))(tr, opt)
+	}}
+	m := testMatrix(t, []Model{real}, []string{"INT01"},
+		[]predictor.Scenario{predictor.ScenarioI, predictor.ScenarioA}, []int{500})
+	first := &collectSink{}
+	if _, err := Run(m, Config{}, first); err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := m.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := PlanResume(jobs, first.recs, Provenance{})
+	if len(plan.Reused) != 2 || len(plan.ConfigConflicts) != 0 {
+		t.Fatalf("oracle-scenario cells must be reused: %d reused, conflicts %v", len(plan.Reused), plan.ConfigConflicts)
 	}
 }
 

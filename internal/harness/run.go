@@ -5,7 +5,6 @@ import (
 	"log/slog"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -42,19 +41,6 @@ type Config struct {
 	// and result stream are bit-identical with telemetry off, which is
 	// why the registry is injected here rather than being a global.
 	Metrics *metrics.Registry
-	// NoPredictorPool disables per-worker predictor reuse: every cell
-	// constructs a fresh predictor through Model.Run even when the model
-	// offers a NewRunner hook. By default repeated cells of the same
-	// model Reset a pooled instance instead of reallocating its tables,
-	// which is byte-identical and skips construction entirely.
-	NoPredictorPool bool
-	// IntraCellWorkers shards each cell group's traces (jobs sharing
-	// model, scenario, branches and deltaLog) across this many goroutines
-	// with per-shard pooled runners and deterministic trace assignment.
-	// Results and emission order are byte-identical to a serial run.
-	// Zero or one disables intra-cell parallelism. Run seeds it from
-	// Matrix.IntraCellWorkers when unset here.
-	IntraCellWorkers int
 	// WarmCache, when non-empty, names a checkpoint blob directory
 	// (conventionally WarmCacheDir(storePath), i.e. "store.jsonl.ckpt/").
 	// Each cell then warm-starts from its cached predictor+pipeline
@@ -106,7 +92,7 @@ type Summary struct {
 	// Jobs-Skipped of them were actually executed.
 	Jobs int
 	// Skipped counts cells reused from a prior result store instead of
-	// re-run (always 0 outside RunResume).
+	// re-run (always 0 for a fresh run).
 	Skipped int
 	Failed  int
 	Records []Record // every record emitted, in emission order
@@ -165,41 +151,19 @@ func Run(m *Matrix, cfg Config, sink Sink) (*Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.IntraCellWorkers == 0 {
-		cfg.IntraCellWorkers = m.IntraCellWorkers
-	}
 	return RunJobs(jobs, cfg, sink)
 }
 
-// RunJobs executes an already-expanded job list (see Matrix.Expand).
+// RunJobs executes an already-expanded job list (see Matrix.Expand): a
+// fresh run is a resume plan with nothing reused.
 func RunJobs(jobs []Job, cfg Config, sink Sink) (*Summary, error) {
-	sum := &Summary{Jobs: len(jobs)}
-	rm := newRunMetrics(cfg.Metrics)
-	rm.beginRun(len(jobs), 0)
-	emit, emitErr := emitter(sum, sink, rm)
-	results := cfg.scheduler().Schedule(jobs, cfg, func(r Record) {
-		if r.Failed() {
-			sum.Failed++
-		}
-		emit(r)
-	})
-	sum.Merged = results
-	if *emitErr == nil && !cfg.NoAggregates {
-		for _, agg := range Aggregate(results) {
-			// Every cell of a single run carries cfg.Provenance, so the
-			// rollups over them truthfully do too.
-			agg.Provenance = cfg.Provenance
-			emit(agg)
-		}
-	}
-	return sum, closeSink(sink, *emitErr)
+	return RunResume(&ResumePlan{Jobs: jobs, Todo: jobs}, cfg, sink)
 }
 
-// runnerArena holds one worker's (or one intra-cell shard's) pooled run
-// functions, keyed by the model's canonical spec (name when the model was
-// built without one). It is only ever touched from the goroutine that
-// owns it, so lookups are lock-free; the hit/miss counters feed the
-// pool's telemetry.
+// runnerArena holds one worker's pooled run functions, keyed by the
+// model's canonical spec (name when the model was built without one). It
+// is only ever touched from the goroutine that owns it, so lookups are
+// lock-free; the hit/miss counters feed the pool's telemetry.
 type runnerArena struct {
 	m            map[string]func(tr *trace.Trace, opt sim.Options) sim.Result
 	hits, misses *metrics.Counter
@@ -209,7 +173,7 @@ type runnerArena struct {
 // when the model offers one (created on first use, Reset-reused after),
 // the plain cold-construction Run otherwise.
 func (a *runnerArena) runner(mdl Model) func(tr *trace.Trace, opt sim.Options) sim.Result {
-	if a == nil || mdl.NewRunner == nil {
+	if mdl.NewRunner == nil {
 		return mdl.Run
 	}
 	key := mdl.Spec
@@ -229,18 +193,14 @@ func (a *runnerArena) runner(mdl Model) func(tr *trace.Trace, opt sim.Options) s
 	return fn
 }
 
-// executeJobs runs the job list on the worker pool, invoking visit for
-// every record in job order as results complete (a reorder buffer
-// decouples worker completion order from visit order, so streaming
-// starts with the first finished cell), and returns all records.
-//
-// With cfg.IntraCellWorkers > 1 the scheduling is two-level: the outer
-// pool hands out cell groups (jobs sharing model, scenario, branches and
-// deltaLog), and each group's traces are sharded across up to
-// IntraCellWorkers goroutines with a deterministic stride. Every trace
-// starts from a cold (Reset or fresh) predictor either way, so the
-// records — and their emission order — are byte-identical to the serial
-// schedule.
+// executeJobs runs the job list on cfg.workers() goroutines, one job
+// (one trace) at a time each, invoking visit for every record in job
+// order as results complete (a reorder buffer decouples worker
+// completion order from visit order, so streaming starts with the first
+// finished cell), and returns all records. Each worker keeps its own
+// runner arena, so its repeated cells of a model Reset one pooled
+// predictor; every trace still starts from cold state, so the records
+// are byte-identical at any parallelism.
 func executeJobs(jobs []Job, cfg Config, rm *runMetrics, visit func(Record)) []Record {
 	cache := &traceCache{m: make(map[string]*traceEntry)}
 	if rm != nil {
@@ -250,29 +210,19 @@ func executeJobs(jobs []Job, cfg Config, rm *runMetrics, visit func(Record)) []R
 	wc := newWarmCache(cfg.WarmCache, rm, cfg.Log)
 	results := make([]Record, len(jobs))
 	done := make([]chan struct{}, len(jobs))
-	for i := range done {
+	next := make(chan int, len(jobs))
+	for i := range jobs {
 		done[i] = make(chan struct{})
+		next <- i
 	}
+	close(next)
 
-	newArena := func() *runnerArena {
-		if cfg.NoPredictorPool {
-			return nil
-		}
-		a := &runnerArena{m: make(map[string]func(tr *trace.Trace, opt sim.Options) sim.Result)}
-		if rm != nil {
-			a.hits, a.misses = rm.poolHits, rm.poolMisses
-		}
-		return a
-	}
-
-	runOne := func(i, w int, arena *runnerArena, shardCtr *metrics.Counter) {
-		defer close(done[i])
-		j := jobs[i]
+	runOne := func(j Job, w int, arena *runnerArena) Record {
 		j.Opts.Metrics = cfg.Metrics
-		run := arena.runner(j.Model)
 		jobDone := rm.jobBegin(w)
 		var res Record
 		err := Protect(func() {
+			run := arena.runner(j.Model)
 			var tr *trace.Trace
 			if cfg.NoTraceCache {
 				tr = workload.Generate(j.Spec, j.Branches)
@@ -305,83 +255,26 @@ func executeJobs(jobs []Job, cfg Config, rm *runMetrics, visit func(Record)) []R
 		if cfg.Provenance != nil {
 			res.Provenance = cfg.Provenance
 		}
-		results[i] = res
-		shardCtr.Add(res.SimBranches)
+		return res
 	}
 
-	if cfg.IntraCellWorkers > 1 {
-		groups := groupJobs(jobs)
-		var shardVec *metrics.CounterVec
-		if cfg.Metrics != nil {
-			shardVec = cfg.Metrics.CounterVec(sim.MetricShardBranches, sim.HelpShardBranches, "shard")
-		}
-		go forEachWorker(len(groups), cfg.workers(), func(w, gi int) {
-			g := groups[gi]
-			shards := cfg.IntraCellWorkers
-			if shards > len(g) {
-				shards = len(g)
+	for w := 0; w < min(cfg.workers(), len(jobs)); w++ {
+		go func(w int) {
+			arena := &runnerArena{m: make(map[string]func(tr *trace.Trace, opt sim.Options) sim.Result)}
+			if rm != nil {
+				arena.hits, arena.misses = rm.poolHits, rm.poolMisses
 			}
-			var wg sync.WaitGroup
-			for s := 0; s < shards; s++ {
-				wg.Add(1)
-				go func(s int) {
-					defer wg.Done()
-					arena := newArena()
-					var ctr *metrics.Counter
-					if shardVec != nil {
-						ctr = shardVec.With(strconv.Itoa(s))
-					}
-					// Stride assignment: shard s owns the group's s-th,
-					// (s+shards)-th, ... traces, independent of timing.
-					for k := s; k < len(g); k += shards {
-						runOne(g[k], w, arena, ctr)
-					}
-				}(s)
+			for i := range next {
+				results[i] = runOne(jobs[i], w, arena)
+				close(done[i])
 			}
-			wg.Wait()
-		})
-	} else {
-		arenas := make([]*runnerArena, cfg.workers())
-		go forEachWorker(len(jobs), cfg.workers(), func(w, i int) {
-			if w < len(arenas) && arenas[w] == nil {
-				arenas[w] = newArena()
-			}
-			var arena *runnerArena
-			if w < len(arenas) {
-				arena = arenas[w]
-			}
-			runOne(i, w, arena, nil)
-		})
+		}(w)
 	}
-
 	for i := range jobs {
 		<-done[i]
 		visit(results[i])
 	}
 	return results
-}
-
-// groupJobs partitions job indices into cell groups — jobs sharing
-// (model, scenario, branches, deltaLog), i.e. differing only by trace —
-// in first-appearance (expansion) order, members in expansion order.
-func groupJobs(jobs []Job) [][]int {
-	type gkey struct {
-		model, scenario    string
-		branches, deltaLog int
-	}
-	idx := make(map[gkey]int)
-	var groups [][]int
-	for i, j := range jobs {
-		k := gkey{model: j.Model.Name, scenario: j.Scenario.Letter(), branches: j.Branches, deltaLog: j.DeltaLog}
-		gi, ok := idx[k]
-		if !ok {
-			gi = len(groups)
-			idx[k] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], i)
-	}
-	return groups
 }
 
 // emitter wraps a sink for the run loops: a sink failure mid-stream must

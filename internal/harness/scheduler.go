@@ -18,8 +18,8 @@ type Scheduler interface {
 	Schedule(jobs []Job, cfg Config, visit func(Record)) []Record
 }
 
-// localScheduler is the default Scheduler: the in-process pooled and
-// (optionally) intra-cell-sharded executor this harness always had.
+// localScheduler is the default Scheduler: the in-process worker pool
+// of pooled predictors.
 type localScheduler struct{}
 
 func (localScheduler) Schedule(jobs []Job, cfg Config, visit func(Record)) []Record {

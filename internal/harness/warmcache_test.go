@@ -32,10 +32,10 @@ func clearRecTiming(recs []Record) {
 func TestWarmCacheByteIdentical(t *testing.T) {
 	models := []Model{
 		{Name: "gshare12", Spec: "gshare:12", Run: func(tr *trace.Trace, opt sim.Options) sim.Result {
-			return sim.RunTrace(gshare.New(12), tr, opt)
+			return sim.Pooled(gshare.New(12))(tr, opt)
 		}},
 		{Name: "tage", Spec: "tage:ref", Run: func(tr *trace.Trace, opt sim.Options) sim.Result {
-			return sim.RunTrace(tage.New(tage.Reference()), tr, opt)
+			return sim.Pooled(tage.New(tage.Reference()))(tr, opt)
 		}},
 	}
 	m := testMatrix(t, models, []string{"INT01", "MM05"},
@@ -95,7 +95,7 @@ func TestWarmCacheResumesInterruptedCell(t *testing.T) {
 					panic("interrupted mid-trace")
 				}
 			}
-			res := sim.RunTrace(tage.New(tage.Reference()), tr, opt)
+			res := sim.Pooled(tage.New(tage.Reference()))(tr, opt)
 			if resumedAt != nil {
 				*resumedAt = res.ResumedAt
 			}

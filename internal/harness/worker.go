@@ -24,7 +24,7 @@ type WorkerOptions struct {
 	ID string
 	// Resolve rebuilds models from the spec strings leases carry.
 	Resolve ModelResolver
-	// Config executes leased jobs — the same pooled/sharded in-process
+	// Config executes leased jobs — the same pooled in-process
 	// engine a local run uses (Parallelism, predictor pool, trace
 	// cache, warm cache, worker-local Metrics all apply). Scheduler and
 	// Provenance are ignored: the coordinator stamps provenance when it

@@ -20,17 +20,20 @@ import "fmt"
 //     misprediction" in Section 4.1.1.
 //   - SilentSkipped counts writes elided because the new value equalled the
 //     stored value.
+//
+// The short JSON keys keep the counters compact in every result-store
+// cell record that carries them.
 type Stats struct {
-	PredictReads  uint64
-	RetireReads   uint64
-	EntryWrites   uint64
-	SilentSkipped uint64
+	PredictReads  uint64 `json:"pr,omitempty"`
+	RetireReads   uint64 `json:"rr,omitempty"`
+	EntryWrites   uint64 `json:"ew,omitempty"`
+	SilentSkipped uint64 `json:"ss,omitempty"`
 	// WriteEvents counts retired branches whose update effectively wrote
 	// at least one entry — the predictor-level write count the paper
 	// reports (a fully silent update generates no write access at all).
-	WriteEvents    uint64
-	RetiredBranch  uint64
-	Mispredictions uint64
+	WriteEvents    uint64 `json:"we,omitempty"`
+	RetiredBranch  uint64 `json:"rb,omitempty"`
+	Mispredictions uint64 `json:"mp,omitempty"`
 }
 
 // RecordWrite accounts one entry-write attempt; effective indicates the

@@ -40,7 +40,7 @@ func stripTiming(r Result) Result {
 func TestCheckpointRoundTrip(t *testing.T) {
 	tr := ckTrace(30000)
 	opt := Options{Scenario: predictor.ScenarioA, Window: 16, ExecDelay: 3, PenaltyBase: 20}
-	want := stripTiming(RunTrace(tage.New(tage.Reference()), tr, opt))
+	want := stripTiming(runTrace(tage.New(tage.Reference()), tr, opt))
 
 	var cks []Checkpoint
 	ckOpt := opt
@@ -48,7 +48,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	ckOpt.OnCheckpoint = func(blob []byte, at uint64) {
 		cks = append(cks, Checkpoint{At: at, Blob: append([]byte(nil), blob...)})
 	}
-	if got := stripTiming(RunTrace(tage.New(tage.Reference()), tr, ckOpt)); got != want {
+	if got := stripTiming(runTrace(tage.New(tage.Reference()), tr, ckOpt)); got != want {
 		t.Fatalf("checkpoint emission perturbed the run:\n  with:    %+v\n  without: %+v", got, want)
 	}
 	if len(cks) < 4 {
@@ -58,7 +58,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		ck := ck
 		rOpt := opt
 		rOpt.Resume = &ck
-		got := RunTrace(tage.New(tage.Reference()), tr, rOpt)
+		got := runTrace(tage.New(tage.Reference()), tr, rOpt)
 		if got.ResumeErr != nil {
 			t.Fatalf("resume at %d: %v", ck.At, got.ResumeErr)
 		}
@@ -77,7 +77,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointColdFallback(t *testing.T) {
 	tr := ckTrace(8000)
 	opt := Options{Scenario: predictor.ScenarioA, Window: 8, ExecDelay: 2}
-	want := stripTiming(RunTrace(tage.New(tage.Reference()), tr, opt))
+	want := stripTiming(runTrace(tage.New(tage.Reference()), tr, opt))
 
 	// A valid blob taken under a different pipeline configuration.
 	var mid Checkpoint
@@ -88,7 +88,7 @@ func TestCheckpointColdFallback(t *testing.T) {
 			mid = Checkpoint{At: at, Blob: append([]byte(nil), blob...)}
 		}
 	}
-	RunTrace(tage.New(tage.Reference()), tr, ckOpt)
+	runTrace(tage.New(tage.Reference()), tr, ckOpt)
 
 	cases := []struct {
 		name string
@@ -107,7 +107,7 @@ func TestCheckpointColdFallback(t *testing.T) {
 		}
 		ck := tc.ck
 		rOpt.Resume = &ck
-		got := RunTrace(tage.New(tage.Reference()), tr, rOpt)
+		got := runTrace(tage.New(tage.Reference()), tr, rOpt)
 		if got.ResumeErr == nil || !strings.Contains(got.ResumeErr.Error(), tc.want) {
 			t.Fatalf("%s: ResumeErr = %v, want mention of %q", tc.name, got.ResumeErr, tc.want)
 		}

@@ -19,7 +19,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	mk := func() *tage.Predictor { return tage.New(tage.Scale(tage.Reference(), -3)) }
 	tr := ckTrace(1200)
 	opt := Options{Scenario: predictor.ScenarioA, Window: 8, ExecDelay: 2}
-	cold := stripTiming(RunTrace(mk(), tr, opt))
+	cold := stripTiming(runTrace(mk(), tr, opt))
 
 	// Seed with a genuine blob so mutations start from a decodable state.
 	var valid []byte
@@ -30,7 +30,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 			valid = append([]byte(nil), blob...)
 		}
 	}
-	RunTrace(mk(), tr, ckOpt)
+	runTrace(mk(), tr, ckOpt)
 	f.Add(valid)
 	f.Add([]byte(nil))
 	f.Add([]byte("not a checkpoint"))
@@ -42,7 +42,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 		ck := &Checkpoint{At: 1, Blob: blob}
 		rOpt := opt
 		rOpt.Resume = ck
-		got := RunTrace(mk(), tr, rOpt)
+		got := runTrace(mk(), tr, rOpt)
 		if got.ResumeErr != nil {
 			// Refused: the fallback must be a byte-identical cold run.
 			g := got

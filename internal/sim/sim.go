@@ -14,8 +14,6 @@ package sim
 
 import (
 	"fmt"
-	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/bitutil"
@@ -41,13 +39,6 @@ const (
 	// MetricPipelineFlushes counts misprediction-triggered pipeline
 	// drains, by update scenario (flushed once per run).
 	MetricPipelineFlushes = "bpbench_pipeline_flushes_total"
-	// MetricShardBranches counts branches retired by intra-cell shard
-	// workers, labelled by shard index: the observability handle for
-	// deterministic intra-cell parallelism (RunShards and the harness
-	// IntraCellWorkers setting). Advanced once per trace per shard.
-	MetricShardBranches = "bpbench_intracell_shard_branches_total"
-	// HelpShardBranches is the family's help text.
-	HelpShardBranches = "Branches retired by intra-cell shard workers, by shard."
 )
 
 // Options configures one simulation run.
@@ -458,74 +449,22 @@ func (rn *Runner[C]) RunTrace(p predictor.Predictor[C], tr *trace.Trace, opt Opt
 	return res
 }
 
-// Run simulates predictor p over the branches of src with a one-shot
-// Runner. The predictor must be freshly constructed (no state reuse
-// across runs); callers re-running many cells should hold a Runner and a
-// Reset predictor instead.
-func Run[C any](p predictor.Predictor[C], name, category string, src trace.Source, opt Options) Result {
+// Pooled returns a run function that simulates p on one reusable Runner,
+// Resetting p before every run after the first. Each call therefore
+// starts from cold state — byte-identical to a freshly-constructed
+// predictor — while reusing its tables and the Runner's buffers, so
+// repeated runs allocate nothing. The function must not be called
+// concurrently; hold one per goroutine.
+func Pooled[C any](p predictor.Predictor[C]) func(tr *trace.Trace, opt Options) Result {
 	var rn Runner[C]
-	return rn.Run(p, name, category, src, opt)
-}
-
-// RunTrace is a convenience wrapper over Run for materialised traces.
-func RunTrace[C any](p predictor.Predictor[C], tr *trace.Trace, opt Options) Result {
-	return Run(p, tr.Name, tr.Category, tr.Reader(), opt)
-}
-
-// RunShards simulates one predictor configuration over many independent
-// traces, sharding the traces across worker goroutines. Shard s owns a
-// predictor built by mk(s) and a reusable Runner, runs the traces at
-// indices s, s+workers, s+2*workers, ... (a deterministic stride, so the
-// trace-to-shard assignment never depends on scheduling), and Resets the
-// predictor between traces. Every trace therefore starts cold, and the
-// returned slice — results[i] belongs to traces[i] — is byte-identical to
-// running each trace serially on a fresh predictor, except for the
-// wall-clock telemetry fields (Elapsed, BranchesPerSec).
-//
-// When opt.Metrics is set, each shard additionally advances the
-// MetricShardBranches family labelled with its shard index, once per
-// trace, so a live scrape shows how the cell's work spreads over shards.
-func RunShards[C any](mk func(shard int) predictor.Predictor[C], traces []*trace.Trace, workers int, opt Options) []Result {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(traces) {
-		workers = len(traces)
-	}
-	results := make([]Result, len(traces))
-	var shardVec *metrics.CounterVec
-	if opt.Metrics != nil {
-		shardVec = opt.Metrics.CounterVec(MetricShardBranches, HelpShardBranches, "shard")
-	}
-	runShard := func(shard int) {
-		p := mk(shard)
-		var rn Runner[C]
-		var ctr *metrics.Counter
-		if shardVec != nil {
-			ctr = shardVec.With(strconv.Itoa(shard))
+	dirty := false
+	return func(tr *trace.Trace, opt Options) Result {
+		if dirty {
+			p.Reset()
 		}
-		for i := shard; i < len(traces); i += workers {
-			if i != shard {
-				p.Reset()
-			}
-			results[i] = rn.RunTrace(p, traces[i], opt)
-			ctr.Add(results[i].Branches)
-		}
+		dirty = true
+		return rn.RunTrace(p, tr, opt)
 	}
-	if workers == 1 {
-		runShard(0)
-		return results
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < workers; s++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			runShard(shard)
-		}(s)
-	}
-	wg.Wait()
-	return results
 }
 
 // Suite aggregates per-trace results the way the paper reports them: the

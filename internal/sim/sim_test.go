@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bimodal"
 	"repro/internal/gshare"
-	"repro/internal/metrics"
 	"repro/internal/predictor"
 	"repro/internal/tage"
 	"repro/internal/trace"
@@ -43,7 +42,7 @@ func TestFigure3DelayedUpdate(t *testing.T) {
 		p.Retire(0x1000, false, &ctx, true)
 
 		tr := loopTrace(40, 1)
-		res := RunTrace(p, tr, Options{Scenario: sc, Window: 8, ExecDelay: 2})
+		res := runTrace(p, tr, Options{Scenario: sc, Window: 8, ExecDelay: 2})
 		return res.Mispredicts
 	}
 	i := run(predictor.ScenarioI)
@@ -83,7 +82,7 @@ func TestScenarioOrderingGshare(t *testing.T) {
 	mispredicts := map[predictor.Scenario]uint64{}
 	for _, sc := range []predictor.Scenario{predictor.ScenarioI, predictor.ScenarioA, predictor.ScenarioB, predictor.ScenarioC} {
 		p := gshare.New(12)
-		res := RunTrace(p, mk(), Options{Scenario: sc})
+		res := runTrace(p, mk(), Options{Scenario: sc})
 		mispredicts[sc] = res.Mispredicts
 	}
 	if mispredicts[predictor.ScenarioI] > mispredicts[predictor.ScenarioA] {
@@ -112,7 +111,7 @@ func TestMetricsComputation(t *testing.T) {
 		tr.Branches = append(tr.Branches, trace.Branch{PC: 0x10, Taken: i%2 == 0, OpsBefore: 4})
 	}
 	p := bimodal.NewStandalone(6, 6)
-	res := RunTrace(p, tr, Options{Scenario: predictor.ScenarioI, PenaltyBase: 20})
+	res := runTrace(p, tr, Options{Scenario: predictor.ScenarioI, PenaltyBase: 20})
 	if res.Branches != 10 || res.MicroOps != 50 {
 		t.Fatalf("counts: %+v", res)
 	}
@@ -128,7 +127,7 @@ func TestMetricsComputation(t *testing.T) {
 func TestAccessAccounting(t *testing.T) {
 	tr := loopTrace(10, 50)
 	p := bimodal.NewStandalone(8, 8)
-	res := RunTrace(p, tr, Options{Scenario: predictor.ScenarioC})
+	res := runTrace(p, tr, Options{Scenario: predictor.ScenarioC})
 	if res.Access.PredictReads != res.Branches {
 		t.Fatalf("predict reads = %d, want %d", res.Access.PredictReads, res.Branches)
 	}
@@ -144,7 +143,7 @@ func TestAccessAccounting(t *testing.T) {
 func TestScenarioARetireReadsAll(t *testing.T) {
 	tr := loopTrace(10, 20)
 	p := bimodal.NewStandalone(8, 8)
-	res := RunTrace(p, tr, Options{Scenario: predictor.ScenarioA})
+	res := runTrace(p, tr, Options{Scenario: predictor.ScenarioA})
 	if res.Access.RetireReads != res.Branches {
 		t.Fatalf("scenario A retire reads = %d, want %d", res.Access.RetireReads, res.Branches)
 	}
@@ -153,7 +152,7 @@ func TestScenarioARetireReadsAll(t *testing.T) {
 func TestScenarioBNoRetireReads(t *testing.T) {
 	tr := loopTrace(10, 20)
 	p := bimodal.NewStandalone(8, 8)
-	res := RunTrace(p, tr, Options{Scenario: predictor.ScenarioB})
+	res := runTrace(p, tr, Options{Scenario: predictor.ScenarioB})
 	if res.Access.RetireReads != 0 {
 		t.Fatalf("scenario B retire reads = %d, want 0", res.Access.RetireReads)
 	}
@@ -179,84 +178,32 @@ func TestSuiteAggregation(t *testing.T) {
 
 func TestEmptyTrace(t *testing.T) {
 	p := bimodal.NewStandalone(6, 6)
-	res := RunTrace(p, &trace.Trace{Name: "empty"}, Options{})
+	res := runTrace(p, &trace.Trace{Name: "empty"}, Options{})
 	if res.Branches != 0 || res.MPKI != 0 {
 		t.Fatalf("empty trace result: %+v", res)
 	}
 }
 
-// shardTraces builds a few deterministic traces of different lengths for
-// the RunShards tests.
-func shardTraces() []*trace.Trace {
+// runTrace simulates p over tr on a one-shot Runner.
+func runTrace[C any](p predictor.Predictor[C], tr *trace.Trace, opt Options) Result {
+	var rn Runner[C]
+	return rn.RunTrace(p, tr, opt)
+}
+
+// TestPooledMatchesFresh asserts the pooled-run contract: one predictor
+// Reset between traces returns, trace by trace, exactly what a fresh
+// predictor returns, except for the wall-clock telemetry fields.
+func TestPooledMatchesFresh(t *testing.T) {
 	base := benchTrace(9000)
-	sizes := []int{2000, 3000, 1500, 2500, 1000, 4000, 3500}
-	out := make([]*trace.Trace, len(sizes))
-	for i, n := range sizes {
-		out[i] = &trace.Trace{
-			Name:     fmt.Sprintf("shard-%d", i),
-			Category: "BENCH",
-			Branches: base.Branches[:n],
-		}
-	}
-	return out
-}
-
-// TestRunShardsMatchesSerial asserts the determinism contract of intra-cell
-// parallelism: sharding a cell's traces across goroutines produces results
-// byte-identical to running each trace serially on a fresh predictor, in
-// input order, for any worker count.
-func TestRunShardsMatchesSerial(t *testing.T) {
-	traces := shardTraces()
 	opt := Options{Scenario: predictor.ScenarioA}
-	want := make([]Result, len(traces))
-	for i, tr := range traces {
-		want[i] = RunTrace(tage.New(tage.Reference()), tr, opt)
-		want[i].Elapsed, want[i].BranchesPerSec = 0, 0
-	}
-	for _, workers := range []int{1, 2, 4, 16} {
-		got := RunShards(func(int) predictor.Predictor[tage.Ctx] {
-			return tage.New(tage.Reference())
-		}, traces, workers, opt)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
+	run := Pooled[tage.Ctx](tage.New(tage.Reference()))
+	for i, n := range []int{2000, 3000, 1500, 2500, 1000, 4000, 3500} {
+		tr := &trace.Trace{Name: fmt.Sprintf("pooled-%d", i), Category: "BENCH", Branches: base.Branches[:n]}
+		got, want := run(tr, opt), runTrace(tage.New(tage.Reference()), tr, opt)
+		got.Elapsed, got.BranchesPerSec = 0, 0
+		want.Elapsed, want.BranchesPerSec = 0, 0
+		if got != want {
+			t.Errorf("trace %d: pooled result diverges from fresh:\n  pooled: %+v\n  fresh:  %+v", i, got, want)
 		}
-		for i := range got {
-			got[i].Elapsed, got[i].BranchesPerSec = 0, 0
-			if got[i] != want[i] {
-				t.Errorf("workers=%d trace %d: sharded result diverges from serial:\n  sharded: %+v\n  serial:  %+v",
-					workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestRunShardsMetrics asserts that a sharded run advances the per-shard
-// branch counter family and that the shards together cover every branch.
-func TestRunShardsMetrics(t *testing.T) {
-	traces := shardTraces()
-	reg := metrics.NewRegistry()
-	opt := Options{Scenario: predictor.ScenarioA, Metrics: reg}
-	results := RunShards(func(int) predictor.Predictor[tage.Ctx] {
-		return tage.New(tage.Reference())
-	}, traces, 3, opt)
-	var total uint64
-	for _, r := range results {
-		total += r.Branches
-	}
-	snap := reg.Snapshot()
-	var shardSum float64
-	seen := 0
-	for shard := 0; shard < 3; shard++ {
-		smp, ok := snap.Sample(MetricShardBranches, fmt.Sprint(shard))
-		if ok && smp.Value > 0 {
-			seen++
-		}
-		shardSum += smp.Value
-	}
-	if seen < 2 {
-		t.Errorf("only %d shards advanced %s; want work on >= 2 of 3 shards", seen, MetricShardBranches)
-	}
-	if shardSum != float64(total) {
-		t.Errorf("%s sums to %v across shards, want %d (total branches)", MetricShardBranches, shardSum, total)
 	}
 }

@@ -66,8 +66,8 @@ func TestPipelineConservation(t *testing.T) {
 		}
 		scenario := predictor.Scenario(scenarioRaw % 4)
 		window := int(windowRaw%48) + 1
-		p := New(smallConfig())
-		res := sim.RunTrace(p, tr, sim.Options{Scenario: scenario, Window: window})
+		var rn sim.Runner[Ctx]
+		res := rn.RunTrace(New(smallConfig()), tr, sim.Options{Scenario: scenario, Window: window})
 		return res.Branches == uint64(n) &&
 			res.Access.RetiredBranch == uint64(n) &&
 			res.Access.PredictReads == uint64(n) &&
@@ -92,7 +92,8 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		return tr
 	}
 	run := func() sim.Result {
-		return sim.RunTrace(New(smallConfig()), mk(), sim.Options{Scenario: predictor.ScenarioC})
+		var rn sim.Runner[Ctx]
+		return rn.RunTrace(New(smallConfig()), mk(), sim.Options{Scenario: predictor.ScenarioC})
 	}
 	a, b := run(), run()
 	if a.Mispredicts != b.Mispredicts || a.Access != b.Access {

@@ -85,6 +85,9 @@ func tFloatField(key string, min, max float64, def string) traceFieldDef {
 			if f < min || f > max {
 				return "", fmt.Errorf("%g out of range [%g, %g]", f, min, max)
 			}
+			if f == 0 {
+				f = 0 // -0 and 0 generate one workload: spell both "0"
+			}
 			return strconv.FormatFloat(f, 'g', -1, 64), nil
 		},
 	}

@@ -82,6 +82,23 @@ func TestParseCanonicalIdentity(t *testing.T) {
 	}
 }
 
+// TestNegativeZeroCanonicalisesToZero: "-0" and "0" in a float field
+// describe one workload, so they must share one canonical form (and
+// therefore one cell key and one warm-cache blob).
+func TestNegativeZeroCanonicalisesToZero(t *testing.T) {
+	neg, err := ParseTraceSpec("callret:ret=-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos, err := ParseTraceSpec("callret:ret=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if neg.Canonical() != pos.Canonical() || pos.Canonical() != "callret:ret=0" {
+		t.Fatalf("canonical forms %q and %q, want both %q", neg.Canonical(), pos.Canonical(), "callret:ret=0")
+	}
+}
+
 // TestNamedSugarByteIdentical: every named benchmark parses as a spec
 // whose canonical form is exactly the name and whose resolution
 // regenerates the same branches bit for bit — the property that keeps

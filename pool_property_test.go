@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// Property suite for the predictor pool and intra-cell parallelism.
-// The contract under test is the one NewRunner and RunSuite document:
-// a pooled instance Reset between runs, and a suite sharded across
-// goroutines, are both byte-identical to fresh serial Run calls. The
+// Property suite for the predictor pool. The contract under test is the
+// one NewRunner documents: a pooled instance Reset between runs is
+// byte-identical to fresh Run calls. Every harness cell — bpbench's, the
+// farm's and every experiment's — runs on such a pooled instance. The
 // specs are drawn from the declarative grammar so arbitrary points of
 // the design space — not just the named models — are covered.
 
@@ -29,6 +29,12 @@ func propertySpecs(t *testing.T, rng *rand.Rand) []ModelSpec {
 		fmt.Sprintf("gshare:log=%d", 12+rng.Intn(6)),
 		"composed:tage+ium",
 		fmt.Sprintf("tage@%+d", 1-rng.Intn(3)),
+		// The experiments' own configurations (E3, E4, E5, E6, E13, E14).
+		"isl-tage",
+		"tage-lsc-banked",
+		"tage-ium",
+		"tage:banked=1",
+		"tage:ium=1",
 	}
 	specs := make([]ModelSpec, 0, len(raw))
 	for _, s := range raw {
@@ -78,38 +84,5 @@ func TestPooledRunnerMatchesFreshAcrossSpecs(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRunSuiteShardingZeroMovement: RunSuite over a subset of the suite
-// must return identical per-trace results for any worker count —
-// sharding is scheduling, never measurement.
-func TestRunSuiteShardingZeroMovement(t *testing.T) {
-	names := []string{"INT01", "CLIENT01", "MM05", "SERVER03", "WS07", "INT04", "MM01"}
-	for _, modelName := range []string{"tage", "gshare"} {
-		m, err := LookupModel(modelName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt := Options{Scenario: ScenarioA, Window: 24}
-		serial, err := m.RunSuite(names, 2500, opt, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 4, len(names), len(names) + 9} {
-			par, err := m.RunSuite(names, 2500, opt, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(par) != len(serial) {
-				t.Fatalf("%s workers=%d: %d results, want %d", modelName, workers, len(par), len(serial))
-			}
-			for i := range serial {
-				if got, want := normalize(par[i]), normalize(serial[i]); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s workers=%d trace %s: sharded result moved\ngot:  %+v\nwant: %+v",
-						modelName, workers, names[i], got, want)
-				}
-			}
-		}
 	}
 }

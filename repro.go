@@ -38,6 +38,7 @@ import (
 	"repro/internal/ftlpp"
 	"repro/internal/gehl"
 	"repro/internal/gshare"
+	"repro/internal/memarray"
 	"repro/internal/neural"
 	"repro/internal/predictor"
 	"repro/internal/sim"
@@ -61,6 +62,8 @@ type (
 	Result = sim.Result
 	// Suite aggregates per-trace results.
 	Suite = sim.Suite
+	// AccessStats counts a run's predictor accesses (Result.Access).
+	AccessStats = memarray.Stats
 	// Scenario selects the update-timing policy of Section 4.1.2.
 	Scenario = predictor.Scenario
 )
@@ -83,38 +86,23 @@ type Model struct {
 	name string
 	bits int
 	mk   func() instance
+	// newRunner builds a pooled run function over a fresh predictor (see
+	// sim.Pooled).
+	newRunner func() func(tr *Trace, opt Options) Result
 }
 
 // instance abstracts over the per-predictor context type.
 type instance interface {
-	run(tr *Trace, opt Options) Result
-	reset()
 	predict(pc uint64) bool
 	update(pc uint64, taken bool)
 }
 
 type typedInstance[C any] struct {
 	p       predictor.Predictor[C]
-	rn      sim.Runner[C]
 	ctx     C
 	pending uint64
 	valid   bool
 	pred    bool
-}
-
-func (ti *typedInstance[C]) run(tr *Trace, opt Options) Result {
-	return ti.rn.RunTrace(ti.p, tr, opt)
-}
-
-// reset returns the instance to its freshly-constructed state, reusing the
-// predictor's warmed storage and the simulation buffers.
-func (ti *typedInstance[C]) reset() {
-	ti.p.Reset()
-	var zero C
-	ti.ctx = zero
-	ti.pending = 0
-	ti.valid = false
-	ti.pred = false
 }
 
 func (ti *typedInstance[C]) predict(pc uint64) bool {
@@ -141,6 +129,7 @@ func newModel[C any](mk func() predictor.Predictor[C]) *Model {
 		mk: func() instance {
 			return &typedInstance[C]{p: mk()}
 		},
+		newRunner: func() func(tr *Trace, opt Options) Result { return sim.Pooled(mk()) },
 	}
 }
 
@@ -152,7 +141,7 @@ func (m *Model) StorageBits() int { return m.bits }
 
 // Run simulates the model over a trace from cold state.
 func (m *Model) Run(tr *Trace, opt Options) Result {
-	return m.mk().run(tr, opt)
+	return m.newRunner()(tr, opt)
 }
 
 // NewRunner returns a reusable run function backed by one pooled predictor
@@ -162,15 +151,7 @@ func (m *Model) Run(tr *Trace, opt Options) Result {
 // to Model.Run. The returned function is not safe for concurrent use;
 // create one runner per goroutine.
 func (m *Model) NewRunner() func(tr *Trace, opt Options) Result {
-	inst := m.mk()
-	dirty := false
-	return func(tr *Trace, opt Options) Result {
-		if dirty {
-			inst.reset()
-		}
-		dirty = true
-		return inst.run(tr, opt)
-	}
+	return m.newRunner()
 }
 
 // Session is a stateful predictor handle for direct use: call Predict to

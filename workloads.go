@@ -3,7 +3,6 @@ package repro
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/experiments"
 	"repro/internal/trace"
@@ -32,7 +31,7 @@ func HardTraces() map[string]bool {
 
 // GenerateTrace materialises `branches` branches of a workload
 // deterministically. The spec may be a benchmark name ("INT01"), a
-// generator spec ("phased:period=4096#1" — see WorkloadKinds), or an
+// generator spec ("phased:period=4096#1" — see WorkloadKindSummaries), or an
 // external trace ("file:path.bpt"). Errors on an unknown or malformed
 // spec or a non-positive branch count.
 func GenerateTrace(spec string, branches int) (*Trace, error) {
@@ -55,58 +54,6 @@ func MustGenerateTrace(spec string, branches int) *Trace {
 	}
 	return tr
 }
-
-// RunSuite simulates the model over each listed workload (names or
-// trace specs) at `branches` branches, sharding the list across
-// `workers` goroutines (the bpsim -cell-par knob). Shard s owns
-// entries s, s+workers, ... and runs them on one pooled instance,
-// generating its own traces and resetting the predictor between them —
-// every trace still starts cold, so each Result is byte-identical to a
-// serial GenerateTrace + Run loop for any worker count. Results come
-// back in input order. workers outside [1, len(names)] is clamped. All
-// specs are resolved up front, so a typo fails before any simulation.
-func (m *Model) RunSuite(names []string, branches int, opt Options, workers int) ([]Result, error) {
-	specs := make([]workload.Spec, len(names))
-	for i, n := range names {
-		sp, err := workload.ResolveSpec(n)
-		if err != nil {
-			return nil, err
-		}
-		specs[i] = sp
-	}
-	results := make([]Result, len(names))
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(names) {
-		workers = len(names)
-	}
-	runShard := func(s int) {
-		run := m.NewRunner()
-		for i := s; i < len(specs); i += workers {
-			results[i] = run(workload.Generate(specs[i], branches), opt)
-		}
-	}
-	if workers == 1 {
-		runShard(0)
-		return results, nil
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < workers; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			runShard(s)
-		}(s)
-	}
-	wg.Wait()
-	return results, nil
-}
-
-// WorkloadKinds lists the parameterised workload generator kinds the
-// trace-spec grammar accepts (loopy, callret, datadep, phased,
-// ctxflush, mix).
-func WorkloadKinds() []string { return workload.Kinds() }
 
 // WorkloadKindSummaries renders one line per workload kind — its fields
 // with defaults and what it generates — for CLI listings.
@@ -152,7 +99,7 @@ func ReadTrace(r io.Reader) (*Trace, error) { return trace.Read(r) }
 func SummarizeTrace(tr *Trace) trace.Stats { return trace.Summarize(tr) }
 
 // Experiment identifiers (E1..E15) map to the paper's tables and figures;
-// see DESIGN.md for the index.
+// see ExperimentIDs and the README's experiment index.
 type (
 	// ExperimentReport is the paper-vs-measured outcome of one experiment.
 	ExperimentReport = experiments.Report
