@@ -93,6 +93,69 @@ func TestReportPassed(t *testing.T) {
 	}
 }
 
+// TestMakeRunnerColdStatePerTrace: every experiment cell starts from a
+// cold predictor. At Parallelism 1 one worker's pooled runner carries a
+// single gshare across all 40 traces; each cell must match a freshly
+// constructed predictor on the same trace, and two sweeps must agree.
+func TestMakeRunnerColdStatePerTrace(t *testing.T) {
+	cfg := Config{BranchesPerTrace: 5000, Parallelism: 1}.withDefaults()
+	model := gshareModel()
+	m := cfg.suiteMatrix([]harness.Model{model}, predictor.ScenarioA)
+	a, _, err := runMatrix(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := runMatrix(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := workload.All()
+	if len(a) != len(specs) || len(b) != len(specs) {
+		t.Fatalf("sweeps returned %d and %d cells, want %d", len(a), len(b), len(specs))
+	}
+	opt := sim.Options{Scenario: predictor.ScenarioA, Window: cfg.Window, ExecDelay: cfg.ExecDelay}
+	for i, spec := range specs {
+		fresh := model.Run(workload.Generate(spec, cfg.BranchesPerTrace), opt)
+		if a[i].Trace != spec.Name || a[i].Mispredicts != fresh.Mispredicts {
+			t.Fatalf("cell %d (%s): %d mispredicts, a fresh predictor on %s gives %d",
+				i, a[i].Trace, a[i].Mispredicts, spec.Name, fresh.Mispredicts)
+		}
+		if b[i].Mispredicts != a[i].Mispredicts {
+			t.Fatalf("%s: sweeps not reproducible: %d vs %d", spec.Name, a[i].Mispredicts, b[i].Mispredicts)
+		}
+	}
+}
+
+// TestSuiteRunnerCovers40Traces: an experiment's suite sweep yields one
+// cell per benchmark, the 40 distinct traces in suite order, each
+// simulated at the configured length.
+func TestSuiteRunnerCovers40Traces(t *testing.T) {
+	cfg := Config{BranchesPerTrace: 2000, Parallelism: 2}.withDefaults()
+	var rep Report
+	s := rep.run(cfg.suiteMatrix([]harness.Model{gshareModel()}, predictor.ScenarioA), cfg)
+	if s == nil {
+		t.Fatalf("sweep failed: %v", rep.Notes)
+	}
+	cells := s.of("gshare", predictor.ScenarioA)
+	if len(cells) != 40 {
+		t.Fatalf("suite has %d cells, want 40", len(cells))
+	}
+	seen := map[string]bool{}
+	for i, spec := range workload.All() {
+		c := cells[i]
+		if c.Trace != spec.Name {
+			t.Fatalf("cell %d is trace %s, want %s", i, c.Trace, spec.Name)
+		}
+		if seen[c.Trace] {
+			t.Fatalf("duplicate trace %s", c.Trace)
+		}
+		seen[c.Trace] = true
+		if c.Branches != cfg.BranchesPerTrace || c.SimBranches == 0 {
+			t.Fatalf("trace %s ran %d of %d branches", c.Trace, c.SimBranches, c.Branches)
+		}
+	}
+}
+
 // TestExperimentsStoreRoundTrip runs E1–E15 once in memory, then twice
 // into one result store. The second store pass must execute zero cells,
 // and all three report sets must be identical: the access counters E1
