@@ -1,7 +1,9 @@
 package repro
 
 import (
+	"bytes"
 	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"strings"
 	"testing"
@@ -132,5 +134,93 @@ func TestCheckpointRefusesNewerFormat(t *testing.T) {
 	g.ResumeErr = nil
 	if stripResumeTiming(g) != want {
 		t.Fatalf("cold fallback after refusal diverges from a cold run:\n  got:  %+v\n  want: %+v", stripResumeTiming(g), want)
+	}
+}
+
+// predictorSections returns the predictor part of a simulator checkpoint
+// blob: the blob header followed by everything after the leading "sim"
+// section, i.e. exactly the bytes a fresh Encoder holds after the
+// predictor's Snapshot. The sim section's own layout is free to change
+// under its version; the predictor sections are pinned below.
+func predictorSections(t *testing.T, blob []byte) []byte {
+	t.Helper()
+	const header = 6 // magic + format version
+	off := header
+	if len(blob) < off+4 {
+		t.Fatalf("blob too short (%d bytes)", len(blob))
+	}
+	nameLen := int(binary.LittleEndian.Uint32(blob[off:]))
+	off += 4
+	if string(blob[off:off+nameLen]) != "sim" {
+		t.Fatalf("first section is %q, want sim", blob[off:off+nameLen])
+	}
+	off += nameLen + 2 // name, version
+	off += 4 + int(binary.LittleEndian.Uint32(blob[off:]))
+	return append(append([]byte(nil), blob[:header]...), blob[off:]...)
+}
+
+// pinnedSectionHashes is the FNV-64a of each checkpointSpecs predictor's
+// Snapshot bytes after a scenario-[A] run over the first 6000 branches
+// of INT01. Every walk must keep its section order, field widths and
+// versions, so a change here means existing warm-cache blobs stop
+// restoring; it needs a section version bump, not a table edit.
+var pinnedSectionHashes = map[string]uint64{
+	"tage":                     0xbda6dd9d7ec58079,
+	"gshare":                   0xf90800e6b7fba1b1,
+	"gehl":                     0x1ba15dc609a66dda,
+	"ftlpp":                    0x92fcf0a7db80a412,
+	"ohsnap":                   0x739a9fb09c3feae4,
+	"isl-tage":                 0xafe05462fcc08a64,
+	"tage-ium":                 0x46164d1232c28e9c,
+	"tage-lsc":                 0x238165a33bc6599d,
+	"tage-lsc-banked":          0x804fc7b7882ccad2,
+	"tage:tables=9,hist=6:300": 0x742e9692c845c459,
+	"gshare:log=13":            0xa6f1a8ee285de171,
+	"composed:tage+ium+lsc":    0x30ac199120344c45,
+	"tage@+1":                  0xc4933c6c3b2371d2,
+	"tage-lsc@-1":              0xeab9430fe0ae96c2,
+}
+
+// TestPredictorSectionsPinned holds every predictor's Snapshot encoding
+// byte-identical to the pinned table, and checks that a warmed predictor
+// Reset through the pool snapshots to exactly the bytes of a freshly
+// built one.
+func TestPredictorSectionsPinned(t *testing.T) {
+	tr := MustGenerateTrace("INT01", 6000)
+	empty := &Trace{Name: "empty", Category: "TEST"}
+	opt := Options{Scenario: ScenarioA}
+	final := func(run func(*Trace, Options) Result, tr *Trace) []byte {
+		var blob []byte
+		o := opt
+		o.OnCheckpoint = func(b []byte, at uint64) { blob = append([]byte(nil), b...) }
+		run(tr, o)
+		if blob == nil {
+			t.Fatal("no end-of-trace checkpoint")
+		}
+		return blob
+	}
+	for _, spec := range checkpointSpecs {
+		spec := spec
+		t.Run(spec, func(t *testing.T) {
+			m, err := LookupModel(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pooled := m.NewRunner()
+			sections := predictorSections(t, final(pooled, tr))
+			h := fnv.New64a()
+			h.Write(sections)
+			got := h.Sum64()
+			if want, ok := pinnedSectionHashes[spec]; !ok || got != want {
+				t.Errorf("predictor sections hash %#016x, pinned %#016x (%d bytes)", got, want, len(sections))
+			}
+			// The pool Resets before its next run; an empty trace
+			// snapshots that state as it stands.
+			reset := final(pooled, empty)
+			fresh := final(m.Run, empty)
+			if !bytes.Equal(reset, fresh) {
+				t.Errorf("warmed-then-Reset snapshot (%d bytes) differs from a freshly built one (%d bytes)", len(reset), len(fresh))
+			}
+		})
 	}
 }

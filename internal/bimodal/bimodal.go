@@ -8,6 +8,7 @@ package bimodal
 import (
 	"fmt"
 
+	"repro/internal/checkpoint"
 	"repro/internal/memarray"
 )
 
@@ -41,24 +42,8 @@ func New(logPred, logHyst uint, stats *memarray.Stats) *Table {
 		logPred: logPred,
 		logHyst: logHyst,
 	}
-	// Initialise to weakly not-taken (counter value 1): pred=0, hyst=1,
-	// the conventional bimodal reset state.
-	for i := range t.hyst {
-		t.hyst[i] = 1
-	}
+	t.Walk(checkpoint.Fresh())
 	return t
-}
-
-// Reset returns every counter to the weakly not-taken construction state
-// (pred 0, hyst 1), reusing both arrays. The shared stats object is left
-// untouched: it may be owned by an enclosing predictor that resets it once.
-func (t *Table) Reset() {
-	for i := range t.pred {
-		t.pred[i] = 0
-	}
-	for i := range t.hyst {
-		t.hyst[i] = 1
-	}
 }
 
 // Index returns the prediction-array index for pc.
@@ -167,9 +152,3 @@ func (s *Standalone) Retire(pc uint64, taken bool, ctx *Ctx, reread bool) {
 
 // AccessStats implements predictor.Predictor.
 func (s *Standalone) AccessStats() *memarray.Stats { return s.t.stats }
-
-// Reset implements predictor.Predictor.
-func (s *Standalone) Reset() {
-	s.t.Reset()
-	s.t.stats.Reset()
-}

@@ -1,15 +1,21 @@
 // Package checkpoint is the versioned binary encoding under predictor
 // state snapshots: a length-prefixed section stream with the same
-// schema discipline the result store applies to its records — older
-// encodings are migrated forward by their readers, newer ones are
-// refused with a clear error, never misread.
+// schema discipline the result store applies to its records — a blob
+// is read only under a version the reader understands, and anything
+// else is refused with a clear error, never misread.
 //
 // A blob is a fixed header (magic, format version) followed by
 // sections. Each section carries a name, a version and a byte length,
-// so a reader can verify it is looking at the state it expects, apply
-// per-section migrations, and detect truncation or corruption without
-// trusting any length it has not bounds-checked. Writers nest sections
-// freely (a composed predictor delegates a section to each component).
+// so a reader can verify it is looking at the state it expects and
+// detect truncation or corruption without trusting any length it has
+// not bounds-checked. Writers nest sections freely (a composed
+// predictor delegates a section to each component).
+//
+// Predictor and simulator state is not written against the Encoder and
+// Decoder directly: each state type declares it once as a Walker walk
+// (walk.go), and snapshot, restore and reset are that walk's three
+// modes. A walk reads exactly the section version it declares, so a
+// layout change bumps the version and older blobs cold-start.
 //
 // The Decoder is total over arbitrary bytes: every primitive is
 // bounds-checked, every slice length is validated against both the
@@ -148,27 +154,11 @@ func (e *Encoder) I8s(v []int8) {
 	}
 }
 
-// U16s appends a length-prefixed uint16 slice.
-func (e *Encoder) U16s(v []uint16) {
-	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.U16(x)
-	}
-}
-
 // U32s appends a length-prefixed uint32 slice.
 func (e *Encoder) U32s(v []uint32) {
 	e.U32(uint32(len(v)))
 	for _, x := range v {
 		e.U32(x)
-	}
-}
-
-// I32s appends a length-prefixed int32 slice.
-func (e *Encoder) I32s(v []int32) {
-	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.I32(x)
 	}
 }
 
@@ -221,12 +211,6 @@ func NewDecoder(data []byte) *Decoder {
 
 // Err returns the first decode failure, or nil.
 func (d *Decoder) Err() error { return d.err }
-
-// Failf sticks a domain-validation error onto the decoder, so restore
-// code that finds a decoded value out of range (a ring head past its
-// buffer, a count above capacity) reports it through the same sticky
-// channel as encoding-level failures. Like them, the first error wins.
-func (d *Decoder) Failf(format string, args ...any) { d.fail(format, args...) }
 
 func (d *Decoder) fail(format string, args ...any) {
 	if d.err == nil {
@@ -435,17 +419,6 @@ func (d *Decoder) I8sInto(dst []int8) {
 	}
 }
 
-// U16sInto fills dst from a length-prefixed uint16 slice.
-func (d *Decoder) U16sInto(dst []uint16) {
-	n := d.sliceLen(2)
-	if !d.fixedInto("uint16 slice", n, len(dst)) {
-		return
-	}
-	for i := range dst {
-		dst[i] = d.U16()
-	}
-}
-
 // U32sInto fills dst from a length-prefixed uint32 slice.
 func (d *Decoder) U32sInto(dst []uint32) {
 	n := d.sliceLen(4)
@@ -454,17 +427,6 @@ func (d *Decoder) U32sInto(dst []uint32) {
 	}
 	for i := range dst {
 		dst[i] = d.U32()
-	}
-}
-
-// I32sInto fills dst from a length-prefixed int32 slice.
-func (d *Decoder) I32sInto(dst []int32) {
-	n := d.sliceLen(4)
-	if !d.fixedInto("int32 slice", n, len(dst)) {
-		return
-	}
-	for i := range dst {
-		dst[i] = d.I32()
 	}
 }
 

@@ -191,23 +191,6 @@ func (p *Predictor) Retire(pc uint64, taken bool, ctx *Ctx, reread bool) {
 // AccessStats implements predictor.Predictor.
 func (p *Predictor) AccessStats() *memarray.Stats { return p.tage.AccessStats() }
 
-// Reset implements predictor.Predictor: every configured component back to
-// its construction state. All components share the TAGE predictor's stats
-// object, which tage.Reset resets exactly once; the side predictors' Reset
-// methods leave stats to their owner.
-func (p *Predictor) Reset() {
-	p.tage.Reset()
-	if p.loop != nil {
-		p.loop.Reset()
-	}
-	if p.sc != nil {
-		p.sc.Reset()
-	}
-	if p.lsc != nil {
-		p.lsc.Reset()
-	}
-}
-
 // --- Named configurations from the paper ---
 
 // TageIUM returns the base TAGE predictor of cfg with an IUM attached.

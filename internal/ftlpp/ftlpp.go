@@ -208,17 +208,3 @@ func (p *Predictor) Retire(pc uint64, taken bool, ctx *Ctx, reread bool) {
 
 // AccessStats implements predictor.Predictor.
 func (p *Predictor) AccessStats() *memarray.Stats { return p.geng.Stats() }
-
-// Reset implements predictor.Predictor: both engines, global and local
-// histories, folds and accounting back to the construction state. The two
-// engines share one stats object, reset once.
-func (p *Predictor) Reset() {
-	p.geng.Reset()
-	p.leng.Reset()
-	p.ghist.Reset()
-	for i := range p.folded {
-		p.folded[i].Reset()
-	}
-	p.lht.Reset()
-	p.geng.Stats().Reset()
-}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"repro/internal/bitutil"
+	"repro/internal/checkpoint"
 	"repro/internal/histories"
 	"repro/internal/memarray"
 )
@@ -87,26 +88,13 @@ func NewEngine(cfg Config, lengths []int, stats *memarray.Stats) *Engine {
 		lengths: lengths,
 		mask:    uint32(1<<cfg.LogEntries - 1),
 		stats:   stats,
-		theta:   int32(len(lengths)),
 	}
 	e.tables = make([][]int8, len(lengths))
 	for i := range e.tables {
 		e.tables[i] = make([]int8, 1<<cfg.LogEntries)
 	}
+	e.Walk(checkpoint.Fresh())
 	return e
-}
-
-// Reset returns the engine to its construction state: counters zeroed,
-// threshold back to the table count, reusing the table storage. The
-// stats object is left to its owner (it may be shared across components).
-func (e *Engine) Reset() {
-	for _, t := range e.tables {
-		for i := range t {
-			t[i] = 0
-		}
-	}
-	e.theta = int32(len(e.lengths))
-	e.tc = 0
 }
 
 // NumTables returns the table count.
@@ -286,11 +274,3 @@ func (p *Predictor) Retire(pc uint64, taken bool, ctx *Ctx, reread bool) {
 
 // AccessStats implements predictor.Predictor.
 func (p *Predictor) AccessStats() *memarray.Stats { return p.eng.Stats() }
-
-// Reset implements predictor.Predictor.
-func (p *Predictor) Reset() {
-	p.eng.Reset()
-	p.ghist.Reset()
-	p.folds.Reset()
-	p.eng.Stats().Reset()
-}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"repro/internal/bitutil"
+	"repro/internal/checkpoint"
 	"repro/internal/histories"
 	"repro/internal/memarray"
 )
@@ -38,9 +39,7 @@ func New(logTable uint) *Predictor {
 		stats:    &memarray.Stats{},
 		logTable: logTable,
 	}
-	for i := range p.table {
-		p.table[i] = 1 // weakly not-taken
-	}
+	p.walk(checkpoint.Fresh())
 	p.name = fmt.Sprintf("gshare-%dKb", p.StorageBits()/1024)
 	return p
 }
@@ -100,13 +99,3 @@ func (p *Predictor) Retire(pc uint64, taken bool, ctx *Ctx, reread bool) {
 
 // AccessStats implements predictor.Predictor.
 func (p *Predictor) AccessStats() *memarray.Stats { return p.stats }
-
-// Reset implements predictor.Predictor: counters back to weakly not-taken,
-// history and accounting cleared, reusing the table storage.
-func (p *Predictor) Reset() {
-	for i := range p.table {
-		p.table[i] = 1
-	}
-	p.ghr = 0
-	p.stats.Reset()
-}

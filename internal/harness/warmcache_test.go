@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/composed"
 	"repro/internal/gshare"
 	"repro/internal/metrics"
 	"repro/internal/predictor"
@@ -82,10 +83,33 @@ func TestWarmCacheByteIdentical(t *testing.T) {
 // TestWarmCacheResumesInterruptedCell is the interrupted-cell contract:
 // a cell killed mid-trace leaves its latest periodic checkpoint in the
 // cache, and the re-run resumes from it — demonstrably mid-trace, not
-// branch 0 — while producing the exact cold-run record.
+// branch 0 — while producing the exact cold-run record. A mid-trace
+// blob carries the in-flight window, so the composed stacks put their
+// loop, SC, LSC and IUM contexts through the cache as well as their
+// sections.
 func TestWarmCacheResumesInterruptedCell(t *testing.T) {
+	kinds := []struct {
+		name string
+		mk   func() func(tr *trace.Trace, opt sim.Options) sim.Result
+	}{
+		{"tage", func() func(tr *trace.Trace, opt sim.Options) sim.Result {
+			return sim.Pooled(tage.New(tage.Reference()))
+		}},
+		{"tage-lsc", func() func(tr *trace.Trace, opt sim.Options) sim.Result {
+			return sim.Pooled(composed.New(composed.TAGELSC(composed.Budget512K(), "TAGE-LSC")))
+		}},
+		{"isl-tage", func() func(tr *trace.Trace, opt sim.Options) sim.Result {
+			return sim.Pooled(composed.New(composed.ISLTAGE(tage.Reference(), "ISL-TAGE")))
+		}},
+	}
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) { resumeInterruptedCell(t, k.name, k.mk) })
+	}
+}
+
+func resumeInterruptedCell(t *testing.T, spec string, mk func() func(tr *trace.Trace, opt sim.Options) sim.Result) {
 	mkModel := func(interrupt bool, resumedAt *uint64) Model {
-		return Model{Name: "tage", Spec: "tage:ref", Run: func(tr *trace.Trace, opt sim.Options) sim.Result {
+		return Model{Name: spec, Spec: spec, Run: func(tr *trace.Trace, opt sim.Options) sim.Result {
 			if interrupt {
 				// Die right after the first periodic checkpoint lands on
 				// disk, like a process killed mid-cell.
@@ -95,7 +119,7 @@ func TestWarmCacheResumesInterruptedCell(t *testing.T) {
 					panic("interrupted mid-trace")
 				}
 			}
-			res := sim.Pooled(tage.New(tage.Reference()))(tr, opt)
+			res := mk()(tr, opt)
 			if resumedAt != nil {
 				*resumedAt = res.ResumedAt
 			}

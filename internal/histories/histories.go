@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"repro/internal/bitutil"
+	"repro/internal/checkpoint"
 )
 
 // Global is a global branch direction history of unbounded logical length,
@@ -28,7 +29,7 @@ type Global struct {
 // capacity is rounded up to a power of two.
 func NewGlobal(capacity int) *Global {
 	c := bitutil.CeilPow2(capacity)
-	return &Global{buf: make([]uint8, c), head: 0, mask: c - 1}
+	return &Global{buf: make([]uint8, c), mask: c - 1}
 }
 
 // Push records the outcome of the most recent branch.
@@ -54,15 +55,6 @@ func (g *Global) Bit(i int) uint32 {
 
 // Len returns the number of outcomes pushed so far.
 func (g *Global) Len() uint64 { return g.n }
-
-// Reset returns the history to its initial empty state, reusing the
-// buffer, so a pooled predictor can be rewound without reallocating.
-func (g *Global) Reset() {
-	for i := range g.buf {
-		g.buf[i] = 0
-	}
-	g.head, g.n = 0, 0
-}
 
 // Checkpoint captures the current history position for later restore.
 type Checkpoint struct {
@@ -146,7 +138,7 @@ func (f *Folded) Value() uint32 { return f.comp }
 
 // Reset clears the fold (e.g. after a history restore) so it can be
 // recomputed with Recompute.
-func (f *Folded) Reset() { f.comp = 0 }
+func (f *Folded) Reset() { f.Walk(checkpoint.Walker{}) }
 
 // Recompute recalculates the fold from the underlying history from scratch.
 // Used after history repair and by tests as the ground truth.
@@ -178,13 +170,6 @@ func NewTableFolds(length int, idxWidth, tagWidth, tag2Width uint) TableFolds {
 		Tag1: NewFolded(length, tagWidth),
 		Tag2: NewFolded(length, tag2Width),
 	}
-}
-
-// Reset clears all three folds (the state matching an empty history).
-func (t *TableFolds) Reset() {
-	t.Idx.Reset()
-	t.Tag1.Reset()
-	t.Tag2.Reset()
 }
 
 // oldestBit is Global.Bit with the buffer fields pre-fetched by the
@@ -315,14 +300,6 @@ func (l *Local) Width() uint { return l.width }
 
 // Entries returns the number of entries in the table.
 func (l *Local) Entries() int { return len(l.entries) }
-
-// Reset clears every local history to its initial state, reusing the
-// table storage.
-func (l *Local) Reset() {
-	for i := range l.entries {
-		l.entries[i] = 0
-	}
-}
 
 // Shift computes the successor local history: (h<<1)+outcome, truncated to
 // width bits. Exported because the Speculative Local History Manager must

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/bitutil"
+	"repro/internal/checkpoint"
 )
 
 // PackedFolds advances many folds of one global history with a handful of
@@ -287,14 +288,7 @@ func (p *PackedFolds) Update(g *Global, taken bool) {
 }
 
 // Reset clears every fold to zero (the state matching an empty history).
-func (p *PackedFolds) Reset() {
-	for i := range p.words {
-		p.words[i] = 0
-	}
-	for i := range p.vals {
-		p.vals[i] = 0
-	}
-}
+func (p *PackedFolds) Reset() { p.Walk(checkpoint.Walker{}) }
 
 // Recompute recalculates every fold from the underlying history from
 // scratch — the ground truth for tests and the repair path after a

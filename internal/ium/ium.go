@@ -55,16 +55,6 @@ func New(capacity int, execDelay int) *Buffer {
 	return &Buffer{ring: make([]Entry, capacity), execDelay: uint64(execDelay)}
 }
 
-// Reset empties the buffer and rewinds the fetch sequence and hit
-// accounting to the construction state, reusing the ring storage.
-func (b *Buffer) Reset() {
-	for i := range b.ring {
-		b.ring[i] = Entry{}
-	}
-	b.head, b.count, b.seq = 0, 0, 0
-	b.Lookups, b.Hits = 0, 0
-}
-
 // Push records a fetched branch with the provider-counter value after its
 // (eventual) execution-time update. If the buffer is full the oldest entry
 // is dropped.

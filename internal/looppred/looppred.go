@@ -107,22 +107,6 @@ func New(cfg Config, stats *memarray.Stats) *Predictor {
 	return p
 }
 
-// Reset returns the predictor to its construction state: loop table and
-// in-flight SLIM entries cleared, override accounting zeroed, reusing all
-// storage. The stats object is left to its owner.
-func (p *Predictor) Reset() {
-	for _, set := range p.sets {
-		for i := range set {
-			set[i] = entry{}
-		}
-	}
-	for i := range p.slim {
-		p.slim[i] = slimEntry{}
-	}
-	p.slimHead, p.slimLen = 0, 0
-	p.Overrides, p.Useful = 0, 0
-}
-
 // StorageBits returns the loop table storage (37 bits per entry for the
 // default configuration).
 func (p *Predictor) StorageBits() int {

@@ -11,6 +11,7 @@ package lsc
 
 import (
 	"repro/internal/bitutil"
+	"repro/internal/checkpoint"
 	"repro/internal/gehl"
 	"repro/internal/histories"
 	"repro/internal/memarray"
@@ -119,26 +120,8 @@ func New(cfg Config, stats *memarray.Stats) *Corrector {
 	if cfg.Interleaved {
 		c.banks = memarray.NewBankTracker()
 	}
-	c.rthresh = int32(2 * len(cfg.Lengths))
+	c.Walk(checkpoint.Fresh())
 	return c
-}
-
-// Reset returns the corrector to its construction state: LGEHL counters
-// and threshold, local histories, in-flight SLHM entries, bank tracker and
-// revert accounting. The stats object is left to its owner.
-func (c *Corrector) Reset() {
-	c.eng.Reset()
-	c.lht.Reset()
-	for i := range c.slhm {
-		c.slhm[i] = slhmEntry{}
-	}
-	c.slhmHead, c.slhmLen = 0, 0
-	if c.banks != nil {
-		c.banks.Reset()
-	}
-	c.Reverts, c.UsefulReverts = 0, 0
-	c.rthresh = int32(2 * len(c.cfg.Lengths))
-	c.rbenefit = 0
 }
 
 // StorageBits returns LGEHL tables plus the local history table.

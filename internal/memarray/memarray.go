@@ -7,7 +7,11 @@
 // of three for updates.
 package memarray
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/checkpoint"
+)
 
 // Stats accumulates predictor-level access counts. The counting conventions
 // match Section 4 of the paper:
@@ -85,10 +89,6 @@ func (s *Stats) SilentFraction() float64 {
 	return 1 - float64(s.WriteEvents)/float64(s.RetiredBranch)
 }
 
-// Reset zeroes every counter, so a pooled predictor's accounting starts
-// from scratch.
-func (s *Stats) Reset() { *s = Stats{} }
-
 // Add accumulates other into s.
 func (s *Stats) Add(other Stats) {
 	s.PredictReads += other.PredictReads
@@ -117,10 +117,11 @@ type BankTracker struct {
 }
 
 // NewBankTracker returns a tracker with no prior predictions.
-func NewBankTracker() *BankTracker { return &BankTracker{prev1: -1, prev2: -1} }
-
-// Reset forgets the two previous predictions (the fresh-tracker state).
-func (t *BankTracker) Reset() { t.prev1, t.prev2 = -1, -1 }
+func NewBankTracker() *BankTracker {
+	t := &BankTracker{}
+	t.Walk(checkpoint.Fresh())
+	return t
+}
 
 // Select returns the bank to use for predicting the branch at pc and
 // records it as the most recent access.

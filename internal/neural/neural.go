@@ -15,6 +15,7 @@ package neural
 import (
 	"fmt"
 
+	"repro/internal/checkpoint"
 	"repro/internal/memarray"
 )
 
@@ -96,9 +97,9 @@ func New(cfg Config) *Predictor {
 		paMask: uint32(1<<cfg.LogPath - 1),
 		path:   make([]uint32, cfg.Hist),
 		dirs:   make([]bool, cfg.Hist),
-		theta:  int32(2*cfg.Hist + 14),
 		stats:  &memarray.Stats{},
 	}
+	p.walk(checkpoint.Fresh())
 	p.name = fmt.Sprintf("pwl-%dKb", p.StorageBits()/1024)
 	return p
 }
@@ -239,25 +240,3 @@ func (p *Predictor) Retire(pc uint64, taken bool, ctx *Ctx, reread bool) {
 
 // AccessStats implements predictor.Predictor.
 func (p *Predictor) AccessStats() *memarray.Stats { return p.stats }
-
-// Reset implements predictor.Predictor: weights, speculative histories,
-// threshold state and accounting back to the construction state, reusing
-// all storage.
-func (p *Predictor) Reset() {
-	for i := range p.w {
-		p.w[i] = 0
-	}
-	for i := range p.bias {
-		p.bias[i] = 0
-	}
-	for i := range p.path {
-		p.path[i] = 0
-	}
-	for i := range p.dirs {
-		p.dirs[i] = false
-	}
-	p.head = 0
-	p.theta = int32(2*p.cfg.Hist + 14)
-	p.tc = 0
-	p.stats.Reset()
-}

@@ -67,6 +67,12 @@ func (s Scenario) String() string {
 // the indices, tags and counter values the predictor read at prediction
 // time. The simulator owns a ring of C values (one per in-flight branch)
 // so the hot path allocates nothing.
+//
+// Each implementation declares its dynamic state once, as a
+// checkpoint.Walker walk: Reset, Snapshot and Restore are that one walk
+// run in its reset, encode and decode modes, so the three can never
+// disagree about which fields exist or in what order. WalkCtx declares
+// the pipeline context the same way.
 type Predictor[C any] interface {
 	// Name identifies the configuration for reports.
 	Name() string
@@ -89,19 +95,30 @@ type Predictor[C any] interface {
 	// AccessStats exposes the predictor's access accounting.
 	AccessStats() *memarray.Stats
 	// Reset returns the predictor to its freshly-constructed state without
-	// allocating, so pools can reuse warmed instances across runs. After
-	// Reset the predictor must behave byte-identically to a new instance
-	// built from the same configuration.
+	// allocating, so pools can reuse warmed instances across runs: the
+	// state walk in reset mode, which sets every field to the
+	// construction value it declares. Constructors allocate, then run
+	// the same walk as checkpoint.Fresh. After Reset the predictor must
+	// behave byte-identically to a new instance built from the same
+	// configuration.
 	Reset()
 	// Snapshot serializes the predictor's full dynamic state (tables,
 	// histories, counters, RNG, accounting) into the encoder as a named,
-	// versioned section, so a warm instance can be reconstructed later.
-	// Composed predictors delegate a section to each component.
+	// versioned section, so a warm instance can be reconstructed later:
+	// the state walk in encode mode. Composed predictors delegate a
+	// section to each component.
 	Snapshot(enc *checkpoint.Encoder)
 	// Restore rebuilds the dynamic state from a Snapshot taken by a
-	// predictor of the identical configuration. Failures (wrong section,
-	// newer version, size mismatch, truncation) stick to the decoder;
-	// callers check dec.Err() and fall back to Reset on error — after a
-	// failed Restore the predictor state is unspecified until Reset.
+	// predictor of the identical configuration: the state walk in decode
+	// mode. Failures (wrong section, other version, size mismatch,
+	// truncation, a cursor out of range) stick to the decoder; callers
+	// check dec.Err() and fall back to Reset on error — after a failed
+	// Restore the predictor state is unspecified until Reset.
 	Restore(dec *checkpoint.Decoder)
+	// WalkCtx visits one in-flight pipeline context, so the simulator can
+	// checkpoint the branches between fetch and retire. Every field that
+	// indexes a table (or names a component) is range-checked against
+	// this predictor's own geometry when decoding, so a hostile blob is
+	// refused instead of reaching Retire with an index past a table.
+	WalkCtx(w checkpoint.Walker, ctx *C)
 }

@@ -35,31 +35,21 @@ type Xoshiro struct {
 
 // NewXoshiro returns a generator whose state is expanded from seed with
 // SplitMix64, as recommended by the xoshiro authors.
-func NewXoshiro(seed uint64) *Xoshiro {
+func NewXoshiro(seed uint64) *Xoshiro { return &Xoshiro{s: expand(seed)} }
+
+// expand is the SplitMix64 seed expansion behind NewXoshiro.
+func expand(seed uint64) [4]uint64 {
 	sm := NewSplitMix64(seed)
-	var x Xoshiro
-	for i := range x.s {
-		x.s[i] = sm.Uint64()
+	var s [4]uint64
+	for i := range s {
+		s[i] = sm.Uint64()
 	}
 	// A state of all zeros is the one invalid state; seed expansion via
 	// splitmix64 cannot produce it for any seed, but guard regardless.
-	if x.s[0]|x.s[1]|x.s[2]|x.s[3] == 0 {
-		x.s[0] = 0x9e3779b97f4a7c15
+	if s[0]|s[1]|s[2]|s[3] == 0 {
+		s[0] = 0x9e3779b97f4a7c15
 	}
-	return &x
-}
-
-// Reseed rewinds the generator in place to the state NewXoshiro(seed)
-// would produce, so pooled owners can restart a deterministic stream
-// without allocating.
-func (x *Xoshiro) Reseed(seed uint64) {
-	sm := NewSplitMix64(seed)
-	for i := range x.s {
-		x.s[i] = sm.Uint64()
-	}
-	if x.s[0]|x.s[1]|x.s[2]|x.s[3] == 0 {
-		x.s[0] = 0x9e3779b97f4a7c15
-	}
+	return s
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

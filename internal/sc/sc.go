@@ -15,6 +15,7 @@ package sc
 
 import (
 	"repro/internal/bitutil"
+	"repro/internal/checkpoint"
 	"repro/internal/gehl"
 	"repro/internal/histories"
 	"repro/internal/memarray"
@@ -108,20 +109,8 @@ func New(cfg Config, stats *memarray.Stats) *Corrector {
 	}
 	c.folds = fb.Build()
 	c.fvals = c.folds.Values()
-	c.rthresh = int32(2 * len(cfg.Lengths))
+	c.Walk(checkpoint.Fresh())
 	return c
-}
-
-// Reset returns the corrector to its construction state: GEHL counters
-// and threshold, global history and folds, revert accounting. The stats
-// object is left to its owner.
-func (c *Corrector) Reset() {
-	c.eng.Reset()
-	c.ghist.Reset()
-	c.folds.Reset()
-	c.Reverts, c.UsefulReverts = 0, 0
-	c.rthresh = int32(2 * len(c.cfg.Lengths))
-	c.rbenefit = 0
 }
 
 // StorageBits returns the corrector table storage.

@@ -1,10 +1,6 @@
 package sim
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-
 	"repro/internal/checkpoint"
 	"repro/internal/predictor"
 	"repro/internal/trace"
@@ -21,6 +17,12 @@ type Checkpoint struct {
 	Blob []byte
 }
 
+// simSectionVersion is the layout of the "sim" section. Version 2 walks
+// each in-flight context through the predictor's WalkCtx (version 1
+// carried them as one opaque, unvalidated blob); a version 1 blob is
+// refused, so an old warm cache cold-starts once.
+const simSectionVersion = 2
+
 // simState carries the Run loop's local counters across the
 // snapshot/restore boundary (the hot loop keeps them in registers; the
 // checkpoint path copies them in and out at the edges).
@@ -36,111 +38,69 @@ type simState struct {
 	count        int
 }
 
-// encodeCheckpoint serializes the simulator section (pipeline
-// configuration for validation, counters, and the in-flight ring in
-// age order) followed by the predictor's own sections.
-func (rn *Runner[C]) encodeCheckpoint(p predictor.Predictor[C], opt Options, window int,
-	ring []inflight[C], retireAt []uint64, head, ringMask int, st simState) ([]byte, error) {
-	enc := checkpoint.NewEncoder()
-	enc.Begin("sim", 1)
-	enc.U8(uint8(opt.Scenario))
-	enc.Int(window)
-	enc.Int(opt.ExecDelay)
-	enc.F64(opt.PenaltyBase)
-	enc.U64(st.seq)
-	enc.U64(st.branches)
-	enc.U64(st.microOps)
-	enc.U64(st.mispreds)
-	enc.F64(st.penaltySum)
-	enc.U64(st.retireReads)
-	enc.U64(st.writeEvents)
-	enc.U64(st.retiredCount)
-	enc.Int(st.count)
-	// In-flight entries in age order (oldest first), with absolute
-	// retire times — seq continues across the resume, so no rebasing.
-	ctxs := make([]C, st.count)
+// walkSim visits the simulator section: the pipeline configuration (an
+// echo, which decoding compares against this run's), the counters, and
+// the in-flight window in age order from head — each entry's retire
+// time (absolute: seq continues across a resume, so no rebasing), branch
+// and the context the predictor walks.
+func walkSim[C any](w checkpoint.Walker, p predictor.Predictor[C], opt Options, window int,
+	ring []inflight[C], retireAt []uint64, head, ringMask int, st *simState) {
+	w.Begin("sim", simSectionVersion)
+	scenario, ckWindow, ckDelay, ckPenalty := uint8(opt.Scenario), window, opt.ExecDelay, opt.PenaltyBase
+	w.U8(&scenario, 0)
+	w.Int(&ckWindow, 0)
+	w.Int(&ckDelay, 0)
+	w.F64(&ckPenalty, 0)
+	if predictor.Scenario(scenario) != opt.Scenario || ckWindow != window || ckDelay != opt.ExecDelay || ckPenalty != opt.PenaltyBase {
+		w.Failf("sim section taken under scenario=%s window=%d execdelay=%d penalty=%g, this run uses scenario=%s window=%d execdelay=%d penalty=%g",
+			predictor.Scenario(scenario).Letter(), ckWindow, ckDelay, ckPenalty,
+			opt.Scenario.Letter(), window, opt.ExecDelay, opt.PenaltyBase)
+	}
+	w.U64(&st.seq, 0)
+	w.U64(&st.branches, 0)
+	w.U64(&st.microOps, 0)
+	w.U64(&st.mispreds, 0)
+	w.F64(&st.penaltySum, 0)
+	w.U64(&st.retireReads, 0)
+	w.U64(&st.writeEvents, 0)
+	w.U64(&st.retiredCount, 0)
+	// The window holds at most window+1 branches between batches.
+	w.IntIn(&st.count, 0, 0, min(window+2, len(ring)), "sim in-flight branch count")
 	for i := 0; i < st.count; i++ {
 		slot := (head + i) & ringMask
 		e := &ring[slot]
-		enc.U64(retireAt[slot])
-		enc.U64(e.pc)
-		enc.Bool(e.taken)
-		enc.Bool(e.mispred)
-		ctxs[i] = e.ctx
+		w.U64(&retireAt[slot], 0)
+		w.U64(&e.pc, 0)
+		w.Bool(&e.taken, false)
+		w.Bool(&e.mispred, false)
+		p.WalkCtx(w, &e.ctx)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ctxs); err != nil {
-		return nil, fmt.Errorf("sim: encoding in-flight contexts: %w", err)
-	}
-	enc.Bytes(buf.Bytes())
-	enc.End()
+	w.End()
+}
+
+// encodeCheckpoint serializes the simulator section followed by the
+// predictor's own sections.
+func (rn *Runner[C]) encodeCheckpoint(p predictor.Predictor[C], opt Options, window int,
+	ring []inflight[C], retireAt []uint64, head, ringMask int, st simState) []byte {
+	enc := checkpoint.NewEncoder()
+	walkSim(enc.Walker(), p, opt, window, ring, retireAt, head, ringMask, &st)
 	p.Snapshot(enc)
-	return enc.Blob(), nil
+	return enc.Blob()
 }
 
 // decodeCheckpoint restores the simulator section into the ring
 // (normalized to head 0) and the predictor's state, validating that
-// the blob was taken under the same pipeline configuration. On error
-// the predictor and ring are in an unspecified state; the caller falls
+// the blob was taken under the same pipeline configuration and that
+// every in-flight context fits the predictor's geometry. On error the
+// predictor and ring are in an unspecified state; the caller falls
 // back to Reset and a cold start.
 func (rn *Runner[C]) decodeCheckpoint(p predictor.Predictor[C], opt Options, window int,
 	ring []inflight[C], retireAt []uint64, blob []byte) (simState, error) {
 	var st simState
 	dec := checkpoint.NewDecoder(blob)
-	dec.Open("sim", 1)
-	scenario := predictor.Scenario(dec.U8())
-	ckWindow := dec.Int()
-	ckDelay := dec.Int()
-	ckPenalty := dec.F64()
-	if err := dec.Err(); err != nil {
-		return st, err
-	}
-	if scenario != opt.Scenario || ckWindow != window || ckDelay != opt.ExecDelay || ckPenalty != opt.PenaltyBase {
-		return st, fmt.Errorf("sim: checkpoint taken under scenario=%s window=%d execdelay=%d penalty=%g, this run uses scenario=%s window=%d execdelay=%d penalty=%g",
-			scenario.Letter(), ckWindow, ckDelay, ckPenalty,
-			opt.Scenario.Letter(), window, opt.ExecDelay, opt.PenaltyBase)
-	}
-	st.seq = dec.U64()
-	st.branches = dec.U64()
-	st.microOps = dec.U64()
-	st.mispreds = dec.U64()
-	st.penaltySum = dec.F64()
-	st.retireReads = dec.U64()
-	st.writeEvents = dec.U64()
-	st.retiredCount = dec.U64()
-	st.count = dec.Int()
-	if err := dec.Err(); err != nil {
-		return st, err
-	}
-	if st.count < 0 || st.count > window+1 || st.count >= len(ring) {
-		return st, fmt.Errorf("sim: checkpoint carries %d in-flight branches, window %d allows at most %d", st.count, window, window+1)
-	}
-	for i := 0; i < st.count; i++ {
-		retireAt[i] = dec.U64()
-		ring[i].pc = dec.U64()
-		ring[i].taken = dec.Bool()
-		ring[i].mispred = dec.Bool()
-	}
-	ctxBytes := dec.Bytes()
-	if err := dec.Err(); err != nil {
-		return st, err
-	}
-	var ctxs []C
-	if err := gob.NewDecoder(bytes.NewReader(ctxBytes)).Decode(&ctxs); err != nil {
-		return st, fmt.Errorf("sim: decoding in-flight contexts: %w", err)
-	}
-	if len(ctxs) != st.count {
-		return st, fmt.Errorf("sim: checkpoint carries %d in-flight contexts for %d in-flight branches", len(ctxs), st.count)
-	}
-	for i := 0; i < st.count; i++ {
-		ring[i].ctx = ctxs[i]
-	}
-	dec.Close()
+	walkSim(dec.Walker(), p, opt, window, ring, retireAt, 0, len(ring)-1, &st)
 	p.Restore(dec)
-	if err := dec.Err(); err != nil {
-		return st, err
-	}
-	return st, nil
+	return st, dec.Err()
 }
 
 // skipPrefix discards n branches from src: O(1) for sources exposing

@@ -4,6 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bimodal"
+	"repro/internal/bitutil"
+	"repro/internal/composed"
+	"repro/internal/ftlpp"
+	"repro/internal/gehl"
+	"repro/internal/gshare"
+	"repro/internal/neural"
 	"repro/internal/predictor"
 	"repro/internal/tage"
 	"repro/internal/trace"
@@ -120,4 +127,146 @@ func TestCheckpointColdFallback(t *testing.T) {
 			t.Errorf("%s: fallback run diverges from cold run:\n  got:  %+v\n  want: %+v", tc.name, stripTiming(g), want)
 		}
 	}
+}
+
+// hostileIndex is far past every table of every predictor configuration.
+const hostileIndex = 1 << 30
+
+// resumeHostileContexts takes a genuine mid-trace checkpoint, rewrites
+// the index fields of every in-flight context past the predictor's
+// tables, re-encodes it, and resumes from it. The blob is well framed
+// and every predictor section is intact, so only the context
+// validation stands between it and an out-of-range table access at
+// retire: the resume must be refused, and the run must be exactly the
+// cold run.
+func resumeHostileContexts[C any](t *testing.T, mk func() predictor.Predictor[C], corrupt func(*C)) {
+	t.Helper()
+	tr := ckTrace(6000)
+	opt := Options{Scenario: predictor.ScenarioA, Window: 16, ExecDelay: 3}
+	cold := stripTiming(runTrace(mk(), tr, opt))
+
+	hostile := hostileBlob(t, mk, corrupt, tr, opt, 2500)
+	rOpt := opt
+	rOpt.Resume = &Checkpoint{At: 2500, Blob: hostile}
+	got := runTrace(mk(), tr, rOpt)
+	if got.ResumeErr == nil {
+		t.Fatal("checkpoint with out-of-range in-flight context indices was accepted")
+	}
+	g := got
+	g.ResumeErr = nil
+	if stripTiming(g) != cold {
+		t.Fatalf("cold fallback diverges from a cold run:\n  got:  %+v\n  want: %+v", stripTiming(g), cold)
+	}
+}
+
+// hostileBlob returns the first checkpoint a run of mk over tr emits
+// (every `every` branches), with corrupt applied to each in-flight
+// context.
+func hostileBlob[C any](t testing.TB, mk func() predictor.Predictor[C], corrupt func(*C), tr *trace.Trace, opt Options, every uint64) []byte {
+	t.Helper()
+	var mid []byte
+	ckOpt := opt
+	ckOpt.CheckpointEvery = every
+	ckOpt.OnCheckpoint = func(blob []byte, at uint64) {
+		if mid == nil {
+			mid = append([]byte(nil), blob...)
+		}
+	}
+	runTrace(mk(), tr, ckOpt)
+
+	full := opt.withDefaults()
+	ringSize := bitutil.CeilPow2(full.Window + 2)
+	ring := make([]inflight[C], ringSize)
+	retireAt := make([]uint64, ringSize)
+	var rn Runner[C]
+	p := mk()
+	st, err := rn.decodeCheckpoint(p, full, full.Window, ring, retireAt, mid)
+	if err != nil {
+		t.Fatalf("decoding a genuine checkpoint: %v", err)
+	}
+	if st.count == 0 {
+		t.Fatal("checkpoint carries no in-flight branches")
+	}
+	for i := 0; i < st.count; i++ {
+		corrupt(&ring[i].ctx)
+	}
+	return rn.encodeCheckpoint(p, full, full.Window, ring, retireAt, 0, ringSize-1, st)
+}
+
+func corruptTageCtx(c *tage.Ctx) {
+	c.BimIdx = hostileIndex
+	for i := range c.Ent {
+		c.Ent[i] = c.Ent[i]&^0xffff_ffff | hostileIndex
+	}
+}
+
+func corruptComposedCtx(c *composed.Ctx) {
+	corruptTageCtx(&c.Tage)
+	c.Loop.Set, c.Loop.Way = hostileIndex, hostileIndex
+	for i := range c.SC.Indices {
+		c.SC.Indices[i] = hostileIndex
+	}
+	for i := range c.LSC.Indices {
+		c.LSC.Indices[i] = hostileIndex
+	}
+	c.LSC.LhtIdx = hostileIndex
+}
+
+// TestResumeRefusesHostileContexts covers every predictor kind and the
+// composed stacks (loop, SC, LSC and IUM contexts included).
+func TestResumeRefusesHostileContexts(t *testing.T) {
+	t.Run("tage", func(t *testing.T) {
+		resumeHostileContexts(t, func() predictor.Predictor[tage.Ctx] { return tage.New(tage.Reference()) }, corruptTageCtx)
+	})
+	stacks := map[string]func() composed.Config{
+		"tage-lsc": func() composed.Config { return composed.TAGELSC(composed.Budget512K(), "TAGE-LSC") },
+		"isl-tage": func() composed.Config { return composed.ISLTAGE(tage.Reference(), "ISL-TAGE") },
+		"tage-lsc-banked": func() composed.Config {
+			tcfg := composed.Budget512K()
+			tcfg.Interleaved = true
+			c := composed.TAGELSC(tcfg, "TAGE-LSC-interleaved")
+			c.LSC.Interleaved = true
+			return c
+		},
+		"full-stack": func() composed.Config { return composed.FullStack(tage.Reference(), "full") },
+	}
+	for name, cfg := range stacks {
+		cfg := cfg
+		t.Run(name, func(t *testing.T) {
+			resumeHostileContexts(t, func() predictor.Predictor[composed.Ctx] { return composed.New(cfg()) }, corruptComposedCtx)
+		})
+	}
+	t.Run("gshare", func(t *testing.T) {
+		resumeHostileContexts(t, func() predictor.Predictor[gshare.Ctx] { return gshare.New(18) },
+			func(c *gshare.Ctx) { c.Index = hostileIndex })
+	})
+	t.Run("bimodal", func(t *testing.T) {
+		resumeHostileContexts(t, func() predictor.Predictor[bimodal.Ctx] { return bimodal.NewStandalone(12, 10) },
+			func(c *bimodal.Ctx) { c.Index = hostileIndex })
+	})
+	t.Run("gehl", func(t *testing.T) {
+		resumeHostileContexts(t, func() predictor.Predictor[gehl.Ctx] { return gehl.New(gehl.Config{}) },
+			func(c *gehl.Ctx) {
+				for i := range c.Indices {
+					c.Indices[i] = hostileIndex
+				}
+			})
+	})
+	t.Run("ohsnap", func(t *testing.T) {
+		resumeHostileContexts(t, func() predictor.Predictor[neural.Ctx] { return neural.New(neural.Config{}) },
+			func(c *neural.Ctx) {
+				c.BiasIdx = hostileIndex
+				for i := range c.Cells {
+					c.Cells[i] = hostileIndex
+				}
+			})
+	})
+	t.Run("ftlpp", func(t *testing.T) {
+		resumeHostileContexts(t, func() predictor.Predictor[ftlpp.Ctx] { return ftlpp.New(ftlpp.Config{}) },
+			func(c *ftlpp.Ctx) {
+				for i := range c.GIdx {
+					c.GIdx[i], c.LIdx[i] = hostileIndex, hostileIndex
+				}
+			})
+	})
 }

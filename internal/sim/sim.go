@@ -318,9 +318,7 @@ func (rn *Runner[C]) Run(p predictor.Predictor[C], name, category string, src tr
 			penaltySum: penaltySum, retireReads: retireReads,
 			writeEvents: writeEvents, retiredCount: retiredCount, count: count,
 		}
-		if blob, err := rn.encodeCheckpoint(p, opt, window, ring, retireAt, head, ringMask, st); err == nil {
-			opt.OnCheckpoint(blob, branches)
-		}
+		opt.OnCheckpoint(rn.encodeCheckpoint(p, opt, window, ring, retireAt, head, ringMask, st), branches)
 	}
 
 	start := time.Now()

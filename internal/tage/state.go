@@ -1,0 +1,75 @@
+package tage
+
+import "repro/internal/checkpoint"
+
+// rngSalt separates the allocation RNG stream from other users of
+// Config.Seed.
+const rngSalt = 0x7a6e_0001
+
+// Walk visits the predictor's dynamic state: the contiguous
+// tagged-entry store (constructing as zero: no tag, counter 0, u 0),
+// the bimodal base, the global history and per-table folds, the
+// allocation-policy counters, the RNG stream (constructing as seeded
+// from Config.Seed), and — when configured — the bank tracker and IUM,
+// then the access accounting. Shape parameters stay with the Config.
+// Composed predictors walk their TAGE core through this.
+func (p *Predictor) Walk(w checkpoint.Walker) {
+	w.Begin("tage", 1)
+	w.Len(len(p.entries), "tage entry store size")
+	r := checkpoint.Records(w, p.entries, 4)
+	for i := range r.N {
+		e := &p.entries[i]
+		r.I8(&e.ctr)
+		r.U8(&e.u)
+		r.U16(&e.tag)
+	}
+	p.bim.Walk(w)
+	p.ghist.Walk(w)
+	for i := range p.folds {
+		p.folds[i].Walk(w)
+	}
+	w.I32(&p.useAlt, 0)
+	w.U32(&p.tick, 0)
+	p.rand.Walk(w, p.cfg.Seed^rngSalt)
+	if p.banks != nil {
+		p.banks.Walk(w)
+	}
+	if p.ium != nil {
+		p.ium.Walk(w)
+	}
+	p.stats.Walk(w)
+	w.End()
+}
+
+// Reset implements predictor.Predictor.
+func (p *Predictor) Reset() { p.Walk(checkpoint.Walker{}) }
+
+// Snapshot implements predictor.Predictor.
+func (p *Predictor) Snapshot(enc *checkpoint.Encoder) { p.Walk(enc.Walker()) }
+
+// Restore implements predictor.Predictor.
+func (p *Predictor) Restore(dec *checkpoint.Decoder) { p.Walk(dec.Walker()) }
+
+// WalkCtx implements predictor.Predictor: the bimodal index and every
+// tagged table's index are range-checked against their tables, and the
+// provider and alternate against the component count.
+func (p *Predictor) WalkCtx(w checkpoint.Walker, ctx *Ctx) {
+	p.bim.WalkIndex(w, &ctx.BimIdx)
+	w.I32(&ctx.BimCtr, 0)
+	for i := range ctx.Ent {
+		w.U64(&ctx.Ent[i], 0)
+		if i < len(p.idxBits) && ctx.Index(i) >= 1<<p.idxBits[i] {
+			w.Failf("tage table %d index %d out of range [0,%d)", i+1, ctx.Index(i), 1<<p.idxBits[i])
+		}
+	}
+	w.IntIn(&ctx.Provider, 0, 0, len(p.meta)+1, "tage provider")
+	w.IntIn(&ctx.Alt, 0, 0, len(p.meta)+1, "tage alternate")
+	w.Bool(&ctx.ProvPred, false)
+	w.Bool(&ctx.AltPred, false)
+	w.Bool(&ctx.WeakProv, false)
+	w.Bool(&ctx.TagePred, false)
+	w.Bool(&ctx.FinalPred, false)
+	w.Bool(&ctx.IUMUsed, false)
+	w.Bool(&ctx.IUMHit, false)
+	w.I32(&ctx.IUMCtr, 0)
+}

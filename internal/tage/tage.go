@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/bimodal"
 	"repro/internal/bitutil"
+	"repro/internal/checkpoint"
 	"repro/internal/histories"
 	"repro/internal/ium"
 	"repro/internal/memarray"
@@ -273,7 +274,7 @@ func New(cfg Config) *Predictor {
 		idxBits: make([]uint, m),
 		ghist:   histories.NewGlobal(cfg.MaxHist + 64),
 		folds:   make([]histories.TableFolds, m),
-		rand:    rng.NewXoshiro(cfg.Seed ^ 0x7a6e_0001),
+		rand:    new(rng.Xoshiro),
 		stats:   &memarray.Stats{},
 	}
 	p.bim = bimodal.New(cfg.LogBimodal, cfg.LogBimodalHyst, p.stats)
@@ -309,6 +310,7 @@ func New(cfg Config) *Predictor {
 	if cfg.UseIUM {
 		p.ium = ium.New(cfg.IUMCapacity, cfg.IUMExecDelay)
 	}
+	p.Walk(checkpoint.Fresh())
 	return p
 }
 
@@ -666,31 +668,6 @@ func (p *Predictor) allocate(ctx *Ctx, provider int, taken bool, reread bool) {
 
 // AccessStats implements predictor.Predictor.
 func (p *Predictor) AccessStats() *memarray.Stats { return p.stats }
-
-// Reset implements predictor.Predictor: tagged entries, bimodal base,
-// histories and folds, allocation state, RNG stream and accounting all
-// return to the freshly-constructed state, reusing every allocation — the
-// pooled-predictor fast path.
-func (p *Predictor) Reset() {
-	for i := range p.entries {
-		p.entries[i] = entry{}
-	}
-	p.bim.Reset()
-	p.ghist.Reset()
-	for i := range p.folds {
-		p.folds[i].Reset()
-	}
-	p.useAlt = 0
-	p.tick = 0
-	p.rand.Reseed(p.cfg.Seed ^ 0x7a6e_0001)
-	if p.banks != nil {
-		p.banks.Reset()
-	}
-	if p.ium != nil {
-		p.ium.Reset()
-	}
-	p.stats.Reset()
-}
 
 // TableBits returns the per-structure storage in bits (bimodal first, then
 // each tagged table), for the area/energy model.

@@ -86,3 +86,27 @@ func TestPooledRunnerMatchesFreshAcrossSpecs(t *testing.T) {
 		})
 	}
 }
+
+// TestPooledRunZeroAllocsAcrossSpecs extends the simulator's pooled
+// zero-allocation contract to every predictor kind the checkpoint suite
+// covers, composed stacks included: once a pooled runner has run, each
+// further run — a Reset of the predictor's state walk, then the
+// simulation — allocates nothing.
+func TestPooledRunZeroAllocsAcrossSpecs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	tr := MustGenerateTrace("INT01", 2000)
+	for _, spec := range checkpointSpecs {
+		m, err := LookupModel(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := m.NewRunner()
+		opt := Options{Scenario: ScenarioA}
+		run(tr, opt) // the first run owns the buffer allocations
+		if allocs := testing.AllocsPerRun(5, func() { run(tr, opt) }); allocs != 0 {
+			t.Errorf("%s: %v allocs per pooled run, want 0", spec, allocs)
+		}
+	}
+}
