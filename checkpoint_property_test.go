@@ -92,6 +92,78 @@ func TestCheckpointResumeProperty(t *testing.T) {
 	}
 }
 
+// TestWideWindowResume covers windows wider than the 64-entry IUM,
+// SLIM and SLHM rings. An overflow drops a ring's oldest record and
+// the retire of that record's branch pays an owed pop, so the composed
+// stacks run to completion, and resuming from any mid-trace checkpoint
+// (owed pops included) continues to the uninterrupted result. MM01
+// mispredicts rarely, so its windows stay full and overflow often.
+func TestWideWindowResume(t *testing.T) {
+	specs := []string{"tage-lsc", "isl-tage", "composed:tage+ium+loop+gsc+lsc"}
+	for _, spec := range specs {
+		for _, trName := range []string{"INT01", "MM01"} {
+			t.Run(spec+"/"+trName, func(t *testing.T) {
+				m, err := LookupModel(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr := MustGenerateTrace(trName, 12000)
+				opt := Options{Scenario: ScenarioA, Window: 100}
+				want := stripResumeTiming(m.Run(tr, opt))
+				if want.Branches != 12000 {
+					t.Fatalf("ran %d of 12000 branches", want.Branches)
+				}
+				var cks []Checkpoint
+				ckOpt := opt
+				ckOpt.CheckpointEvery = 2500
+				ckOpt.OnCheckpoint = func(blob []byte, at uint64) {
+					cks = append(cks, Checkpoint{At: at, Blob: append([]byte(nil), blob...)})
+				}
+				m.Run(tr, ckOpt)
+				for _, ck := range cks[:len(cks)-1] {
+					rOpt := opt
+					rOpt.Resume = &ck
+					got := m.Run(tr, rOpt)
+					if got.ResumeErr != nil {
+						t.Fatalf("split %d: resume failed: %v", ck.At, got.ResumeErr)
+					}
+					if g := stripResumeTiming(got); g != want {
+						t.Errorf("split %d: resumed run diverges:\n  resumed: %+v\n  full:    %+v", ck.At, g, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestWindow64ResultsPinned: a 64-branch window never holds more
+// branches than the 64-entry IUM, SLIM and SLHM rings, so the owed pops
+// of an overflow never come into play there. Its mispredictions and
+// entry writes are pinned as they were before rings owed pops.
+func TestWindow64ResultsPinned(t *testing.T) {
+	pinned := map[string][2]uint64{
+		"tage-lsc/INT01":                       {1053, 15402},
+		"tage-lsc/MM01":                        {151, 2584},
+		"isl-tage/INT01":                       {1100, 14203},
+		"isl-tage/MM01":                        {154, 2329},
+		"tage-ium/INT01":                       {1106, 8000},
+		"tage-ium/MM01":                        {171, 1468},
+		"composed:tage+ium+loop+gsc+lsc/INT01": {1079, 21838},
+		"composed:tage+ium+loop+gsc+lsc/MM01":  {134, 3408},
+	}
+	for cell, want := range pinned {
+		spec, trName, _ := strings.Cut(cell, "/")
+		m, err := LookupModel(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := m.Run(MustGenerateTrace(trName, 12000), Options{Scenario: ScenarioA, Window: 64})
+		if got := [2]uint64{r.Mispredicts, r.Access.EntryWrites}; got != want {
+			t.Errorf("%s at window 64: mispredicts, entry writes = %v, pinned %v", cell, got, want)
+		}
+	}
+}
+
 // TestCheckpointRefusesNewerFormat: a blob stamped with a future format
 // version must be refused with a message pointing at the version skew —
 // never half-decoded — and the run must fall back to a cold start that
@@ -170,15 +242,15 @@ var pinnedSectionHashes = map[string]uint64{
 	"gehl":                     0x1ba15dc609a66dda,
 	"ftlpp":                    0x92fcf0a7db80a412,
 	"ohsnap":                   0x739a9fb09c3feae4,
-	"isl-tage":                 0xafe05462fcc08a64,
-	"tage-ium":                 0x46164d1232c28e9c,
-	"tage-lsc":                 0x238165a33bc6599d,
-	"tage-lsc-banked":          0x804fc7b7882ccad2,
+	"isl-tage":                 0x8308cca38b8f7474,
+	"tage-ium":                 0xd203c63b62e3bd67,
+	"tage-lsc":                 0x3810f6aad27731a7,
+	"tage-lsc-banked":          0xa01c0f1491cb9450,
 	"tage:tables=9,hist=6:300": 0x742e9692c845c459,
 	"gshare:log=13":            0xa6f1a8ee285de171,
-	"composed:tage+ium+lsc":    0x30ac199120344c45,
+	"composed:tage+ium+lsc":    0x98fb8c6d60d676ff,
 	"tage@+1":                  0xc4933c6c3b2371d2,
-	"tage-lsc@-1":              0xeab9430fe0ae96c2,
+	"tage-lsc@-1":              0x71a611616eecdfc0,
 }
 
 // TestPredictorSectionsPinned holds every predictor's Snapshot encoding

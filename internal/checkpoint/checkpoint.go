@@ -26,8 +26,10 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // FormatVersion is the blob-level encoding version this binary writes
@@ -38,25 +40,39 @@ const FormatVersion = 1
 // checkpoint).
 const magic = "BPCK"
 
-// Encoder builds a checkpoint blob. The zero value is not ready;
-// construct with NewEncoder, which writes the header.
+// Encoder builds a checkpoint blob. Construct one with NewEncoder, or
+// Reset a zero or used Encoder: either writes the header. One Encoder
+// reused through Reset builds blob after blob in the same buffer, so
+// once it has grown to a blob's size, encoding allocates nothing.
 type Encoder struct {
 	buf []byte
 	// open holds the byte offsets of the unpatched length fields of the
 	// currently open sections (a stack, for nesting).
 	open []int
+	// trailer counts the bytes announced by Trailer, which follow the
+	// blob instead of sitting in buf; trailerAt is len(buf) at Trailer.
+	trailer, trailerAt int
 }
 
 // NewEncoder starts a blob: magic plus format version.
 func NewEncoder() *Encoder {
 	e := &Encoder{buf: make([]byte, 0, 1024)}
-	e.buf = append(e.buf, magic...)
-	e.U16(FormatVersion)
+	e.Reset()
 	return e
 }
 
+// Reset discards the blob being built, keeping the buffer's capacity,
+// and starts a new one. It overwrites the bytes an earlier Blob call
+// returned.
+func (e *Encoder) Reset() {
+	e.buf = append(e.buf[:0], magic...)
+	e.open = e.open[:0]
+	e.trailer, e.trailerAt = 0, 0
+	e.U16(FormatVersion)
+}
+
 // Blob returns the finished blob. Every Begin must have been closed by
-// its End first.
+// its End first. The bytes stay valid until the next Reset.
 func (e *Encoder) Blob() []byte {
 	if len(e.open) > 0 {
 		panic(fmt.Sprintf("checkpoint: Blob with %d unclosed sections", len(e.open)))
@@ -78,9 +94,12 @@ func (e *Encoder) End() {
 	if len(e.open) == 0 {
 		panic("checkpoint: End without Begin")
 	}
+	if e.trailer != 0 && len(e.buf) != e.trailerAt {
+		panic("checkpoint: write after Trailer")
+	}
 	at := e.open[len(e.open)-1]
 	e.open = e.open[:len(e.open)-1]
-	n := len(e.buf) - at - 4
+	n := len(e.buf) + e.trailer - at - 4
 	e.buf[at+0] = byte(n)
 	e.buf[at+1] = byte(n >> 8)
 	e.buf[at+2] = byte(n >> 16)
@@ -137,6 +156,16 @@ func (e *Encoder) Bytes(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
+// Trailer appends the length prefix of an n-byte slice that the caller
+// writes right after the blob, in place of Bytes: every section End
+// closes afterwards counts the n bytes, so the blob followed by the
+// slice is byte for byte what Bytes would have built, without copying
+// the slice. Only End may follow a Trailer.
+func (e *Encoder) Trailer(n int) {
+	e.U32(uint32(n))
+	e.trailer, e.trailerAt = n, len(e.buf)
+}
+
 // String appends a length-prefixed string.
 func (e *Encoder) String(s string) {
 	e.U32(uint32(len(s)))
@@ -149,33 +178,50 @@ func (e *Encoder) U8s(v []uint8) { e.Bytes(v) }
 // I8s appends a length-prefixed int8 slice.
 func (e *Encoder) I8s(v []int8) {
 	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.buf = append(e.buf, byte(x))
+	b := e.reserve(len(v))
+	for i, x := range v {
+		b[i] = byte(x)
 	}
 }
 
 // U32s appends a length-prefixed uint32 slice.
 func (e *Encoder) U32s(v []uint32) {
 	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.U32(x)
+	b := e.reserve(4 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(b[4*i:], x)
 	}
 }
 
 // U64s appends a length-prefixed uint64 slice.
 func (e *Encoder) U64s(v []uint64) {
 	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.U64(x)
+	b := e.reserve(8 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], x)
 	}
 }
 
 // Bools appends a length-prefixed bool slice (one byte per element).
 func (e *Encoder) Bools(v []bool) {
 	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.Bool(x)
+	b := e.reserve(len(v))
+	for i, x := range v {
+		if x {
+			b[i] = 1
+		} else {
+			b[i] = 0
+		}
 	}
+}
+
+// reserve extends the blob by n bytes, growing the buffer at most once,
+// and returns them for the caller to fill before the next write.
+func (e *Encoder) reserve(n int) []byte {
+	e.buf = slices.Grow(e.buf, n)
+	at := len(e.buf)
+	e.buf = e.buf[:at+n]
+	return e.buf[at:]
 }
 
 // Decoder reads a checkpoint blob. Errors are sticky: after the first
@@ -361,16 +407,11 @@ func (d *Decoder) sliceLen(elemSize int) int {
 	return n
 }
 
-// Bytes reads a length-prefixed byte slice (copied out of the blob).
+// Bytes reads a length-prefixed byte slice in place: the result is a
+// view of the blob, not a copy, so it stays valid as long as the blob
+// does and must not be written to.
 func (d *Decoder) Bytes() []byte {
-	n := d.sliceLen(1)
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
+	return d.take(d.sliceLen(1))
 }
 
 // String reads a length-prefixed string.
@@ -425,8 +466,9 @@ func (d *Decoder) U32sInto(dst []uint32) {
 	if !d.fixedInto("uint32 slice", n, len(dst)) {
 		return
 	}
+	b := d.take(4 * n)
 	for i := range dst {
-		dst[i] = d.U32()
+		dst[i] = binary.LittleEndian.Uint32(b[4*i:])
 	}
 }
 
@@ -436,8 +478,9 @@ func (d *Decoder) U64sInto(dst []uint64) {
 	if !d.fixedInto("uint64 slice", n, len(dst)) {
 		return
 	}
+	b := d.take(8 * n)
 	for i := range dst {
-		dst[i] = d.U64()
+		dst[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
 }
 

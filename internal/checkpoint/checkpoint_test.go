@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -106,6 +107,77 @@ func TestRoundTrip(t *testing.T) {
 	d.Close()
 	if err := d.Err(); err != nil {
 		t.Fatalf("roundtrip error: %v", err)
+	}
+}
+
+// TestTrailerMatchesBytes: a blob whose nested sections end in a
+// Trailer, followed by the trailing slice, is byte for byte the blob
+// Bytes builds; a write between Trailer and End panics.
+func TestTrailerMatchesBytes(t *testing.T) {
+	frame := func(e *Encoder, payload []byte, trailer bool) []byte {
+		e.Reset()
+		e.Begin("outer", 1)
+		e.U64(7)
+		e.Begin("inner", 2)
+		e.String("key")
+		if trailer {
+			e.Trailer(len(payload))
+		} else {
+			e.Bytes(payload)
+		}
+		e.End()
+		e.End()
+		return append([]byte(nil), e.Blob()...)
+	}
+	var e Encoder
+	for _, payload := range [][]byte{nil, []byte("x"), bytes.Repeat([]byte{1, 2, 3}, 999)} {
+		want := frame(&e, payload, false)
+		got := append(frame(&e, payload, true), payload...)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte payload: header+trailer (%d bytes) differs from Bytes frame (%d bytes)", len(payload), len(got), len(want))
+		}
+		d := NewDecoder(got)
+		d.Open("outer", 1)
+		d.U64()
+		d.Open("inner", 2)
+		_ = d.String()
+		if b := d.Bytes(); !bytes.Equal(b, payload) || d.Err() != nil {
+			t.Fatalf("trailing payload read back as %d bytes (err %v), want %d", len(b), d.Err(), len(payload))
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a write between Trailer and End did not panic")
+		}
+	}()
+	e.Reset()
+	e.Begin("s", 1)
+	e.Trailer(4)
+	e.U8(0)
+	e.End()
+}
+
+// TestResetReusesBuffer: a Reset encoder builds the same blob as a
+// fresh one, and once grown encodes without allocating.
+func TestResetReusesBuffer(t *testing.T) {
+	build := func(e *Encoder) []byte {
+		e.Begin("s", 1)
+		e.U32s(make([]uint32, 300))
+		e.I8s(make([]int8, 100))
+		e.End()
+		return e.Blob()
+	}
+	want := append([]byte(nil), build(NewEncoder())...)
+	var e Encoder
+	for i := 0; i < 3; i++ {
+		e.Reset()
+		if got := build(&e); !bytes.Equal(got, want) {
+			t.Fatalf("pass %d: reused encoder built %d bytes, fresh %d", i, len(got), len(want))
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { e.Reset(); build(&e) }); allocs != 0 {
+		t.Fatalf("%v allocs per blob on a grown encoder, want 0", allocs)
 	}
 }
 

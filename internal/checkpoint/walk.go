@@ -1,9 +1,6 @@
 package checkpoint
 
-import (
-	"encoding/binary"
-	"slices"
-)
+import "encoding/binary"
 
 // Walker visits a predictor's dynamic state in one declared order and
 // runs in one of three modes: encode (append every visited value to an
@@ -236,12 +233,11 @@ func fill[T comparable](s []T, v T, fresh bool) {
 // decoding return a Rec over the block, which the caller drains in one
 // loop that visits every field of every record, in order:
 //
-//	r := checkpoint.Records(w, s, 4)
+//	r := checkpoint.Records(w, s, 6)
 //	for i := range r.N {
 //		e := &s[i]
-//		r.I8(&e.ctr)
-//		r.U8(&e.u)
-//		r.U16(&e.tag)
+//		r.U32(&e.key)
+//		r.U16(&e.iter)
 //	}
 //
 // The mode is decided once per block, not per field: the Rec methods
@@ -282,16 +278,6 @@ func (r *Rec) U8(v *uint8) {
 	r.b = r.b[1:]
 }
 
-// I8 moves one signed byte field.
-func (r *Rec) I8(v *int8) {
-	if r.dec {
-		*v = int8(r.b[0])
-	} else {
-		r.b[0] = byte(*v)
-	}
-	r.b = r.b[1:]
-}
-
 // Bool moves one bool field (one byte).
 func (r *Rec) Bool(v *bool) {
 	if r.dec {
@@ -324,6 +310,14 @@ func (r *Rec) U32(v *uint32) {
 	r.b = r.b[4:]
 }
 
+// Word moves one 32-bit field and reports whether it was decoded, for
+// a record packed into one word: the caller packs the word from its
+// fields, and unpacks the fields from it only after a decode.
+func (r *Rec) Word(v *uint32) (decoded bool) {
+	r.U32(v)
+	return r.dec
+}
+
 // I32 moves one signed 32-bit field.
 func (r *Rec) I32(v *int32) {
 	if r.dec {
@@ -352,13 +346,4 @@ func (r *Rec) Int(v *int) {
 		binary.LittleEndian.PutUint64(r.b, uint64(*v))
 	}
 	r.b = r.b[8:]
-}
-
-// reserve extends the blob by n bytes and returns them for the caller to
-// fill before the next write.
-func (e *Encoder) reserve(n int) []byte {
-	e.buf = slices.Grow(e.buf, n)
-	at := len(e.buf)
-	e.buf = e.buf[:at+n]
-	return e.buf[at:]
 }

@@ -99,7 +99,8 @@ const warmCacheSection = "warmcache"
 
 // load returns the cached checkpoint for key, or nil when there is
 // none — or when the blob is unreadable, from a newer format, or was
-// written under a colliding key (all misses, never errors).
+// written under a colliding key (all misses, never errors). The
+// checkpoint's blob is read in place: it is a view of the file buffer.
 func (wc *warmCache) load(key string) *sim.Checkpoint {
 	blob, err := os.ReadFile(wc.path(key))
 	if err != nil {
@@ -120,21 +121,26 @@ func (wc *warmCache) load(key string) *sim.Checkpoint {
 // save writes (or overwrites — later checkpoints of one cell supersede
 // earlier ones) the blob for key atomically: temp file plus rename, so
 // a reader never sees a torn blob and a crash mid-save leaves the
-// previous checkpoint intact.
+// previous checkpoint intact. The frame is a small header (the
+// warmcache section up to the blob's length prefix) followed by the
+// blob itself, written in place rather than copied into the frame.
 func (wc *warmCache) save(key string, blob []byte, at uint64) {
-	enc := checkpoint.NewEncoder()
-	enc.Begin(warmCacheSection, 1)
-	enc.String(key)
-	enc.U64(at)
-	enc.Bytes(blob)
-	enc.End()
+	hdr := checkpoint.NewEncoder()
+	hdr.Begin(warmCacheSection, 1)
+	hdr.String(key)
+	hdr.U64(at)
+	hdr.Trailer(len(blob))
+	hdr.End()
 	tmp, err := os.CreateTemp(wc.dir, "ckpt-*.tmp")
 	if err != nil {
 		wc.fail(err)
 		return
 	}
 	name := tmp.Name()
-	_, werr := tmp.Write(enc.Blob())
+	_, werr := tmp.Write(hdr.Blob())
+	if werr == nil {
+		_, werr = tmp.Write(blob)
+	}
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(name)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/composed"
 	"repro/internal/gshare"
 	"repro/internal/metrics"
@@ -172,6 +173,52 @@ func resumeInterruptedCell(t *testing.T, spec string, mk func() func(tr *trace.T
 			t.Errorf("record %d diverges from uninterrupted run:\n  resumed: %+v\n  cold:    %+v",
 				i, reSink.recs[i], refSink.recs[i])
 		}
+	}
+}
+
+// TestWarmCacheFrameIdentity pins the file format: a saved frame is
+// byte-identical to the warmcache section written field by field through
+// an Encoder over the same key, position and blob, so caches written by
+// earlier binaries keep loading as hits; and load hands back exactly the
+// blob and position that were saved.
+func TestWarmCacheFrameIdentity(t *testing.T) {
+	wc := newWarmCache(t.TempDir(), nil, nil)
+	blobs := map[string][]byte{
+		"empty": nil,
+		"short": []byte("blob"),
+		"long":  bytes.Repeat([]byte{0xa5, 0x00, 0x5a}, 70000),
+	}
+	for name, blob := range blobs {
+		t.Run(name, func(t *testing.T) {
+			key := "tage-lsc@+2|00000000deadbeef|A|w0|d0|p0|" + name
+			at := uint64(len(blob))*7 + 3
+			wc.save(key, blob, at)
+
+			enc := checkpoint.NewEncoder()
+			enc.Begin(warmCacheSection, 1)
+			enc.String(key)
+			enc.U64(at)
+			enc.Bytes(blob)
+			enc.End()
+			got, err := os.ReadFile(wc.path(key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := enc.Blob(); !bytes.Equal(got, want) {
+				t.Fatalf("saved frame (%d bytes) differs from the field-by-field frame (%d bytes)", len(got), len(want))
+			}
+
+			ck := wc.load(key)
+			if ck == nil {
+				t.Fatal("load missed a frame save just wrote")
+			}
+			if ck.At != at || !bytes.Equal(ck.Blob, blob) {
+				t.Fatalf("load returned at=%d and a %d-byte blob, want at=%d and the %d-byte blob saved", ck.At, len(ck.Blob), at, len(blob))
+			}
+			if wc.load(key+"-other") != nil {
+				t.Fatal("load of an unsaved key hit")
+			}
+		})
 	}
 }
 

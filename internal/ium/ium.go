@@ -18,7 +18,10 @@
 // "mimicking the immediate update" computes.
 package ium
 
-import "repro/internal/bitutil"
+import (
+	"repro/internal/bitutil"
+	"repro/internal/inflight"
+)
 
 // Entry is one in-flight branch record: the identity of the predictor
 // entry that provided the prediction (P/T/A in Figure 4) and the provider
@@ -34,9 +37,7 @@ type Entry struct {
 // Buffer is the IUM storage: a circular buffer with one entry per in-flight
 // branch, searched associatively from youngest to oldest.
 type Buffer struct {
-	ring      []Entry
-	head      int // oldest entry
-	count     int
+	ring      inflight.Ring[Entry]
 	seq       uint64 // fetch sequence counter
 	execDelay uint64 // fetch-to-execute distance in branches
 
@@ -49,23 +50,14 @@ type Buffer struct {
 // given fetch-to-execute delay (in branches). An entry only becomes usable
 // for prediction override once its branch has executed.
 func New(capacity int, execDelay int) *Buffer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Buffer{ring: make([]Entry, capacity), execDelay: uint64(execDelay)}
+	return &Buffer{ring: inflight.New[Entry](capacity), execDelay: uint64(execDelay)}
 }
 
 // Push records a fetched branch with the provider-counter value after its
 // (eventual) execution-time update. If the buffer is full the oldest entry
-// is dropped.
+// is dropped, and the retire of its branch pops nothing.
 func (b *Buffer) Push(table int, index uint32, ctr int32) {
-	if b.count == len(b.ring) {
-		b.head = (b.head + 1) % len(b.ring)
-		b.count--
-	}
-	pos := (b.head + b.count) % len(b.ring)
-	b.ring[pos] = Entry{Table: table, Index: index, Ctr: ctr, seq: b.seq}
-	b.count++
+	b.ring.Push(Entry{Table: table, Index: index, Ctr: ctr, seq: b.seq})
 	b.seq++
 }
 
@@ -82,12 +74,9 @@ func (b *Buffer) executed(e *Entry) bool {
 // instead of TAGE").
 func (b *Buffer) Lookup(table int, index uint32) (ctr int32, ok bool) {
 	b.Lookups++
-	for i := b.count - 1; i >= 0; i-- {
-		e := &b.ring[(b.head+i)%len(b.ring)]
-		if e.Table == table && e.Index == index && b.executed(e) {
-			b.Hits++
-			return e.Ctr, true
-		}
+	if e := b.youngest(table, index, true); e != nil {
+		b.Hits++
+		return e.Ctr, true
 	}
 	return 0, false
 }
@@ -95,37 +84,48 @@ func (b *Buffer) Lookup(table int, index uint32) (ctr int32, ok bool) {
 // LookupAny is like Lookup but also matches entries that have not yet
 // executed (used by tests to inspect buffer contents).
 func (b *Buffer) LookupAny(table int, index uint32) (ctr int32, ok bool) {
-	for i := b.count - 1; i >= 0; i-- {
-		e := &b.ring[(b.head+i)%len(b.ring)]
-		if e.Table == table && e.Index == index {
-			return e.Ctr, true
-		}
+	if e := b.youngest(table, index, false); e != nil {
+		return e.Ctr, true
 	}
 	return 0, false
+}
+
+// youngest returns the youngest in-flight entry provided by (table,
+// index) — only among executed entries when executedOnly — or nil.
+func (b *Buffer) youngest(table int, index uint32, executedOnly bool) *Entry {
+	old, young := b.ring.Halves()
+	for _, half := range [2][]Entry{young, old} {
+		for i := len(half) - 1; i >= 0; i-- {
+			e := &half[i]
+			if e.Table == table && e.Index == index && (!executedOnly || b.executed(e)) {
+				return e
+			}
+		}
+	}
+	return nil
 }
 
 // OnMispredict models the pipeline drain that follows a misprediction: by
 // the time fetch resumes on the corrected path, the in-flight branches
 // have executed, so their counters become visible to lookups immediately.
 func (b *Buffer) OnMispredict() {
-	for i := 0; i < b.count; i++ {
-		b.ring[(b.head+i)%len(b.ring)].forced = true
+	old, young := b.ring.Halves()
+	for i := range old {
+		old[i].forced = true
+	}
+	for i := range young {
+		young[i].forced = true
 	}
 }
 
 // PopOldest removes the oldest in-flight entry (called when the branch
 // retires; the predictor tables now hold its update so the IUM record is
-// no longer needed).
-func (b *Buffer) PopOldest() {
-	if b.count == 0 {
-		return
-	}
-	b.head = (b.head + 1) % len(b.ring)
-	b.count--
-}
+// no longer needed). The retire of a branch whose entry an overflow
+// dropped removes nothing, and so does a pop of an empty buffer.
+func (b *Buffer) PopOldest() { b.ring.Pop() }
 
 // Len returns the number of in-flight entries.
-func (b *Buffer) Len() int { return b.count }
+func (b *Buffer) Len() int { return b.ring.Len() }
 
 // HitRate returns the fraction of lookups served by the IUM.
 func (b *Buffer) HitRate() float64 {

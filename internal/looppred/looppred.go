@@ -14,6 +14,7 @@ package looppred
 
 import (
 	"repro/internal/bitutil"
+	"repro/internal/inflight"
 	"repro/internal/memarray"
 )
 
@@ -74,9 +75,7 @@ type Predictor struct {
 	sets  [][]entry // [nsets][ways]
 	nsets int
 
-	slim     []slimEntry
-	slimHead int
-	slimLen  int
+	slim inflight.Ring[slimEntry]
 
 	stats *memarray.Stats
 
@@ -98,7 +97,7 @@ func New(cfg Config, stats *memarray.Stats) *Predictor {
 		cfg:   cfg,
 		nsets: nsets,
 		sets:  make([][]entry, nsets),
-		slim:  make([]slimEntry, cfg.SlimCap),
+		slim:  inflight.New[slimEntry](cfg.SlimCap),
 		stats: stats,
 	}
 	for i := range p.sets {
@@ -176,10 +175,12 @@ func (p *Predictor) Predict(pc uint64, ctx *Ctx) {
 
 // slimLookup finds the youngest in-flight instance for key.
 func (p *Predictor) slimLookup(key uint32) (uint16, bool) {
-	for i := p.slimLen - 1; i >= 0; i-- {
-		e := &p.slim[(p.slimHead+i)%len(p.slim)]
-		if e.key == key {
-			return e.iter, true
+	old, young := p.slim.Halves()
+	for _, half := range [2][]slimEntry{young, old} {
+		for i := len(half) - 1; i >= 0; i-- {
+			if half[i].key == key {
+				return half[i].iter, true
+			}
 		}
 	}
 	return 0, false
@@ -202,13 +203,7 @@ func (p *Predictor) OnResolve(pc uint64, taken bool, ctx *Ctx) {
 	} else {
 		next = 0
 	}
-	if p.slimLen == len(p.slim) {
-		p.slimHead = (p.slimHead + 1) % len(p.slim)
-		p.slimLen--
-	}
-	pos := (p.slimHead + p.slimLen) % len(p.slim)
-	p.slim[pos] = slimEntry{key: p.slimKey(pc), iter: next}
-	p.slimLen++
+	p.slim.Push(slimEntry{key: p.slimKey(pc), iter: next})
 	ctx.PushedSlim = true
 }
 
@@ -219,8 +214,7 @@ func (p *Predictor) OnResolve(pc uint64, taken bool, ctx *Ctx) {
 // and the prediction would have been incorrect otherwise").
 func (p *Predictor) Retire(pc uint64, taken bool, ctx *Ctx, usefulHint bool) {
 	if ctx.PushedSlim {
-		p.slimHead = (p.slimHead + 1) % len(p.slim)
-		p.slimLen--
+		p.slim.Pop()
 	}
 	if !ctx.Hit {
 		return

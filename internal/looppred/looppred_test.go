@@ -1,6 +1,9 @@
 package looppred
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // driveLoop runs `rounds` full executions of a constant-trip loop through
 // the predictor with immediate retire, returning mispredictions over the
@@ -177,5 +180,74 @@ func TestLongTripBeyondLocalHistory(t *testing.T) {
 	validPreds, wrongValid := driveLoop(p, 0x5000, 200, 20)
 	if validPreds == 0 || wrongValid > 0 {
 		t.Fatalf("trip-200 loop: valid=%d wrong=%d", validPreds, wrongValid)
+	}
+}
+
+// TestSLIMMatchesNaiveFIFO drives the SLIM ring through OnResolve
+// pushes, Retire pops and lookups, against a naive slice FIFO in age
+// order: at every capacity from 1 to 70, once within capacity and once
+// overflowing, where a push into a full ring drops the oldest instance
+// and owes the pop of the retire whose instance was dropped.
+func TestSLIMMatchesNaiveFIFO(t *testing.T) {
+	type inst struct {
+		key  uint32
+		iter uint16
+	}
+	rng := rand.New(rand.NewSource(0x51171))
+	for capacity := 1; capacity <= 70; capacity++ {
+		for _, overflow := range []bool{false, true} {
+			p := New(Config{SlimCap: capacity}, nil)
+			var model []inst
+			owed := 0
+			pop := func() {
+				p.Retire(0, false, &Ctx{PushedSlim: true}, false)
+				switch {
+				case owed > 0:
+					owed--
+				case len(model) > 0:
+					model = model[1:]
+				}
+			}
+			pushBias := 45
+			if overflow {
+				pushBias = 70
+			}
+			for op := 0; op < 600; op++ {
+				key := uint32(rng.Intn(6))
+				switch r := rng.Intn(100); {
+				case r < pushBias:
+					if !overflow && len(model) == capacity {
+						pop()
+					}
+					// The zero entry at set 0, way 0 iterates not-taken,
+					// so a not-taken outcome pushes SpecIter+1.
+					ctx := Ctx{Hit: true, SpecIter: uint16(rng.Intn(500))}
+					p.OnResolve(uint64(key)<<2, false, &ctx)
+					if len(model) == capacity {
+						model = model[1:]
+						owed++
+					}
+					model = append(model, inst{key, ctx.SpecIter + 1})
+				case r < pushBias+25:
+					// Within capacity, retires pop only what was pushed.
+					if overflow || len(model) > 0 {
+						pop()
+					}
+				default:
+					var want inst
+					found := false
+					for i := len(model) - 1; i >= 0; i-- {
+						if model[i].key == key {
+							want, found = model[i], true
+							break
+						}
+					}
+					if iter, ok := p.slimLookup(key); ok != found || iter != want.iter {
+						t.Fatalf("capacity %d overflow=%v op %d: slimLookup(%d) = %d,%v, oracle %d,%v",
+							capacity, overflow, op, key, iter, ok, want.iter, found)
+					}
+				}
+			}
+		}
 	}
 }

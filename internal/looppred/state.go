@@ -2,11 +2,12 @@ package looppred
 
 import "repro/internal/checkpoint"
 
-// Walk visits the loop table, the in-flight SLIM ring and the override
-// accounting, all constructing as empty (zero). The shared stats object
-// belongs to the owner.
+// Walk visits the loop table, the in-flight SLIM ring (slots, then
+// head, count and owed-pop cursors) and the override accounting, all
+// constructing as empty (zero). The shared stats object belongs to the
+// owner. Version 2 added the owed-pop cursor.
 func (p *Predictor) Walk(w checkpoint.Walker) {
-	w.Begin("loop", 1)
+	w.Begin("loop", 2)
 	w.Len(len(p.sets), "loop set count")
 	w.Len(p.cfg.Ways, "loop associativity")
 	for _, set := range p.sets {
@@ -22,14 +23,14 @@ func (p *Predictor) Walk(w checkpoint.Walker) {
 			r.Bool(&e.valid)
 		}
 	}
-	w.Len(len(p.slim), "slim ring capacity")
-	r := checkpoint.Records(w, p.slim, 6)
+	slim := p.slim.Slots()
+	w.Len(len(slim), "slim ring capacity")
+	r := checkpoint.Records(w, slim, 6)
 	for i := range r.N {
-		r.U32(&p.slim[i].key)
-		r.U16(&p.slim[i].iter)
+		r.U32(&slim[i].key)
+		r.U16(&slim[i].iter)
 	}
-	w.IntIn(&p.slimHead, 0, 0, len(p.slim), "slim head")
-	w.IntIn(&p.slimLen, 0, 0, len(p.slim)+1, "slim length")
+	p.slim.WalkCursors(w, "slim ring cursor")
 	w.U64(&p.Overrides, 0)
 	w.U64(&p.Useful, 0)
 	w.End()

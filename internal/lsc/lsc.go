@@ -14,6 +14,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/gehl"
 	"repro/internal/histories"
+	"repro/internal/inflight"
 	"repro/internal/memarray"
 )
 
@@ -68,9 +69,7 @@ type Corrector struct {
 	lht   *histories.Local
 	width uint
 
-	slhm     []slhmEntry
-	slhmHead int
-	slhmLen  int
+	slhm inflight.Ring[slhmEntry]
 
 	banks *memarray.BankTracker
 
@@ -115,7 +114,7 @@ func New(cfg Config, stats *memarray.Stats) *Corrector {
 		}, cfg.Lengths, stats),
 		lht:   histories.NewLocal(cfg.LHTEntries, uint(maxLen)),
 		width: uint(maxLen),
-		slhm:  make([]slhmEntry, cfg.SLHMCap),
+		slhm:  inflight.New[slhmEntry](cfg.SLHMCap),
 	}
 	if cfg.Interleaved {
 		c.banks = memarray.NewBankTracker()
@@ -144,10 +143,12 @@ func foldLocal(h uint32, width uint) uint32 {
 // slhmLookup finds the youngest in-flight speculative history for a local
 // history table index.
 func (c *Corrector) slhmLookup(idx int) (uint32, bool) {
-	for i := c.slhmLen - 1; i >= 0; i-- {
-		e := &c.slhm[(c.slhmHead+i)%len(c.slhm)]
-		if e.idx == idx {
-			return e.hist, true
+	old, young := c.slhm.Halves()
+	for _, half := range [2][]slhmEntry{young, old} {
+		for i := len(half) - 1; i >= 0; i-- {
+			if half[i].idx == idx {
+				return half[i].hist, true
+			}
 		}
 	}
 	return 0, false
@@ -204,21 +205,14 @@ func (c *Corrector) Predict(pc uint64, mainPred bool, tageCtrCentered int32, ctx
 // ("new SH = (SH << 1) + prediction", Figure 8).
 func (c *Corrector) OnResolve(taken bool, ctx *Ctx) {
 	next := histories.Shift(ctx.SpecHist, taken, c.width)
-	if c.slhmLen == len(c.slhm) {
-		c.slhmHead = (c.slhmHead + 1) % len(c.slhm)
-		c.slhmLen--
-	}
-	pos := (c.slhmHead + c.slhmLen) % len(c.slhm)
-	c.slhm[pos] = slhmEntry{idx: ctx.LhtIdx, hist: next}
-	c.slhmLen++
+	c.slhm.Push(slhmEntry{idx: ctx.LhtIdx, hist: next})
 	ctx.PushedSLHM = true
 }
 
 // Retire updates the LGEHL tables and the architectural local history.
 func (c *Corrector) Retire(taken bool, ctx *Ctx, reread bool) {
 	if ctx.PushedSLHM {
-		c.slhmHead = (c.slhmHead + 1) % len(c.slhm)
-		c.slhmLen--
+		c.slhm.Pop()
 	}
 	// Architectural local history advances at retire.
 	arch := c.lht.ReadAt(ctx.LhtIdx)

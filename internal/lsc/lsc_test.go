@@ -1,8 +1,10 @@
 package lsc
 
 import (
+	"math/rand"
 	"testing"
 
+	"repro/internal/histories"
 	"repro/internal/rng"
 )
 
@@ -147,5 +149,73 @@ func TestAliasedBranchesShareHistory(t *testing.T) {
 	c.Predict(pcB, true, 1, &ctxB)
 	if ctxB.SpecHist != 1 {
 		t.Fatalf("aliased branch should see shared history, got %#b", ctxB.SpecHist)
+	}
+}
+
+// TestSLHMMatchesNaiveFIFO drives the SLHM ring through OnResolve
+// pushes, Retire pops and lookups, against a naive slice FIFO in age
+// order: at every capacity from 1 to 70, once within capacity and once
+// overflowing, where a push into a full ring drops the oldest history
+// and owes the pop of the retire whose history was dropped.
+func TestSLHMMatchesNaiveFIFO(t *testing.T) {
+	type inst struct {
+		idx  int
+		hist uint32
+	}
+	rng := rand.New(rand.NewSource(0x51e4))
+	for capacity := 1; capacity <= 70; capacity++ {
+		for _, overflow := range []bool{false, true} {
+			c := New(Config{SLHMCap: capacity}, nil)
+			var model []inst
+			owed := 0
+			pop := func() {
+				c.Retire(false, &Ctx{PushedSLHM: true}, false)
+				switch {
+				case owed > 0:
+					owed--
+				case len(model) > 0:
+					model = model[1:]
+				}
+			}
+			pushBias := 45
+			if overflow {
+				pushBias = 70
+			}
+			for op := 0; op < 600; op++ {
+				idx := rng.Intn(6)
+				switch r := rng.Intn(100); {
+				case r < pushBias:
+					if !overflow && len(model) == capacity {
+						pop()
+					}
+					taken := rng.Intn(2) == 0
+					ctx := Ctx{LhtIdx: idx, SpecHist: rng.Uint32()}
+					c.OnResolve(taken, &ctx)
+					if len(model) == capacity {
+						model = model[1:]
+						owed++
+					}
+					model = append(model, inst{idx, histories.Shift(ctx.SpecHist, taken, c.width)})
+				case r < pushBias+25:
+					// Within capacity, retires pop only what was pushed.
+					if overflow || len(model) > 0 {
+						pop()
+					}
+				default:
+					var want inst
+					found := false
+					for i := len(model) - 1; i >= 0; i-- {
+						if model[i].idx == idx {
+							want, found = model[i], true
+							break
+						}
+					}
+					if hist, ok := c.slhmLookup(idx); ok != found || hist != want.hist {
+						t.Fatalf("capacity %d overflow=%v op %d: slhmLookup(%d) = %#x,%v, oracle %#x,%v",
+							capacity, overflow, op, idx, hist, ok, want.hist, found)
+					}
+				}
+			}
+		}
 	}
 }

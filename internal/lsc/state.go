@@ -2,23 +2,24 @@ package lsc
 
 import "repro/internal/checkpoint"
 
-// Walk visits the LGEHL tree, local history table, in-flight SLHM ring,
-// bank tracker (when interleaved), revert accounting and
-// revert-threshold state (rthresh constructs as twice the table count;
-// the rest as zero or empty). The shared stats object belongs to the
-// owner.
+// Walk visits the LGEHL tree, local history table, in-flight SLHM ring
+// (slots, then head, count and owed-pop cursors), bank tracker (when
+// interleaved), revert accounting and revert-threshold state (rthresh
+// constructs as twice the table count; the rest as zero or empty). The
+// shared stats object belongs to the owner. Version 2 added the
+// owed-pop cursor.
 func (c *Corrector) Walk(w checkpoint.Walker) {
-	w.Begin("lsc", 1)
+	w.Begin("lsc", 2)
 	c.eng.Walk(w)
 	c.lht.Walk(w)
-	w.Len(len(c.slhm), "slhm ring capacity")
-	r := checkpoint.Records(w, c.slhm, 12)
+	slhm := c.slhm.Slots()
+	w.Len(len(slhm), "slhm ring capacity")
+	r := checkpoint.Records(w, slhm, 12)
 	for i := range r.N {
-		r.Int(&c.slhm[i].idx)
-		r.U32(&c.slhm[i].hist)
+		r.Int(&slhm[i].idx)
+		r.U32(&slhm[i].hist)
 	}
-	w.IntIn(&c.slhmHead, 0, 0, len(c.slhm), "slhm head")
-	w.IntIn(&c.slhmLen, 0, 0, len(c.slhm)+1, "slhm length")
+	c.slhm.WalkCursors(w, "slhm ring cursor")
 	if c.banks != nil {
 		c.banks.Walk(w)
 	}

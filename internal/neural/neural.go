@@ -138,8 +138,13 @@ func (p *Predictor) Predict(pc uint64, ctx *Ctx) bool {
 	ctx.BiasIdx = pcIdx
 	ctx.BiasVal = p.bias[pcIdx]
 	sum := int32(ctx.BiasVal) * 2
-	for j := 0; j < p.cfg.Hist; j++ {
-		slot := (p.head - j + p.cfg.Hist) % p.cfg.Hist
+	// Position j reads the path ring j places behind its head, wrapping
+	// with a compare.
+	slot := p.head
+	for j := 0; j < p.cfg.Hist; j, slot = j+1, slot-1 {
+		if slot < 0 {
+			slot += p.cfg.Hist
+		}
 		pathIdx := p.path[slot] & p.paMask
 		c := p.cell(pcIdx, pathIdx, j)
 		v := p.w[c]
@@ -159,7 +164,9 @@ func (p *Predictor) Predict(pc uint64, ctx *Ctx) bool {
 
 // OnResolve implements predictor.Predictor: push speculative path history.
 func (p *Predictor) OnResolve(pc uint64, taken, mispredicted bool, ctx *Ctx) {
-	p.head = (p.head + 1) % p.cfg.Hist
+	if p.head++; p.head == p.cfg.Hist {
+		p.head = 0
+	}
 	p.path[p.head] = uint32(pc >> 2)
 	p.dirs[p.head] = taken
 }

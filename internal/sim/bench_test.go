@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/composed"
 	"repro/internal/gshare"
 	"repro/internal/metrics"
 	"repro/internal/predictor"
@@ -68,6 +69,14 @@ func BenchmarkPredictRetire(b *testing.B) {
 	})
 	b.Run("gshare/B", func(b *testing.B) {
 		benchPredictRetire(b, gshare.New(18), predictor.ScenarioB)
+	})
+	// The composite stacks, whose IUM, SLIM and SLHM rings are searched
+	// on every prediction.
+	b.Run("isl-tage/A", func(b *testing.B) {
+		benchPredictRetire(b, composed.New(composed.ISLTAGE(tage.Reference(), "ISL-TAGE")), predictor.ScenarioA)
+	})
+	b.Run("tage-lsc/A", func(b *testing.B) {
+		benchPredictRetire(b, composed.New(composed.TAGELSC(composed.Budget512K(), "TAGE-LSC")), predictor.ScenarioA)
 	})
 }
 

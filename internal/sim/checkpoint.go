@@ -79,13 +79,14 @@ func walkSim[C any](w checkpoint.Walker, p predictor.Predictor[C], opt Options, 
 }
 
 // encodeCheckpoint serializes the simulator section followed by the
-// predictor's own sections.
+// predictor's own sections into the Runner's encoder; the blob is valid
+// until the next checkpoint.
 func (rn *Runner[C]) encodeCheckpoint(p predictor.Predictor[C], opt Options, window int,
 	ring []inflight[C], retireAt []uint64, head, ringMask int, st simState) []byte {
-	enc := checkpoint.NewEncoder()
-	walkSim(enc.Walker(), p, opt, window, ring, retireAt, head, ringMask, &st)
-	p.Snapshot(enc)
-	return enc.Blob()
+	rn.enc.Reset()
+	walkSim(rn.enc.Walker(), p, opt, window, ring, retireAt, head, ringMask, &st)
+	p.Snapshot(&rn.enc)
+	return rn.enc.Blob()
 }
 
 // decodeCheckpoint restores the simulator section into the ring

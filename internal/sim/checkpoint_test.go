@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -269,4 +271,40 @@ func TestResumeRefusesHostileContexts(t *testing.T) {
 				}
 			})
 	})
+}
+
+// TestResumeRefusesVersion1Rings: the IUM, loop and LSC sections went to
+// version 2 when their in-flight rings gained the owed-pop cursor. A
+// blob carrying any of them at version 1 is refused, and the run is
+// exactly the cold run.
+func TestResumeRefusesVersion1Rings(t *testing.T) {
+	mk := func() predictor.Predictor[composed.Ctx] {
+		return composed.New(composed.FullStack(tage.Scale(tage.Reference(), -2), "full"))
+	}
+	tr := ckTrace(6000)
+	opt := Options{Scenario: predictor.ScenarioA, Window: 16, ExecDelay: 3}
+	cold := stripTiming(runTrace(mk(), tr, opt))
+	blob := hostileBlob(t, mk, func(*composed.Ctx) {}, tr, opt, 2500)
+	for _, name := range []string{"ium", "loop", "lsc"} {
+		t.Run(name, func(t *testing.T) {
+			header := binary.LittleEndian.AppendUint32(nil, uint32(len(name)))
+			header = binary.LittleEndian.AppendUint16(append(header, name...), 2)
+			at := bytes.Index(blob, header)
+			if at < 0 || bytes.Count(blob, header) != 1 {
+				t.Fatalf("section %q at version 2 not found exactly once in the blob", name)
+			}
+			old := append([]byte(nil), blob...)
+			binary.LittleEndian.PutUint16(old[at+len(header)-2:], 1)
+			rOpt := opt
+			rOpt.Resume = &Checkpoint{At: 2500, Blob: old}
+			got := runTrace(mk(), tr, rOpt)
+			if got.ResumeErr == nil || !strings.Contains(got.ResumeErr.Error(), "written under version 1, but this binary reads only version 2") {
+				t.Fatalf("version-1 %s section: ResumeErr = %v, want a refusal of the old layout", name, got.ResumeErr)
+			}
+			got.ResumeErr = nil
+			if stripTiming(got) != cold {
+				t.Fatalf("cold fallback diverges from a cold run:\n  got:  %+v\n  want: %+v", stripTiming(got), cold)
+			}
+		})
+	}
 }

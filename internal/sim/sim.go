@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/bitutil"
+	"repro/internal/checkpoint"
 	"repro/internal/memarray"
 	"repro/internal/metrics"
 	"repro/internal/predictor"
@@ -73,8 +74,10 @@ type Options struct {
 	// OnCheckpoint, when non-nil, receives a checkpoint blob at the end
 	// of the trace (always) and, when CheckpointEvery > 0, every
 	// CheckpointEvery branches along the way (taken between decode
-	// batches, so the granularity is the batch size). The callback must
-	// not retain the predictor; the blob is self-contained.
+	// batches, so the granularity is the batch size). The blob is
+	// self-contained but valid only until the callback returns: the
+	// Runner encodes the next checkpoint into the same buffer, so a
+	// callback that keeps a blob must copy it.
 	OnCheckpoint func(blob []byte, at uint64)
 	// CheckpointEvery is the approximate branch interval between
 	// periodic OnCheckpoint emissions (0 = only the end-of-trace blob).
@@ -180,6 +183,9 @@ type Runner[C any] struct {
 	// it through the Batcher interface makes it escape: as a local it
 	// would cost one heap allocation per run.
 	batch [decodeBatch]trace.Branch
+	// enc encodes every checkpoint the Runner takes, Reset for each, so
+	// once it has grown to a blob's size checkpoints allocate nothing.
+	enc checkpoint.Encoder
 }
 
 // Run simulates predictor p over the branches of src, reusing the

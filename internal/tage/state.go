@@ -16,12 +16,14 @@ const rngSalt = 0x7a6e_0001
 func (p *Predictor) Walk(w checkpoint.Walker) {
 	w.Begin("tage", 1)
 	w.Len(len(p.entries), "tage entry store size")
+	// Each entry moves as one little-endian word: ctr | u<<8 | tag<<16.
 	r := checkpoint.Records(w, p.entries, 4)
 	for i := range r.N {
 		e := &p.entries[i]
-		r.I8(&e.ctr)
-		r.U8(&e.u)
-		r.U16(&e.tag)
+		v := uint32(uint8(e.ctr)) | uint32(e.u)<<8 | uint32(e.tag)<<16
+		if r.Word(&v) {
+			e.ctr, e.u, e.tag = int8(v), uint8(v>>8), uint16(v>>16)
+		}
 	}
 	p.bim.Walk(w)
 	p.ghist.Walk(w)

@@ -91,22 +91,26 @@ func TestPooledRunnerMatchesFreshAcrossSpecs(t *testing.T) {
 // zero-allocation contract to every predictor kind the checkpoint suite
 // covers, composed stacks included: once a pooled runner has run, each
 // further run — a Reset of the predictor's state walk, then the
-// simulation — allocates nothing.
+// simulation — allocates nothing. That holds for runs that checkpoint
+// too: the runner encodes every checkpoint, periodic and end-of-trace,
+// into one reused buffer, which the first run grows to a blob's size.
 func TestPooledRunZeroAllocsAcrossSpecs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	tr := MustGenerateTrace("INT01", 2000)
+	ckpt := Options{Scenario: ScenarioA, CheckpointEvery: 500, OnCheckpoint: func([]byte, uint64) {}}
 	for _, spec := range checkpointSpecs {
 		m, err := LookupModel(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := m.NewRunner()
-		opt := Options{Scenario: ScenarioA}
-		run(tr, opt) // the first run owns the buffer allocations
-		if allocs := testing.AllocsPerRun(5, func() { run(tr, opt) }); allocs != 0 {
-			t.Errorf("%s: %v allocs per pooled run, want 0", spec, allocs)
+		for _, opt := range []Options{{Scenario: ScenarioA}, ckpt} {
+			run := m.NewRunner()
+			run(tr, opt) // the first run owns the buffer allocations
+			if allocs := testing.AllocsPerRun(5, func() { run(tr, opt) }); allocs != 0 {
+				t.Errorf("%s (checkpointing %v): %v allocs per pooled run, want 0", spec, opt.OnCheckpoint != nil, allocs)
+			}
 		}
 	}
 }

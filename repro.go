@@ -56,7 +56,9 @@ type (
 	Options = sim.Options
 	// Checkpoint is a mid-trace (or end-of-trace) simulation snapshot:
 	// assign one to Options.Resume to warm-start a run, receive them via
-	// Options.OnCheckpoint.
+	// Options.OnCheckpoint. A blob handed to OnCheckpoint is valid until
+	// the callback returns (the runner reuses its buffer for the next
+	// checkpoint), so a callback that keeps one copies it.
 	Checkpoint = sim.Checkpoint
 	// Result is the outcome of simulating one trace.
 	Result = sim.Result
