@@ -133,15 +133,16 @@ func ScalableModelNames() []string {
 }
 
 // BenchModels resolves model identifiers — named models or arbitrary
-// specs — to harness models. Each cell executed for the model constructs
-// a fresh predictor (cold state). The harness name (and therefore every
-// cell key and store record) is the canonical spec string, which for the
-// named models is exactly the identifier, so pre-spec baselines keep
-// their keys; the canonical spec also rides along in BenchModel.Spec so
-// records say which configuration produced them. Scalable specs (see
-// ModelSpec.CanScale) carry the Scale hook the deltaLog axis expands
-// through, implemented as spec rewriting: the scaled variant is
-// spec.WithDelta(d) rebuilt.
+// specs — to harness models. Resolving builds no predictor: names and
+// storage budgets come from the configurations, and each cell executed
+// for the model runs a cold predictor. The harness name (and therefore
+// every cell key and store record) is the canonical spec string, which
+// for the named models is exactly the identifier, so pre-spec baselines
+// keep their keys; the canonical spec also rides along in
+// BenchModel.Spec so records say which configuration produced them.
+// Scalable specs (see ModelSpec.CanScale) carry the Scale hook the
+// deltaLog axis expands through, implemented as spec rewriting: the
+// scaled variant is spec.WithDelta(d) rebuilt.
 func BenchModels(names []string) ([]BenchModel, error) {
 	out := make([]BenchModel, 0, len(names))
 	seen := make(map[string]string, len(names))

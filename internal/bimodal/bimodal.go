@@ -105,6 +105,10 @@ func Next(ctr int32, taken bool) int32 {
 // StorageBits returns the storage cost in bits.
 func (t *Table) StorageBits() int { return len(t.pred) + len(t.hyst) }
 
+// StorageBits returns the storage cost in bits of the table New(logPred,
+// logHyst, ...) allocates, without allocating it.
+func StorageBits(logPred, logHyst uint) int { return 1<<logPred + 1<<logHyst }
+
 // Ctx is the pipeline context of a standalone bimodal predictor.
 type Ctx struct {
 	Index uint32

@@ -78,20 +78,25 @@ func New(cfg Config) *Predictor {
 
 // Name implements predictor.Predictor.
 func (p *Predictor) Name() string {
-	if p.cfg.Name != "" {
-		return p.cfg.Name
+	return label(p.cfg.Name, p.tage.IUM() != nil, p.loop != nil, p.sc != nil, p.lsc != nil)
+}
+
+// label is the name of a stack: its configured Name, else its components.
+func label(name string, ium, loop, sc, lsc bool) string {
+	if name != "" {
+		return name
 	}
 	parts := []string{"TAGE"}
-	if p.tage.IUM() != nil {
+	if ium {
 		parts = append(parts, "IUM")
 	}
-	if p.loop != nil {
+	if loop {
 		parts = append(parts, "loop")
 	}
-	if p.sc != nil {
+	if sc {
 		parts = append(parts, "SC")
 	}
-	if p.lsc != nil {
+	if lsc {
 		parts = append(parts, "LSC")
 	}
 	return strings.Join(parts, "+")
@@ -110,6 +115,27 @@ func (p *Predictor) StorageBits() int {
 		bits += p.lsc.StorageBits()
 	}
 	return bits
+}
+
+// StorageBits returns the storage budget of the stack New(c) builds, from
+// the configuration alone: no table is allocated.
+func (c Config) StorageBits() int {
+	bits := c.Tage.StorageBits()
+	if c.UseLoop {
+		bits += c.Loop.StorageBits()
+	}
+	if c.UseSC {
+		bits += c.SC.StorageBits()
+	}
+	if c.UseLSC {
+		bits += c.LSC.StorageBits()
+	}
+	return bits
+}
+
+// Label returns the Name the stack New(c) builds reports.
+func (c Config) Label() string {
+	return label(c.Name, c.Tage.UseIUM, c.UseLoop, c.UseSC, c.UseLSC)
 }
 
 // Tage exposes the core TAGE predictor (for experiment instrumentation).

@@ -361,3 +361,20 @@ func TestRunMatrixResultStore(t *testing.T) {
 		t.Fatalf("store path diverges from in-memory path:\nmem   %+v\nstore %+v", a, b)
 	}
 }
+
+// TestExperimentModelsDeclareTheirBudgets: every model E1–E15 put in
+// their matrices, Figure 9's budget variants included, declares its
+// storage budget from its configuration without building a predictor,
+// and pooledModel holds every predictor a runner builds to that budget —
+// a mismatch panics, which fails the cell and so the report. Each model
+// builds at least once when all fifteen run, even this small.
+func TestExperimentModelsDeclareTheirBudgets(t *testing.T) {
+	for _, e := range Registry() {
+		rep := e.Run(Config{BranchesPerTrace: 200, Parallelism: 2})
+		for _, c := range rep.Checks {
+			if c.Name == "harness sweep ran" && !c.Pass {
+				t.Errorf("%s: %v", rep.ID, rep.Notes)
+			}
+		}
+	}
+}

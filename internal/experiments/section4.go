@@ -126,11 +126,9 @@ func E3(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E3", Title: "Bank-interleaved single-ported TAGE (§4.3)"}
 	flat := refTAGE()
-	inter := tageModel("tage:banked=1", func() tage.Config {
-		c := tage.Reference()
-		c.Interleaved = true
-		return c
-	})
+	banked := tage.Reference()
+	banked.Interleaved = true
+	inter := tageModel("tage:banked=1", banked)
 	s := r.run(cfg.suiteMatrix([]harness.Model{flat, inter}, predictor.ScenarioC), cfg)
 	if s == nil {
 		return r
@@ -167,11 +165,9 @@ func E4(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E4", Title: "Immediate Update Mimicker (§5.1)"}
 	plainM := refTAGE()
-	iumM := tageModel("tage:ium=1", func() tage.Config {
-		c := tage.Reference()
-		c.UseIUM = true
-		return c
-	})
+	iumCfg := tage.Reference()
+	iumCfg.UseIUM = true
+	iumM := tageModel("tage:ium=1", iumCfg)
 	s := r.run(cfg.suiteMatrix([]harness.Model{plainM, iumM},
 		predictor.ScenarioI, predictor.ScenarioA, predictor.ScenarioB, predictor.ScenarioC), cfg)
 	if s == nil {

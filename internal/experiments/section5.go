@@ -51,7 +51,7 @@ func E7(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E7", Title: "ISL-TAGE vs scaling TAGE to 2 Mbits (§5.4)"}
 	t512, isl := refTAGE(), islTAGE()
-	t2m := tageModel("tage@+2", func() tage.Config { return tage.Scale(tage.Reference(), 2) })
+	t2m := tageModel("tage@+2", tage.Scale(tage.Reference(), 2))
 	s := r.run(cfg.suiteMatrix([]harness.Model{t512, isl, t2m}, predictor.ScenarioA), cfg)
 	if s == nil {
 		return r

@@ -21,12 +21,8 @@ func E8(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E8", Title: "Local Statistical Corrector (§6.1)"}
 	base, isl := tageIUM(), islTAGE()
-	full := composedModel("composed:tage+ium+loop+gsc+lsc", func() composed.Config {
-		return composed.FullStack(tage.Reference(), "TAGE+IUM+loop+SC+LSC")
-	})
-	lscOnly := composedModel("composed:tage+ium+lsc", func() composed.Config {
-		return composed.TAGELSC(tage.Reference(), "TAGE+IUM+LSC")
-	})
+	full := composedModel("composed:tage+ium+loop+gsc+lsc", composed.FullStack(tage.Reference(), "TAGE+IUM+loop+SC+LSC"))
+	lscOnly := composedModel("composed:tage+ium+lsc", composed.TAGELSC(tage.Reference(), "TAGE+IUM+LSC"))
 	s := r.run(cfg.suiteMatrix([]harness.Model{base, isl, full, lscOnly}, predictor.ScenarioA), cfg)
 	if s == nil {
 		return r
@@ -74,11 +70,11 @@ func E9(cfg Config) Report {
 	tagelsc := tageLSC()
 	// No model spec describes this one (its TAGE core halves T7 and its SC
 	// has five tables), so it carries an experiment-local name.
-	islSame := pooledModel("isl-tage-512k-sc5", func() predictor.Predictor[composed.Ctx] {
-		c := composed.ISLTAGE(composed.Budget512K(), "ISL-TAGE-512K")
-		// "5 tables GEHL-like predictor for Statistical Corrector".
-		c.SC.Lengths = []int{0, 4, 10, 17, 31}
-		return composed.New(c)
+	isl512 := composed.ISLTAGE(composed.Budget512K(), "ISL-TAGE-512K")
+	// "5 tables GEHL-like predictor for Statistical Corrector".
+	isl512.SC.Lengths = []int{0, 4, 10, 17, 31}
+	islSame := pooledModel("isl-tage-512k-sc5", isl512.StorageBits(), func() predictor.Predictor[composed.Ctx] {
+		return composed.New(isl512)
 	})
 	s := r.run(cfg.suiteMatrix([]harness.Model{tagelsc, islSame}, predictor.ScenarioA), cfg)
 	if s == nil {
@@ -156,14 +152,15 @@ func E10(cfg Config) Report {
 	models := make([]harness.Model, len(variants))
 	for i, v := range variants {
 		name := fmt.Sprintf("tage-lsc-%dcomp-hist%d:%d", v.nTagged+1, v.min, v.max)
-		models[i] = pooledModel(name, func() predictor.Predictor[composed.Ctx] {
-			tcfg := tageConfigFor(v.nTagged, v.min, v.max, v.label)
-			if v.nTagged >= 12 {
-				tcfg = composed.Budget512K()
-				tcfg.MinHist, tcfg.MaxHist = v.min, v.max
-				tcfg.Name = v.label
-			}
-			return composed.New(composed.TAGELSC(tcfg, v.label))
+		tcfg := tageConfigFor(v.nTagged, v.min, v.max, v.label)
+		if v.nTagged >= 12 {
+			tcfg = composed.Budget512K()
+			tcfg.MinHist, tcfg.MaxHist = v.min, v.max
+			tcfg.Name = v.label
+		}
+		c := composed.TAGELSC(tcfg, v.label)
+		models[i] = pooledModel(name, c.StorageBits(), func() predictor.Predictor[composed.Ctx] {
+			return composed.New(c)
 		})
 	}
 	s := r.run(cfg.suiteMatrix(models, predictor.ScenarioA), cfg)
@@ -190,16 +187,16 @@ func E10(cfg Config) Report {
 // ScalableTAGEModel is the reference TAGE as a harness model with the
 // Figure 9 budget-scaling hook; deltaLog 0 is the 512Kbit reference.
 func ScalableTAGEModel() harness.Model {
-	return scalableModel("tage", func(d int) predictor.Predictor[tage.Ctx] {
-		return tage.New(tage.Scale(tage.Reference(), d))
+	return scalableModel("tage", func(d int) harness.Model {
+		return tageModel("", tage.Scale(tage.Reference(), d))
 	})
 }
 
 // ScalableTAGELSCModel is TAGE-LSC as a harness model with the budget
 // hook scaling its TAGE component (the Figure 9 protocol).
 func ScalableTAGELSCModel() harness.Model {
-	return scalableModel("tage-lsc", func(d int) predictor.Predictor[composed.Ctx] {
-		return composed.New(composed.TAGELSC(
+	return scalableModel("tage-lsc", func(d int) harness.Model {
+		return composedModel("", composed.TAGELSC(
 			tage.Scale(composed.Budget512K(), d), fmt.Sprintf("TAGE-LSC%+d", d)))
 	})
 }
@@ -295,10 +292,10 @@ func E12(cfg Config) Report {
 	}{
 		{"ISL-TAGE", islTAGE(), "196", "2311"},
 		{"TAGE-LSC", tageLSC(), "198", "2287"},
-		{"OH-SNAP", specModel("ohsnap", func() predictor.Predictor[neural.Ctx] {
+		{"OH-SNAP", specModel("ohsnap", neural.Config{}.StorageBits(), func() predictor.Predictor[neural.Ctx] {
 			return neural.New(neural.Config{})
 		}), "254", "2227"},
-		{"FTL++", specModel("ftlpp", func() predictor.Predictor[ftlpp.Ctx] {
+		{"FTL++", specModel("ftlpp", ftlpp.Config{}.StorageBits(), func() predictor.Predictor[ftlpp.Ctx] {
 			return ftlpp.New(ftlpp.Config{})
 		}), "232", "2222"},
 	}

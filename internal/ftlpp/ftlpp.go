@@ -8,6 +8,7 @@ package ftlpp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitutil"
 	"repro/internal/gehl"
@@ -98,12 +99,7 @@ func New(cfg Config) *Predictor {
 	glens[0] = 0
 	copy(glens[1:], histories.GeometricSeries(cfg.GlobalMin, cfg.GlobalMax, cfg.GlobalTables-1))
 	stats := &memarray.Stats{}
-	maxLocal := 0
-	for _, l := range cfg.LocalLengths {
-		if l > maxLocal {
-			maxLocal = l
-		}
-	}
+	maxLocal := slices.Max(cfg.LocalLengths)
 	p := &Predictor{
 		cfg: cfg,
 		geng: gehl.NewEngine(gehl.Config{
@@ -124,7 +120,7 @@ func New(cfg Config) *Predictor {
 			p.folded[i] = histories.NewFolded(l, cfg.GlobalLogEntries)
 		}
 	}
-	p.name = fmt.Sprintf("ftlpp-%dKb", p.StorageBits()/1024)
+	p.name = label(p.StorageBits())
 	return p
 }
 
@@ -136,6 +132,20 @@ func (p *Predictor) StorageBits() int {
 	return p.geng.StorageBits() + p.leng.StorageBits() +
 		p.lht.Entries()*int(p.lwidth)
 }
+
+// StorageBits returns the storage budget of the predictor New(c) builds,
+// without allocating its tables.
+func (c Config) StorageBits() int {
+	c = c.withDefaults()
+	return gehl.TablesBits(c.GlobalTables, c.GlobalLogEntries, c.CtrBits) +
+		gehl.TablesBits(len(c.LocalLengths), c.LocalLogEntries, c.CtrBits) +
+		bitutil.CeilPow2(c.LHTEntries)*slices.Max(c.LocalLengths)
+}
+
+// Label returns the Name the predictor New(c) builds reports.
+func (c Config) Label() string { return label(c.StorageBits()) }
+
+func label(bits int) string { return fmt.Sprintf("ftlpp-%dKb", bits/1024) }
 
 // foldLocal compresses a local history value into an index-width hash.
 func foldLocal(h uint32, width uint) uint32 {

@@ -108,6 +108,13 @@ func (e *Engine) StorageBits() int {
 	return len(e.tables) * (1 << e.cfg.LogEntries) * int(e.cfg.CtrBits)
 }
 
+// TablesBits is the storage of n tables of 2^logEntries ctrBits-wide
+// counters: the budget of an Engine of that shape, for configurations
+// that report their budget without building one.
+func TablesBits(n int, logEntries, ctrBits uint) int {
+	return n * (1 << logEntries) * int(ctrBits)
+}
+
 // Index computes the table index for table i given the PC and a folded
 // history value (pass 0 for the L=0 table; extra carries additional hash
 // input such as the TAGE prediction bit for the Statistical Corrector).
@@ -216,9 +223,21 @@ func New(cfg Config) *Predictor {
 	}
 	p.folds = fb.Build()
 	p.fvals = p.folds.Values()
-	p.name = fmt.Sprintf("gehl-%dKb", p.StorageBits()/1024)
+	p.name = label(p.StorageBits())
 	return p
 }
+
+// StorageBits returns the storage budget of the predictor New(c) builds,
+// without allocating its tables.
+func (c Config) StorageBits() int {
+	c = c.withDefaults()
+	return TablesBits(c.NumTables, c.LogEntries, c.CtrBits)
+}
+
+// Label returns the Name the predictor New(c) builds reports.
+func (c Config) Label() string { return label(c.StorageBits()) }
+
+func label(bits int) string { return fmt.Sprintf("gehl-%dKb", bits/1024) }
 
 // Name implements predictor.Predictor.
 func (p *Predictor) Name() string { return p.name }

@@ -40,9 +40,18 @@ func New(logTable uint) *Predictor {
 		logTable: logTable,
 	}
 	p.walk(checkpoint.Fresh())
-	p.name = fmt.Sprintf("gshare-%dKb", p.StorageBits()/1024)
+	p.name = label(p.StorageBits())
 	return p
 }
+
+// StorageBits returns the storage budget of the predictor New(logTable)
+// builds, without allocating its table.
+func StorageBits(logTable uint) int { return 2 << logTable }
+
+// Label returns the Name the predictor New(logTable) builds reports.
+func Label(logTable uint) string { return label(StorageBits(logTable)) }
+
+func label(bits int) string { return fmt.Sprintf("gshare-%dKb", bits/1024) }
 
 // Ctx is the pipeline context: the index and counter read at prediction.
 type Ctx struct {

@@ -103,8 +103,10 @@ func (w WireJob) Job(resolve ModelResolver) (Job, error) {
 	if err != nil {
 		return Job{}, err
 	}
-	if len(scs) != 1 {
-		return Job{}, fmt.Errorf("harness: want exactly one scenario, got %q", w.Scenario)
+	// The scenario is part of the cell key a completion is matched by, so
+	// only its canonical letter rebuilds the cell the lease holds.
+	if len(scs) != 1 || scs[0].Letter() != w.Scenario {
+		return Job{}, fmt.Errorf("harness: want exactly one scenario letter, got %q", w.Scenario)
 	}
 	j := Job{
 		Index:    w.Index,

@@ -109,9 +109,20 @@ func New(cfg Config, stats *memarray.Stats) *Predictor {
 // StorageBits returns the loop table storage (37 bits per entry for the
 // default configuration).
 func (p *Predictor) StorageBits() int {
-	perEntry := int(2*p.cfg.IterBits + p.cfg.TagBits + 3 + 3 + 1)
-	return p.cfg.Entries * perEntry
+	return len(p.sets) * p.cfg.Ways * p.cfg.entryBits()
 }
+
+// StorageBits returns the storage budget of the loop predictor New(c, ...)
+// builds, without allocating its table: Entries rounded down to whole
+// sets of Ways.
+func (c Config) StorageBits() int {
+	c = c.withDefaults()
+	return c.Entries / c.Ways * c.Ways * c.entryBits()
+}
+
+// entryBits is one entry's width: two iteration counts, the tag, 3-bit
+// confidence and age, and the direction bit.
+func (c Config) entryBits() int { return int(2*c.IterBits + c.TagBits + 3 + 3 + 1) }
 
 // setIndex returns the skewed set index for a way.
 func (p *Predictor) setIndex(pc uint64, way int) int {

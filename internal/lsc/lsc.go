@@ -10,6 +10,8 @@
 package lsc
 
 import (
+	"slices"
+
 	"repro/internal/bitutil"
 	"repro/internal/checkpoint"
 	"repro/internal/gehl"
@@ -98,12 +100,7 @@ type Ctx struct {
 // New creates an LSC. stats may be nil.
 func New(cfg Config, stats *memarray.Stats) *Corrector {
 	cfg = cfg.withDefaults()
-	maxLen := 0
-	for _, l := range cfg.Lengths {
-		if l > maxLen {
-			maxLen = l
-		}
-	}
+	maxLen := slices.Max(cfg.Lengths)
 	c := &Corrector{
 		cfg: cfg,
 		eng: gehl.NewEngine(gehl.Config{
@@ -126,6 +123,14 @@ func New(cfg Config, stats *memarray.Stats) *Corrector {
 // StorageBits returns LGEHL tables plus the local history table.
 func (c *Corrector) StorageBits() int {
 	return c.eng.StorageBits() + c.lht.Entries()*int(c.width)
+}
+
+// StorageBits returns the storage budget of the corrector New(c, ...)
+// builds, without allocating its tables.
+func (c Config) StorageBits() int {
+	c = c.withDefaults()
+	return gehl.TablesBits(len(c.Lengths), c.LogEntries, c.CtrBits) +
+		bitutil.CeilPow2(c.LHTEntries)*slices.Max(c.Lengths)
 }
 
 // foldLocal compresses a (short) local history value into the table index

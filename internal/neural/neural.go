@@ -100,9 +100,21 @@ func New(cfg Config) *Predictor {
 		stats:  &memarray.Stats{},
 	}
 	p.walk(checkpoint.Fresh())
-	p.name = fmt.Sprintf("pwl-%dKb", p.StorageBits()/1024)
+	p.name = label(p.StorageBits())
 	return p
 }
+
+// StorageBits returns the storage budget of the predictor New(c) builds,
+// without allocating its weights.
+func (c Config) StorageBits() int {
+	c = c.withDefaults()
+	return ((1<<c.LogPC)*(1<<c.LogPath)*c.Hist + 1<<c.LogPC) * int(c.WeightBits)
+}
+
+// Label returns the Name the predictor New(c) builds reports.
+func (c Config) Label() string { return label(c.StorageBits()) }
+
+func label(bits int) string { return fmt.Sprintf("pwl-%dKb", bits/1024) }
 
 // Name implements predictor.Predictor.
 func (p *Predictor) Name() string { return p.name }

@@ -14,6 +14,8 @@
 package sc
 
 import (
+	"slices"
+
 	"repro/internal/bitutil"
 	"repro/internal/checkpoint"
 	"repro/internal/gehl"
@@ -87,12 +89,7 @@ type Ctx struct {
 // New creates a Statistical Corrector. stats may be nil.
 func New(cfg Config, stats *memarray.Stats) *Corrector {
 	cfg = cfg.withDefaults()
-	maxLen := 0
-	for _, l := range cfg.Lengths {
-		if l > maxLen {
-			maxLen = l
-		}
-	}
+	maxLen := slices.Max(cfg.Lengths)
 	c := &Corrector{
 		cfg: cfg,
 		eng: gehl.NewEngine(gehl.Config{
@@ -115,6 +112,13 @@ func New(cfg Config, stats *memarray.Stats) *Corrector {
 
 // StorageBits returns the corrector table storage.
 func (c *Corrector) StorageBits() int { return c.eng.StorageBits() }
+
+// StorageBits returns the storage budget of the corrector New(c, ...)
+// builds, without allocating its tables.
+func (c Config) StorageBits() int {
+	c = c.withDefaults()
+	return gehl.TablesBits(len(c.Lengths), c.LogEntries, c.CtrBits)
+}
 
 // Predict computes the corrected prediction. mainPred is the prediction
 // flowing out of the main (TAGE + IUM [+ loop]) predictor and

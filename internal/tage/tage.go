@@ -170,6 +170,21 @@ func Scale(cfg Config, deltaLog int) Config {
 	return out
 }
 
+// StorageBits returns the storage budget of the predictor New(c) builds,
+// from the configuration alone: no table is allocated. The predictor's
+// own StorageBits counts the tables it did allocate, and the two agree.
+func (c Config) StorageBits() int {
+	c = c.withDefaults()
+	bits := bimodal.StorageBits(c.LogBimodal, c.LogBimodalHyst)
+	for i, l := range c.TableLogs {
+		bits += (1 << l) * (CtrBits + 1 + int(c.TagBits[i]))
+	}
+	return bits
+}
+
+// Label returns the Name the predictor New(c) builds reports.
+func (c Config) Label() string { return label(c.Name, c.StorageBits()) }
+
 // entry is one tagged-component entry (Figure 2): 3-bit signed prediction
 // counter, partial tag, single useful bit.
 type entry struct {
@@ -321,11 +336,14 @@ func (p *Predictor) table(i int) []entry {
 }
 
 // Name implements predictor.Predictor.
-func (p *Predictor) Name() string {
-	if p.cfg.Name != "" {
-		return p.cfg.Name
+func (p *Predictor) Name() string { return label(p.cfg.Name, p.StorageBits()) }
+
+// label is the name of a predictor: its configured Name, else its budget.
+func label(name string, bits int) string {
+	if name != "" {
+		return name
 	}
-	return fmt.Sprintf("TAGE-%dKb", p.StorageBits()/1024)
+	return fmt.Sprintf("TAGE-%dKb", bits/1024)
 }
 
 // StorageBits implements predictor.Predictor.

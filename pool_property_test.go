@@ -57,13 +57,29 @@ func normalize(r Result) Result {
 
 // TestPooledRunnerMatchesFreshAcrossSpecs: for random specs, scenarios
 // and traces, a NewRunner closure run repeatedly (dirty pool, Reset
-// between calls) returns exactly what fresh Model.Run calls return.
+// between calls) returns exactly what fresh Model.Run calls return. Every
+// draw happens before the subtests go parallel, so one seed always picks
+// the same cells.
 func TestPooledRunnerMatchesFreshAcrossSpecs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	scenarios := []Scenario{ScenarioI, ScenarioA, ScenarioB, ScenarioC}
 	names := TraceNames()
+	type cell struct {
+		trace    string
+		branches int
+		opt      Options
+	}
 	for _, spec := range propertySpecs(t, rng) {
 		spec := spec
+		var cells [3]cell
+		for i := range cells {
+			sc := scenarios[rng.Intn(len(scenarios))]
+			cells[i] = cell{
+				trace:    names[rng.Intn(len(names))],
+				opt:      Options{Scenario: sc, Window: 16 + 8*rng.Intn(2)},
+				branches: 1500 + rng.Intn(1500),
+			}
+		}
 		t.Run(spec.Canonical(), func(t *testing.T) {
 			t.Parallel()
 			m, err := spec.Build()
@@ -71,16 +87,13 @@ func TestPooledRunnerMatchesFreshAcrossSpecs(t *testing.T) {
 				t.Fatalf("Build(%s): %v", spec, err)
 			}
 			run := m.NewRunner()
-			for i := 0; i < 3; i++ {
-				sc := scenarios[rng.Intn(len(scenarios))]
-				name := names[rng.Intn(len(names))]
-				opt := Options{Scenario: sc, Window: 16 + 8*rng.Intn(2)}
-				tr := MustGenerateTrace(name, 1500+rng.Intn(1500))
-				pooled := normalize(run(tr, opt))
-				fresh := normalize(m.Run(tr, opt))
+			for i, c := range cells {
+				tr := MustGenerateTrace(c.trace, c.branches)
+				pooled := normalize(run(tr, c.opt))
+				fresh := normalize(m.Run(tr, c.opt))
 				if !reflect.DeepEqual(pooled, fresh) {
 					t.Fatalf("run %d (%s, scenario %v): pooled runner diverged from fresh run\npooled: %+v\nfresh:  %+v",
-						i, name, sc, pooled, fresh)
+						i, c.trace, c.opt.Scenario, pooled, fresh)
 				}
 			}
 		})

@@ -123,16 +123,54 @@ func (ti *typedInstance[C]) update(pc uint64, taken bool) {
 	ti.p.Retire(pc, taken, &ti.ctx, true)
 }
 
-func newModel[C any](mk func() predictor.Predictor[C]) *Model {
-	probe := mk()
-	return &Model{
-		name: probe.Name(),
-		bits: probe.StorageBits(),
-		mk: func() instance {
-			return &typedInstance[C]{p: mk()}
-		},
-		newRunner: func() func(tr *Trace, opt Options) Result { return sim.Pooled(mk()) },
+// newModel declares a model by the name and storage budget its
+// configuration reports, so declaring, resolving or listing a model
+// allocates no tables: mk runs only where a predictor will run (Run,
+// NewRunner, NewSession). Each predictor built is held to the
+// declaration, so a budget that drifts from the tables a predictor
+// allocates fails its first run instead of mislabelling its records.
+func newModel[C any](name string, bits int, mk func() predictor.Predictor[C]) *Model {
+	build := func() predictor.Predictor[C] {
+		p := mk()
+		if p.Name() != name || p.StorageBits() != bits {
+			panic(fmt.Sprintf("repro: model %s (%d bits) built predictor %s (%d bits)", name, bits, p.Name(), p.StorageBits()))
+		}
+		return p
 	}
+	return &Model{
+		name:      name,
+		bits:      bits,
+		mk:        func() instance { return &typedInstance[C]{p: build()} },
+		newRunner: func() func(tr *Trace, opt Options) Result { return sim.Pooled(build()) },
+	}
+}
+
+// tageModel declares a TAGE configuration.
+func tageModel(cfg tage.Config) *Model {
+	return newModel(cfg.Label(), cfg.StorageBits(), func() predictor.Predictor[tage.Ctx] {
+		return tage.New(cfg)
+	})
+}
+
+// composedModel declares a composite-stack configuration.
+func composedModel(cfg composed.Config) *Model {
+	return newModel(cfg.Label(), cfg.StorageBits(), func() predictor.Predictor[composed.Ctx] {
+		return composed.New(cfg)
+	})
+}
+
+// gshareModel declares a gshare of 2^log counters.
+func gshareModel(log uint) *Model {
+	return newModel(gshare.Label(log), gshare.StorageBits(log), func() predictor.Predictor[gshare.Ctx] {
+		return gshare.New(log)
+	})
+}
+
+// gehlModel declares a GEHL configuration.
+func gehlModel(cfg gehl.Config) *Model {
+	return newModel(cfg.Label(), cfg.StorageBits(), func() predictor.Predictor[gehl.Ctx] {
+		return gehl.New(cfg)
+	})
 }
 
 // Name returns the configuration label.
@@ -175,95 +213,73 @@ func (s *Session) Train(pc uint64, taken bool) { s.inst.update(pc, taken) }
 
 // ReferenceTAGE is the Section 3.4 reference predictor: 13 components,
 // (6,2000) geometric series, 65,408 bytes.
-func ReferenceTAGE() *Model {
-	return newModel(func() predictor.Predictor[tage.Ctx] {
-		return tage.New(tage.Reference())
-	})
-}
+func ReferenceTAGE() *Model { return tageModel(tage.Reference()) }
 
 // TAGEWithIUM is the reference TAGE with the Immediate Update Mimicker of
 // Section 5.1.
 func TAGEWithIUM() *Model {
-	return newModel(func() predictor.Predictor[composed.Ctx] {
-		return composed.New(composed.TageIUM(tage.Reference(), "TAGE+IUM"))
-	})
+	return composedModel(composed.TageIUM(tage.Reference(), "TAGE+IUM"))
 }
 
 // ISLTAGE is the Section 5 predictor: TAGE + IUM + loop predictor +
 // global-history Statistical Corrector.
 func ISLTAGE() *Model {
-	return newModel(func() predictor.Predictor[composed.Ctx] {
-		return composed.New(composed.ISLTAGE(tage.Reference(), "ISL-TAGE"))
-	})
+	return composedModel(composed.ISLTAGE(tage.Reference(), "ISL-TAGE"))
 }
 
 // TAGELSC512K is the Section 6.1 budget-matched TAGE-LSC: the reference
 // TAGE with table T7 halved plus the 30Kbit Local Statistical Corrector,
 // within 512 Kbits.
 func TAGELSC512K() *Model {
-	return newModel(func() predictor.Predictor[composed.Ctx] {
-		return composed.New(composed.TAGELSC(composed.Budget512K(), "TAGE-LSC"))
-	})
+	return composedModel(composed.TAGELSC(composed.Budget512K(), "TAGE-LSC"))
 }
 
 // TAGELSCInterleaved is the Section 7 cost-effective TAGE-LSC: 4-way
 // bank-interleaved single-ported tables for both the TAGE and the local
 // components.
 func TAGELSCInterleaved() *Model {
-	return newModel(func() predictor.Predictor[composed.Ctx] {
-		tcfg := composed.Budget512K()
-		tcfg.Interleaved = true
-		c := composed.TAGELSC(tcfg, "TAGE-LSC-interleaved")
-		c.LSC.Interleaved = true
-		return composed.New(c)
-	})
+	tcfg := composed.Budget512K()
+	tcfg.Interleaved = true
+	c := composed.TAGELSC(tcfg, "TAGE-LSC-interleaved")
+	c.LSC.Interleaved = true
+	return composedModel(c)
 }
 
 // ScaledTAGE returns the reference TAGE with all component sizes scaled by
 // 2^deltaLog (the Figure 9 protocol); deltaLog 0 is 512Kbit.
 func ScaledTAGE(deltaLog int) *Model {
-	return newModel(func() predictor.Predictor[tage.Ctx] {
-		return tage.New(tage.Scale(tage.Reference(), deltaLog))
-	})
+	return tageModel(tage.Scale(tage.Reference(), deltaLog))
 }
 
 // ScaledTAGELSC returns TAGE-LSC with the TAGE component sizes scaled by
 // 2^deltaLog, the other half of the Figure 9 sweep; deltaLog 0 is the
 // 512Kbit budget match.
 func ScaledTAGELSC(deltaLog int) *Model {
-	return newModel(func() predictor.Predictor[composed.Ctx] {
-		return composed.New(composed.TAGELSC(
-			tage.Scale(composed.Budget512K(), deltaLog),
-			fmt.Sprintf("TAGE-LSC%+d", deltaLog)))
-	})
+	return composedModel(composed.TAGELSC(
+		tage.Scale(composed.Budget512K(), deltaLog),
+		fmt.Sprintf("TAGE-LSC%+d", deltaLog)))
 }
 
 // Gshare512K is the 512Kbit gshare baseline of Section 4.1.
-func Gshare512K() *Model {
-	return newModel(func() predictor.Predictor[gshare.Ctx] {
-		return gshare.New(18)
-	})
-}
+func Gshare512K() *Model { return gshareModel(18) }
 
 // GEHL520K is the 520Kbit GEHL baseline of Section 4.1.
-func GEHL520K() *Model {
-	return newModel(func() predictor.Predictor[gehl.Ctx] {
-		return gehl.New(gehl.Config{})
-	})
-}
+func GEHL520K() *Model { return gehlModel(gehl.Config{}) }
 
 // OHSNAP is the piecewise-linear (OH-SNAP-like) neural comparator of
 // Section 6.3.
 func OHSNAP() *Model {
-	return newModel(func() predictor.Predictor[neural.Ctx] {
-		return neural.New(neural.Config{})
+	cfg := neural.Config{}
+	return newModel(cfg.Label(), cfg.StorageBits(), func() predictor.Predictor[neural.Ctx] {
+		return neural.New(cfg)
 	})
 }
 
 // FTLPP is the fused two-level (FTL++-like) comparator of Section 6.3.
 func FTLPP() *Model {
-	return newModel(func() predictor.Predictor[ftlpp.Ctx] {
-		return ftlpp.New(ftlpp.Config{})
+	cfg := ftlpp.Config{}
+	return newModel(cfg.Label(), cfg.StorageBits(), func() predictor.Predictor[ftlpp.Ctx] {
+		return ftlpp.New(cfg)
 	})
 }
 

@@ -27,6 +27,14 @@ func TestModelBudgets(t *testing.T) {
 			t.Errorf("%s: %d Kbit outside the 512Kbit class", m.Name(), kb)
 		}
 	}
+	// The budgets the paper states exactly: the §3.4 reference TAGE is
+	// 523,264 bits (65,408 bytes), the §6.1 TAGE-LSC fits 512 Kbits, and
+	// the §4.1 gshare is 2^18 2-bit counters.
+	for name, want := range map[string]int{"tage": 523264, "tage-lsc": 522208, "gshare": 524288} {
+		if got := Models()[name]().StorageBits(); got != want {
+			t.Errorf("%s: %d storage bits, want %d", name, got, want)
+		}
+	}
 }
 
 func TestSessionLearns(t *testing.T) {

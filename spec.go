@@ -43,8 +43,6 @@ import (
 
 	"repro/internal/composed"
 	"repro/internal/gehl"
-	"repro/internal/gshare"
-	"repro/internal/predictor"
 	"repro/internal/tage"
 )
 
@@ -609,9 +607,7 @@ func buildTageSpec(s ModelSpec) (*Model, error) {
 		cfg = tage.Scale(cfg, s.delta)
 	}
 	cfg.Name = s.Canonical()
-	return newModel(func() predictor.Predictor[tage.Ctx] {
-		return tage.New(cfg)
-	}), nil
+	return tageModel(cfg), nil
 }
 
 func buildGshareSpec(s ModelSpec) (*Model, error) {
@@ -619,9 +615,7 @@ func buildGshareSpec(s ModelSpec) (*Model, error) {
 	if s.hasDelta {
 		log = clampInt(log+s.delta, 8, 30)
 	}
-	m := newModel(func() predictor.Predictor[gshare.Ctx] {
-		return gshare.New(uint(log))
-	})
+	m := gshareModel(uint(log))
 	// gshare derives its self-name from the rounded budget, which can
 	// collide across distinct specs; the canonical spec is the identity.
 	m.name = s.Canonical()
@@ -634,15 +628,12 @@ func buildGehlSpec(s ModelSpec) (*Model, error) {
 		log = clampInt(log+s.delta, 6, 30)
 	}
 	minH, maxH := s.fieldHist("hist", 6, 2000)
-	cfg := gehl.Config{
+	m := gehlModel(gehl.Config{
 		NumTables:  s.fieldInt("tables", 13),
 		LogEntries: uint(log),
 		CtrBits:    uint(s.fieldInt("ctr", 5)),
 		MinHist:    minH,
 		MaxHist:    maxH,
-	}
-	m := newModel(func() predictor.Predictor[gehl.Ctx] {
-		return gehl.New(cfg)
 	})
 	// Like gshare, gehl self-names by budget; the spec is the identity.
 	m.name = s.Canonical()
@@ -667,9 +658,7 @@ func buildComposedSpec(s ModelSpec) (*Model, error) {
 			cfg.UseLSC = true
 		}
 	}
-	return newModel(func() predictor.Predictor[composed.Ctx] {
-		return composed.New(cfg)
-	}), nil
+	return composedModel(cfg), nil
 }
 
 func clampInt(v, min, max int) int {
