@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -64,7 +65,7 @@ func TestCheckpointResumeProperty(t *testing.T) {
 			ckOpt.OnCheckpoint = func(blob []byte, at uint64) {
 				cks = append(cks, Checkpoint{At: at, Blob: append([]byte(nil), blob...)})
 			}
-			if got := stripResumeTiming(m.Run(tr, ckOpt)); got != want {
+			if got := stripResumeTiming(m.Run(tr, ckOpt)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("emitting checkpoints perturbed the run:\n  with:    %+v\n  without: %+v", got, want)
 			}
 			if len(cks) < 2 {
@@ -83,7 +84,7 @@ func TestCheckpointResumeProperty(t *testing.T) {
 				if got.ResumedAt != ck.At {
 					t.Errorf("split %d: run skipped %d branches", ck.At, got.ResumedAt)
 				}
-				if g := stripResumeTiming(got); g != want {
+				if g := stripResumeTiming(got); !reflect.DeepEqual(g, want) {
 					t.Errorf("%s %s split %d: resumed run diverges:\n  resumed: %+v\n  full:    %+v",
 						trName, sc, ck.At, g, want)
 				}
@@ -127,7 +128,7 @@ func TestWideWindowResume(t *testing.T) {
 					if got.ResumeErr != nil {
 						t.Fatalf("split %d: resume failed: %v", ck.At, got.ResumeErr)
 					}
-					if g := stripResumeTiming(got); g != want {
+					if g := stripResumeTiming(got); !reflect.DeepEqual(g, want) {
 						t.Errorf("split %d: resumed run diverges:\n  resumed: %+v\n  full:    %+v", ck.At, g, want)
 					}
 				}
@@ -204,7 +205,7 @@ func TestCheckpointRefusesNewerFormat(t *testing.T) {
 	}
 	g := got
 	g.ResumeErr = nil
-	if stripResumeTiming(g) != want {
+	if !reflect.DeepEqual(stripResumeTiming(g), want) {
 		t.Fatalf("cold fallback after refusal diverges from a cold run:\n  got:  %+v\n  want: %+v", stripResumeTiming(g), want)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"repro/internal/looppred"
 	"repro/internal/lsc"
 	"repro/internal/memarray"
+	"repro/internal/predictor"
 	"repro/internal/sc"
 	"repro/internal/tage"
 )
@@ -60,10 +61,13 @@ type Predictor struct {
 }
 
 // New builds the configured stack.
-func New(cfg Config) *Predictor {
-	p := &Predictor{cfg: cfg}
-	p.tage = tage.New(cfg.Tage)
-	stats := p.tage.AccessStats()
+func New(cfg Config) *Predictor { return build(cfg, tage.New(cfg.Tage)) }
+
+// build assembles the stack of cfg around t, building every side
+// predictor on t's access stats.
+func build(cfg Config, t *tage.Predictor) *Predictor {
+	p := &Predictor{cfg: cfg, tage: t}
+	stats := t.AccessStats()
 	if cfg.UseLoop {
 		p.loop = looppred.New(cfg.Loop, stats)
 	}
@@ -74,6 +78,15 @@ func New(cfg Config) *Predictor {
 		p.lsc = lsc.New(cfg.LSC, stats)
 	}
 	return p
+}
+
+// Sibling implements predictor.Sibling through the TAGE: the stack it
+// returns shares this stack's TAGE front end and owns everything else —
+// a fresh TAGE core and a fresh loop predictor, SC and LSC, whose
+// histories are their own. The lanes keep the order tage's Sibling
+// documents.
+func (p *Predictor) Sibling() predictor.Predictor[Ctx] {
+	return build(p.cfg, p.tage.Sibling().(*tage.Predictor))
 }
 
 // Name implements predictor.Predictor.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -169,6 +170,14 @@ type runnerArena struct {
 	hits, misses *metrics.Counter
 }
 
+// modelKey is the key a model's runner is pooled under.
+func modelKey(mdl Model) string {
+	if mdl.Spec != "" {
+		return mdl.Spec
+	}
+	return mdl.Name
+}
+
 // runner resolves the run function for a job's model: the pooled runner
 // when the model offers one (created on first use, Reset-reused after),
 // the plain cold-construction Run otherwise.
@@ -176,10 +185,7 @@ func (a *runnerArena) runner(mdl Model) func(tr *trace.Trace, opt sim.Options) s
 	if mdl.NewRunner == nil {
 		return mdl.Run
 	}
-	key := mdl.Spec
-	if key == "" {
-		key = mdl.Name
-	}
+	key := modelKey(mdl)
 	if fn, ok := a.m[key]; ok {
 		a.hits.Inc()
 		return fn
@@ -193,80 +199,208 @@ func (a *runnerArena) runner(mdl Model) func(tr *trace.Trace, opt sim.Options) s
 	return fn
 }
 
-// executeJobs runs the job list on cfg.workers() goroutines, one job
-// (one trace) at a time each, invoking visit for every record in job
-// order as results complete (a reorder buffer decouples worker
-// completion order from visit order, so streaming starts with the first
-// finished cell), and returns all records. Each worker keeps its own
-// runner arena, so its repeated cells of a model Reset one pooled
-// predictor; every trace still starts from cold state, so the records
-// are byte-identical at any parallelism.
-func executeJobs(jobs []Job, cfg Config, rm *runMetrics, visit func(Record)) []Record {
+// runnerPool holds one runner arena per worker goroutine. A pool that
+// outlives one executeJobs call — RunWorker keeps one across its leases
+// — lets later calls reuse the warmed predictors of earlier ones.
+type runnerPool struct {
+	arenas []*runnerArena
+}
+
+// prepare readies arenas for workers goroutines metered by rm, dropping
+// every pooled runner of a model the jobs do not run, so a pool kept
+// across calls holds at most one call's models.
+func (p *runnerPool) prepare(workers int, jobs []Job, rm *runMetrics) {
+	keep := make(map[string]bool)
+	for _, j := range jobs {
+		keep[modelKey(j.Model)] = true
+	}
+	for _, a := range p.arenas {
+		for key := range a.m {
+			if !keep[key] {
+				delete(a.m, key)
+			}
+		}
+	}
+	for len(p.arenas) < workers {
+		p.arenas = append(p.arenas, &runnerArena{m: make(map[string]func(tr *trace.Trace, opt sim.Options) sim.Result)})
+	}
+	for _, a := range p.arenas {
+		a.hits, a.misses = nil, nil
+		if rm != nil {
+			a.hits, a.misses = rm.poolHits, rm.poolMisses
+		}
+	}
+}
+
+// passKey identifies the jobs one pass can simulate together: one
+// model over one trace at one length and pipeline, in any scenarios.
+type passKey struct {
+	model, trace      string
+	branches          int
+	window, execDelay int
+	penalty           float64
+}
+
+// planPasses groups the jobs into passes, each a list of job indices in
+// job order. With fuse unset, for jobs that all run one scenario
+// (nothing to fuse), or for a job that warm-starts or checkpoints, every
+// job is a pass of its own. A pass runs on one goroutine, so fusing must
+// not leave any of the workers idle: while there are fewer passes than
+// workers, the largest pass splits in two.
+func planPasses(jobs []Job, fuse bool, workers int) [][]int {
+	fuse = fuse && slices.ContainsFunc(jobs, func(j Job) bool { return j.Scenario != jobs[0].Scenario })
+	passes := make([][]int, 0, len(jobs))
+	at := make(map[passKey]int)
+	for i, j := range jobs {
+		if o := j.Opts; fuse && o.Resume == nil && o.OnCheckpoint == nil && len(o.Also) == 0 {
+			k := passKey{modelKey(j.Model), j.Spec.Name, j.Branches, o.Window, o.ExecDelay, o.PenaltyBase}
+			if p, ok := at[k]; ok {
+				passes[p] = append(passes[p], i)
+				continue
+			}
+			at[k] = len(passes)
+		}
+		passes = append(passes, []int{i})
+	}
+	for 0 < len(passes) && len(passes) < workers {
+		big := 0
+		for i, p := range passes {
+			if len(p) > len(passes[big]) {
+				big = i
+			}
+		}
+		p := passes[big]
+		if len(p) < 2 {
+			break
+		}
+		half := len(p) / 2
+		passes[big] = p[:half:half]
+		passes = slices.Insert(passes, big+1, p[half:])
+	}
+	return passes
+}
+
+// executeJobs runs the job list on cfg.workers() goroutines, invoking
+// visit for every record in job order as results complete (a reorder
+// buffer decouples worker completion order from visit order, so
+// streaming starts with the first finished cell), and returns all
+// records. Unless a warm cache is set, the jobs that share a model,
+// trace, length and pipeline run as one pass over the trace
+// (Options.Also; see planPasses), so a model whose predictor shares its
+// front end across scenarios computes it once; a panic fails every cell
+// of its pass. A model whose run function returns short shares
+// nothing: the rest of that pass runs singly, and its later passes go
+// back to the queue as single cells, so they spread over the workers as
+// unfused cells do. Each worker keeps its own runner arena in pool (a
+// fresh pool when nil), so its repeated cells of a model Reset one
+// pooled predictor; every trace still starts from cold state, so the
+// records are byte-identical at any parallelism.
+func executeJobs(jobs []Job, cfg Config, rm *runMetrics, pool *runnerPool, visit func(Record)) []Record {
 	cache := &traceCache{m: make(map[string]*traceEntry)}
 	if rm != nil {
 		cache.hits, cache.misses = rm.cacheHits, rm.cacheMisses
 		rm.poolStart = time.Now()
 	}
 	wc := newWarmCache(cfg.WarmCache, rm, cfg.Log)
+	passes := planPasses(jobs, wc == nil, cfg.workers())
 	results := make([]Record, len(jobs))
 	done := make([]chan struct{}, len(jobs))
-	next := make(chan int, len(jobs))
 	for i := range jobs {
 		done[i] = make(chan struct{})
-		next <- i
 	}
-	close(next)
+	// The queue holds at most one entry per job not yet started, so a
+	// worker that splits a pass never blocks on it. It closes once every
+	// job is done.
+	next := make(chan []int, len(jobs))
+	for _, p := range passes {
+		next <- p
+	}
+	// solo holds the keys of the models whose run function returned
+	// short.
+	var solo sync.Map
 
-	runOne := func(j Job, w int, arena *runnerArena) Record {
-		j.Opts.Metrics = cfg.Metrics
-		jobDone := rm.jobBegin(w)
-		var res Record
+	// runPass simulates the jobs of one pass into results.
+	runPass := func(pass []int, w int, arena *runnerArena) {
+		jobDone := make([]func(failed bool), len(pass))
+		for k := range pass {
+			jobDone[k] = rm.jobBegin(w)
+		}
 		err := Protect(func() {
-			run := arena.runner(j.Model)
+			lead := jobs[pass[0]]
+			run := arena.runner(lead.Model)
 			var tr *trace.Trace
 			if cfg.NoTraceCache {
-				tr = workload.Generate(j.Spec, j.Branches)
+				tr = workload.Generate(lead.Spec, lead.Branches)
 			} else {
-				tr = cache.get(j.Spec, j.Branches)
+				tr = cache.get(lead.Spec, lead.Branches)
+				// The pass's other cells read the same entry.
+				cache.hits.Add(uint64(len(pass) - 1))
 			}
+			opt := lead.Opts
+			opt.Metrics = cfg.Metrics
 			if wc != nil {
-				key := wc.key(j, tr)
-				j.Opts.Resume = wc.load(key)
-				j.Opts.CheckpointEvery = cfg.checkpointEvery()
-				j.Opts.OnCheckpoint = func(blob []byte, at uint64) { wc.save(key, blob, at) }
+				key := wc.key(lead, tr)
+				opt.Resume = wc.load(key)
+				opt.CheckpointEvery = cfg.checkpointEvery()
+				opt.OnCheckpoint = func(blob []byte, at uint64) { wc.save(key, blob, at) }
 			}
-			r := run(tr, j.Opts)
+			for _, i := range pass[1:] {
+				opt.Also = append(opt.Also, jobs[i].Scenario)
+			}
+			r := run(tr, opt)
 			if wc != nil {
 				// A hit is a warm start that actually took: a blob the sim
 				// refused (stale geometry, mismatched pipeline) cold-starts
 				// and counts as a miss, so the hit metric certifies reuse.
-				if j.Opts.Resume != nil && r.ResumeErr == nil {
+				if opt.Resume != nil && r.ResumeErr == nil {
 					wc.hits.Inc()
 				} else {
 					wc.misses.Inc()
 				}
 			}
-			res = cellRecord(j, r)
+			results[pass[0]] = cellRecord(lead, r)
+			for k, i := range pass[1:] {
+				if k < len(r.Also) {
+					results[i] = cellRecord(jobs[i], r.Also[k])
+					continue
+				}
+				// The run function returned short (a predictor that cannot
+				// share a pass returns no Also results): run the rest singly.
+				solo.Store(modelKey(lead.Model), true)
+				one := jobs[i].Opts
+				one.Metrics = cfg.Metrics
+				results[i] = cellRecord(jobs[i], run(tr, one))
+			}
 		})
-		if err != nil {
-			res = failedRecord(j, err)
+		for k, i := range pass {
+			if err != nil {
+				results[i] = failedRecord(jobs[i], err)
+			}
+			if cfg.Provenance != nil {
+				results[i].Provenance = cfg.Provenance
+			}
+			jobDone[k](results[i].Failed())
 		}
-		jobDone(res.Failed())
-		if cfg.Provenance != nil {
-			res.Provenance = cfg.Provenance
-		}
-		return res
 	}
 
-	for w := 0; w < min(cfg.workers(), len(jobs)); w++ {
+	if pool == nil {
+		pool = &runnerPool{}
+	}
+	workers := min(cfg.workers(), len(passes))
+	pool.prepare(workers, jobs, rm)
+	for w := 0; w < workers; w++ {
 		go func(w int) {
-			arena := &runnerArena{m: make(map[string]func(tr *trace.Trace, opt sim.Options) sim.Result)}
-			if rm != nil {
-				arena.hits, arena.misses = rm.poolHits, rm.poolMisses
-			}
-			for i := range next {
-				results[i] = runOne(jobs[i], w, arena)
-				close(done[i])
+			for pass := range next {
+				if _, ok := solo.Load(modelKey(jobs[pass[0]].Model)); ok && len(pass) > 1 {
+					for _, i := range pass[1:] {
+						next <- []int{i}
+					}
+					pass = pass[:1]
+				}
+				runPass(pass, w, pool.arenas[w])
+				for _, i := range pass {
+					close(done[i])
+				}
 			}
 		}(w)
 	}
@@ -274,6 +408,7 @@ func executeJobs(jobs []Job, cfg Config, rm *runMetrics, visit func(Record)) []R
 		<-done[i]
 		visit(results[i])
 	}
+	close(next)
 	return results
 }
 

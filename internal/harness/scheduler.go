@@ -23,7 +23,7 @@ type Scheduler interface {
 type localScheduler struct{}
 
 func (localScheduler) Schedule(jobs []Job, cfg Config, visit func(Record)) []Record {
-	return executeJobs(jobs, cfg, newRunMetrics(cfg.Metrics), visit)
+	return executeJobs(jobs, cfg, newRunMetrics(cfg.Metrics), nil, visit)
 }
 
 // scheduler resolves Config.Scheduler, defaulting to the local pool.

@@ -72,6 +72,9 @@ func RunWorker(ctx context.Context, opt WorkerOptions) error {
 	}
 
 	leaseURL := fmt.Sprintf("%s/v1/lease?worker=%s&wait=2", base, url.QueryEscape(opt.ID))
+	// The pooled runners outlive each lease, so consecutive leases of a
+	// model reuse its warmed predictors instead of rebuilding them.
+	pool := &runnerPool{}
 	for {
 		if ctx.Err() != nil {
 			return nil
@@ -91,7 +94,7 @@ func RunWorker(ctx context.Context, opt WorkerOptions) error {
 			}
 			continue
 		}
-		if err := runLease(ctx, client, base, lease, opt, log); err != nil {
+		if err := runLease(ctx, client, base, lease, opt, pool, log); err != nil {
 			if ctx.Err() != nil {
 				return nil
 			}
@@ -129,7 +132,7 @@ func fetchLease(ctx context.Context, client *http.Client, leaseURL string) (*Lea
 // runLease executes one lease end to end: convert the wire jobs back
 // into runnable Jobs, heartbeat while the engine runs, and post the
 // records (one per wire job, lease order) back to the coordinator.
-func runLease(ctx context.Context, client *http.Client, base string, lease *Lease, opt WorkerOptions, log *slog.Logger) error {
+func runLease(ctx context.Context, client *http.Client, base string, lease *Lease, opt WorkerOptions, pool *runnerPool, log *slog.Logger) error {
 	log.Debug("lease acquired", "id", lease.ID, "cells", len(lease.Jobs))
 
 	// Wire jobs that fail to resolve (unknown spec, unknown trace)
@@ -155,9 +158,10 @@ func runLease(ctx context.Context, client *http.Client, base string, lease *Leas
 	// Heartbeat at a third of the TTL until execution finishes. A
 	// renewal rejection means the coordinator already expired us;
 	// abandon the lease (its cells are requeued) rather than racing a
-	// re-grant.
+	// re-grant. A TTL too short to divide into a heartbeat interval is
+	// treated like a missing one.
 	ttl := time.Duration(lease.TTLSeconds * float64(time.Second))
-	if ttl <= 0 {
+	if ttl/3 <= 0 {
 		ttl = DefaultLeaseTTL
 	}
 	hbCtx, stopHB := context.WithCancel(ctx)
@@ -185,7 +189,7 @@ func runLease(ctx context.Context, client *http.Client, base string, lease *Leas
 	cfg.Scheduler = nil  // leased cells always run on the local pool
 	cfg.Provenance = nil // the coordinator stamps on append
 	if len(jobs) > 0 {
-		recs := executeJobs(jobs, cfg, newRunMetrics(cfg.Metrics), func(Record) {})
+		recs := executeJobs(jobs, cfg, newRunMetrics(cfg.Metrics), pool, func(Record) {})
 		for i, r := range recs {
 			results[jobSlot[i]] = r
 			filled[jobSlot[i]] = true

@@ -122,3 +122,13 @@ type Predictor[C any] interface {
 	// refused instead of reaching Retire with an index past a table.
 	WalkCtx(w checkpoint.Walker, ctx *C)
 }
+
+// Sibling is implemented by predictors whose scenario-independent front
+// end can feed more than one table core. Sibling returns a predictor of
+// the same configuration with its own, freshly built core that shares
+// the receiver's front end. A simulator runs the receiver and its
+// siblings as lanes of one pass over a trace, one update scenario per
+// lane; the implementation documents the order the lanes must keep.
+type Sibling[C any] interface {
+	Sibling() Predictor[C]
+}

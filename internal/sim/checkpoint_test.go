@@ -3,11 +3,11 @@ package sim
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/bimodal"
-	"repro/internal/bitutil"
 	"repro/internal/composed"
 	"repro/internal/ftlpp"
 	"repro/internal/gehl"
@@ -57,7 +57,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	ckOpt.OnCheckpoint = func(blob []byte, at uint64) {
 		cks = append(cks, Checkpoint{At: at, Blob: append([]byte(nil), blob...)})
 	}
-	if got := stripTiming(runTrace(tage.New(tage.Reference()), tr, ckOpt)); got != want {
+	if got := stripTiming(runTrace(tage.New(tage.Reference()), tr, ckOpt)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("checkpoint emission perturbed the run:\n  with:    %+v\n  without: %+v", got, want)
 	}
 	if len(cks) < 4 {
@@ -74,7 +74,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if got.ResumedAt != ck.At {
 			t.Errorf("resume at %d: skipped %d branches", ck.At, got.ResumedAt)
 		}
-		if g := stripTiming(got); g != want {
+		if g := stripTiming(got); !reflect.DeepEqual(g, want) {
 			t.Errorf("resume at %d diverges from uninterrupted run:\n  resumed: %+v\n  full:    %+v", ck.At, g, want)
 		}
 	}
@@ -125,7 +125,7 @@ func TestCheckpointColdFallback(t *testing.T) {
 		}
 		g := got
 		g.ResumeErr = nil
-		if stripTiming(g) != want {
+		if !reflect.DeepEqual(stripTiming(g), want) {
 			t.Errorf("%s: fallback run diverges from cold run:\n  got:  %+v\n  want: %+v", tc.name, stripTiming(g), want)
 		}
 	}
@@ -156,7 +156,7 @@ func resumeHostileContexts[C any](t *testing.T, mk func() predictor.Predictor[C]
 	}
 	g := got
 	g.ResumeErr = nil
-	if stripTiming(g) != cold {
+	if !reflect.DeepEqual(stripTiming(g), cold) {
 		t.Fatalf("cold fallback diverges from a cold run:\n  got:  %+v\n  want: %+v", stripTiming(g), cold)
 	}
 }
@@ -177,12 +177,10 @@ func hostileBlob[C any](t testing.TB, mk func() predictor.Predictor[C], corrupt 
 	runTrace(mk(), tr, ckOpt)
 
 	full := opt.withDefaults()
-	ringSize := bitutil.CeilPow2(full.Window + 2)
-	ring := make([]inflight[C], ringSize)
-	retireAt := make([]uint64, ringSize)
+	var ln lane[C]
+	ln.start(mk(), full.Scenario, full.Window)
 	var rn Runner[C]
-	p := mk()
-	st, err := rn.decodeCheckpoint(p, full, full.Window, ring, retireAt, mid)
+	st, err := rn.decodeCheckpoint(&ln, full, mid)
 	if err != nil {
 		t.Fatalf("decoding a genuine checkpoint: %v", err)
 	}
@@ -190,9 +188,9 @@ func hostileBlob[C any](t testing.TB, mk func() predictor.Predictor[C], corrupt 
 		t.Fatal("checkpoint carries no in-flight branches")
 	}
 	for i := 0; i < st.count; i++ {
-		corrupt(&ring[i].ctx)
+		corrupt(&ln.ring[i].ctx)
 	}
-	return rn.encodeCheckpoint(p, full, full.Window, ring, retireAt, 0, ringSize-1, st)
+	return rn.encodeCheckpoint(&ln, full, st)
 }
 
 func corruptTageCtx(c *tage.Ctx) {
@@ -302,7 +300,7 @@ func TestResumeRefusesVersion1Rings(t *testing.T) {
 				t.Fatalf("version-1 %s section: ResumeErr = %v, want a refusal of the old layout", name, got.ResumeErr)
 			}
 			got.ResumeErr = nil
-			if stripTiming(got) != cold {
+			if !reflect.DeepEqual(stripTiming(got), cold) {
 				t.Fatalf("cold fallback diverges from a cold run:\n  got:  %+v\n  want: %+v", stripTiming(got), cold)
 			}
 		})

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
-	"repro/internal/bitutil"
 	"repro/internal/composed"
 	"repro/internal/predictor"
 	"repro/internal/tage"
@@ -54,7 +54,7 @@ func fuzzResume[C any](t *testing.T, mk func() predictor.Predictor[C], tr *trace
 		// Refused: the fallback must be a byte-identical cold run.
 		g := got
 		g.ResumeErr = nil
-		if stripTiming(g) != cold {
+		if !reflect.DeepEqual(stripTiming(g), cold) {
 			t.Fatalf("%s: cold fallback diverges after refusing blob (%d bytes):\n  got:  %+v\n  want: %+v",
 				cold.Predictor, len(blob), stripTiming(g), cold)
 		}
@@ -156,10 +156,10 @@ func TestFuzzCheckpointSeeds(t *testing.T) {
 	// Every branch pushes an IUM entry, so more branches in flight than
 	// the rings hold means the stack seed carries owed pops.
 	full := stackOpt.withDefaults()
-	ringSize := bitutil.CeilPow2(full.Window + 2)
+	var ln lane[composed.Ctx]
+	ln.start(mkStack(), full.Scenario, full.Window)
 	var rn Runner[composed.Ctx]
-	st, err := rn.decodeCheckpoint(mkStack(), full, full.Window,
-		make([]inflight[composed.Ctx], ringSize), make([]uint64, ringSize), blobs["seed-stack-valid"])
+	st, err := rn.decodeCheckpoint(&ln, full, blobs["seed-stack-valid"])
 	if err != nil || st.count <= stackRingCap {
 		t.Errorf("seed-stack-valid holds %d branches in flight (err %v), want more than the rings' %d", st.count, err, stackRingCap)
 	}

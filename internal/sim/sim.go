@@ -30,7 +30,8 @@ import (
 // gauge from the same counter, so the names are shared constants.
 const (
 	// MetricBranchesRetired counts branches simulated (retired), summed
-	// across every cell touching the registry. Advanced once per decode
+	// across every cell touching the registry: a pass over k scenarios
+	// counts each branch k times, once per cell. Advanced once per decode
 	// batch, so a live scrape sees progress inside a long cell while the
 	// per-branch hot path stays allocation- and atomic-free.
 	MetricBranchesRetired = "bpbench_branches_retired_total"
@@ -82,6 +83,15 @@ type Options struct {
 	// CheckpointEvery is the approximate branch interval between
 	// periodic OnCheckpoint emissions (0 = only the end-of-trace blob).
 	CheckpointEvery uint64
+
+	// Also lists further update scenarios to simulate in the same pass
+	// over the trace, each on a predictor lane of its own under the same
+	// pipeline; Result.Also returns their results in order. Only Pooled
+	// run functions accept it, and never together with Resume or
+	// OnCheckpoint. A run function whose predictor cannot share a pass
+	// returns no Also results (Pooled, for a predictor without
+	// predictor.Sibling): the caller runs those scenarios singly.
+	Also []predictor.Scenario
 }
 
 // Default pipeline parameters, applied when Options leaves the fields
@@ -131,7 +141,8 @@ type Result struct {
 	// without noticing.
 	Window    int
 	ExecDelay int
-	// Elapsed is the wall-clock time the simulation took and
+	// Elapsed is the wall-clock time the simulation took — a pass that
+	// ran several scenarios splits its time evenly across them — and
 	// BranchesPerSec the simulator throughput derived from it: telemetry
 	// for tracking the speed of the simulator itself (never an input to
 	// accuracy metrics, and ignored by baseline diffing).
@@ -143,6 +154,11 @@ type Result struct {
 	// results of a resumed run are byte-identical to a cold run.
 	ResumedAt uint64
 	ResumeErr error
+	// Also holds the results of Options.Also, in order: all of them, or
+	// none where the predictor cannot share a pass. A pooled run function
+	// reuses the slice, so it is valid only until that function's next
+	// call.
+	Also []Result
 }
 
 func (r Result) String() string {
@@ -164,13 +180,14 @@ type inflight[C any] struct {
 const decodeBatch = 256
 
 // Runner is a reusable simulation engine for one context type C. It owns
-// the in-flight ring, the retire-time array and the resolved telemetry
-// handles, so a pool re-running cells of the same shape performs zero
-// allocations after the first run. The zero value is ready to use; a
-// Runner must not be shared between concurrent runs.
+// each lane's in-flight ring and retire-time array and the resolved
+// telemetry handles, so a pool re-running cells of the same shape
+// performs zero allocations after the first run. The zero value is
+// ready to use; a Runner must not be shared between concurrent runs.
 type Runner[C any] struct {
-	ring     []inflight[C]
-	retireAt []uint64
+	// lanes are the pipelines of the last pass, one per predictor; their
+	// buffers are reused by the next.
+	lanes []lane[C]
 	// Telemetry handles resolve against one registry and are reused while
 	// Options.Metrics keeps pointing at it.
 	reg        *metrics.Registry
@@ -188,63 +205,117 @@ type Runner[C any] struct {
 	enc checkpoint.Encoder
 }
 
+// lane is one predictor of a pass with a pipeline of its own: the
+// in-flight ring and retire schedule, its scenario's retire policy, and
+// the counters its Result reports.
+type lane[C any] struct {
+	p        predictor.Predictor[C]
+	stats    *memarray.Stats
+	scenario predictor.Scenario
+	// window is the lane's in-flight depth; an [I] lane has none.
+	window int
+	// ring holds the in-flight branches; retireAt their retire times, in
+	// its own small array so the post-misprediction drain walks a few
+	// cache lines instead of striding over the context-carrying entries.
+	ring              []inflight[C]
+	retireAt          []uint64
+	mask              int
+	head, tail, count int // head = oldest, tail = next insert slot
+
+	// The scenario dispatch, hoisted out of the per-retire path.
+	rereadAlways, rereadOnMiss, countRereads bool
+
+	// Simulator-owned access counters accumulate here and flush into the
+	// predictor's stats once, after the pass (the predictor's own write
+	// accounting still updates stats in place).
+	mispreds, retireReads, writeEvents, retiredCount uint64
+	penaltySum                                       float64
+}
+
+// start readies the lane to run p under sc with the given window. The
+// ring needs room for window+1 in-flight branches plus the slot being
+// inserted; rounding up to a power of two lets the hot path advance
+// head and tail with a mask instead of %. The forced-retire threshold
+// stays window+1 regardless of the rounded ring size.
+func (ln *lane[C]) start(p predictor.Predictor[C], sc predictor.Scenario, window int) {
+	if sc == predictor.ScenarioI {
+		window = 0
+	}
+	size := bitutil.CeilPow2(window + 2)
+	ring, retireAt := ln.ring, ln.retireAt
+	if cap(ring) < size {
+		ring = make([]inflight[C], size)
+		retireAt = make([]uint64, size)
+	} else {
+		// Reused buffers must start zeroed: a fresh run sees zero-valued
+		// contexts, and byte-identical reuse requires the same here (a
+		// predictor's Predict is not obliged to overwrite every field).
+		ring, retireAt = ring[:size], retireAt[:size]
+		clear(ring)
+		clear(retireAt)
+	}
+	*ln = lane[C]{
+		p: p, stats: p.AccessStats(), scenario: sc, window: window,
+		ring: ring, retireAt: retireAt, mask: size - 1,
+		rereadAlways: sc == predictor.ScenarioI || sc == predictor.ScenarioA,
+		rereadOnMiss: sc == predictor.ScenarioC,
+		countRereads: sc != predictor.ScenarioI,
+	}
+}
+
 // Run simulates predictor p over the branches of src, reusing the
 // Runner's buffers. The predictor must be freshly constructed or Reset.
+// It is the one-lane pass: Options.Also runs through Pooled.
 //
 // The loop is allocation-free in steady state: the in-flight ring is
 // sized to a power of two (head/tail advance by masking), the scenario
 // dispatch is hoisted out of the retire path, and branches are decoded
 // in blocks when the source supports it.
 func (rn *Runner[C]) Run(p predictor.Predictor[C], name, category string, src trace.Source, opt Options) Result {
+	return rn.run(p, nil, name, category, src, opt, nil)
+}
+
+// run simulates one pass over src with one lane per predictor: lead
+// under opt.Scenario, and each sibs[i] under opt.Also[i], whose result
+// it writes to also[i]. For each branch every lane predicts, in lane
+// order, before any lane resolves it, again in lane order: the order
+// predictor.Sibling lanes rely on. Resume and OnCheckpoint apply to a
+// one-lane pass only.
+func (rn *Runner[C]) run(lead predictor.Predictor[C], sibs []predictor.Predictor[C], name, category string, src trace.Source, opt Options, also []Result) Result {
+	if len(opt.Also) != len(sibs) {
+		panic(fmt.Sprintf("sim: %d Also scenarios for %d sibling lanes; run Options.Also through Pooled", len(opt.Also), len(sibs)))
+	}
 	opt = opt.withDefaults()
-	stats := p.AccessStats()
-
-	window := opt.Window
-	if opt.Scenario == predictor.ScenarioI {
-		window = 0
+	for len(rn.lanes) <= len(sibs) {
+		rn.lanes = append(rn.lanes, lane[C]{})
 	}
-	// The ring needs room for window+1 in-flight branches plus the slot
-	// being inserted; rounding up to a power of two lets the hot path
-	// advance head and tail with a mask instead of %. The forced-retire
-	// threshold stays window+1 regardless of the rounded ring size.
-	ringSize := bitutil.CeilPow2(window + 2)
-	ringMask := ringSize - 1
-	if len(rn.ring) < ringSize {
-		rn.ring = make([]inflight[C], ringSize)
-		// Retire times live in their own small array so the
-		// post-misprediction drain walks a few cache lines instead of
-		// striding over the full (context-carrying) ring entries.
-		rn.retireAt = make([]uint64, ringSize)
-	} else {
-		// Reused buffers must start zeroed: a fresh run sees zero-valued
-		// contexts, and byte-identical reuse requires the same here (a
-		// predictor's Predict is not obliged to overwrite every field).
-		clear(rn.ring[:ringSize])
-		clear(rn.retireAt[:ringSize])
+	lanes := rn.lanes[:1+len(sibs)]
+	lanes[0].start(lead, opt.Scenario, opt.Window)
+	for i, p := range sibs {
+		lanes[1+i].start(p, opt.Also[i], opt.Window)
 	}
-	ring := rn.ring[:ringSize]
-	retireAt := rn.retireAt[:ringSize]
-	head, tail := 0, 0 // head = oldest, tail = next insert slot
-	count := 0
+	first := &lanes[0]
 
-	// Scenario dispatch, hoisted out of the per-retire path.
-	rereadAlways := opt.Scenario == predictor.ScenarioI || opt.Scenario == predictor.ScenarioA
-	rereadOnMiss := opt.Scenario == predictor.ScenarioC
-	countRereads := opt.Scenario != predictor.ScenarioI
+	// retireOne retires a lane's oldest in-flight branch. It is a closure
+	// so that the compiler inlines it into the loop.
+	retireOne := func(ln *lane[C]) {
+		e := &ln.ring[ln.head]
+		reread := ln.rereadAlways || (ln.rereadOnMiss && e.mispred)
+		if reread && ln.countRereads {
+			ln.retireReads++
+		}
+		writesBefore := ln.stats.EntryWrites
+		ln.p.Retire(e.pc, e.taken, &e.ctx, reread)
+		if ln.stats.EntryWrites != writesBefore {
+			ln.writeEvents++
+		}
+		ln.retiredCount++
+		ln.head = (ln.head + 1) & ln.mask
+		ln.count--
+	}
 
-	// Simulator-owned access counters accumulate in locals and flush into
-	// the shared stats struct once, after the loop (the predictor's own
-	// write accounting still updates stats in place).
-	var (
-		seq          uint64
-		branches     uint64
-		microOps     uint64
-		mispreds     uint64
-		penaltySum   float64
-		retireReads  uint64
-		writeEvents  uint64
-		retiredCount uint64
-	)
+	// The pass's shared counters: every lane sees the same branches.
+	var seq, branches, microOps uint64
 
 	// Warm start: restore predictor state and the in-flight window from
 	// a checkpoint, then skip the already-simulated trace prefix. A bad
@@ -254,7 +325,7 @@ func (rn *Runner[C]) Run(p predictor.Predictor[C], name, category string, src tr
 	var resumeErr error
 	var restoredMispreds uint64
 	if opt.Resume != nil && len(opt.Resume.Blob) > 0 {
-		st, err := rn.decodeCheckpoint(p, opt, window, ring, retireAt, opt.Resume.Blob)
+		st, err := rn.decodeCheckpoint(first, opt, opt.Resume.Blob)
 		if err == nil {
 			// A blob claiming a longer already-simulated prefix than the
 			// source holds cannot be a checkpoint of this cell; refuse it
@@ -265,34 +336,16 @@ func (rn *Runner[C]) Run(p predictor.Predictor[C], name, category string, src tr
 			}
 		}
 		if err == nil {
-			seq, branches, microOps, mispreds = st.seq, st.branches, st.microOps, st.mispreds
-			penaltySum = st.penaltySum
-			retireReads, writeEvents, retiredCount = st.retireReads, st.writeEvents, st.retiredCount
-			head, tail, count = 0, st.count&ringMask, st.count
-			restoredMispreds = mispreds
+			seq, branches, microOps = st.seq, st.branches, st.microOps
+			first.restore(st)
+			restoredMispreds = st.mispreds
 			resumedAt = skipPrefix(src, branches, rn.batch[:])
 		} else {
 			resumeErr = err
-			p.Reset()
-			clear(ring)
-			clear(retireAt)
+			lead.Reset()
+			clear(first.ring)
+			clear(first.retireAt)
 		}
-	}
-
-	retireOne := func() {
-		e := &ring[head]
-		reread := rereadAlways || (rereadOnMiss && e.mispred)
-		if reread && countRereads {
-			retireReads++
-		}
-		writesBefore := stats.EntryWrites
-		p.Retire(e.pc, e.taken, &e.ctx, reread)
-		if stats.EntryWrites != writesBefore {
-			writeEvents++
-		}
-		retiredCount++
-		head = (head + 1) & ringMask
-		count--
 	}
 
 	// Telemetry handles resolve once per registry (cached across runs on
@@ -319,12 +372,7 @@ func (rn *Runner[C]) Run(p predictor.Predictor[C], name, category string, src tr
 		nextCk = branches + opt.CheckpointEvery
 	}
 	emitCheckpoint := func() {
-		st := simState{
-			seq: seq, branches: branches, microOps: microOps, mispreds: mispreds,
-			penaltySum: penaltySum, retireReads: retireReads,
-			writeEvents: writeEvents, retiredCount: retiredCount, count: count,
-		}
-		opt.OnCheckpoint(rn.encodeCheckpoint(p, opt, window, ring, retireAt, head, ringMask, st), branches)
+		opt.OnCheckpoint(rn.encodeCheckpoint(first, opt, first.state(seq, branches, microOps)), branches)
 	}
 
 	start := time.Now()
@@ -341,46 +389,47 @@ func (rn *Runner[C]) Run(p predictor.Predictor[C], name, category string, src tr
 		if n == 0 {
 			break
 		}
-		retiredCtr.Add(uint64(n))
+		retiredCtr.Add(uint64(n * len(lanes)))
 		for _, b := range batch[:n] {
-			// Retire branches whose time has come (in order).
-			for count > 0 && retireAt[head] <= seq {
-				retireOne()
+			for i := range lanes {
+				ln := &lanes[i]
+				// Retire branches whose time has come (in order).
+				for ln.count > 0 && ln.retireAt[ln.head] <= seq {
+					retireOne(ln)
+				}
+				// The ring must keep room for the incoming branch.
+				if ln.count > ln.window {
+					retireOne(ln)
+				}
+				e := &ln.ring[ln.tail]
+				e.pc = b.PC
+				e.taken = b.Taken
+				e.mispred = ln.p.Predict(b.PC, &e.ctx) != b.Taken
 			}
-			// The ring must keep room for the incoming branch.
-			if count > window {
-				retireOne()
-			}
-
-			tail0 := tail
-			e := &ring[tail0]
-			tail = (tail0 + 1) & ringMask
-			count++
-
-			e.pc = b.PC
-			e.taken = b.Taken
-			pred := p.Predict(b.PC, &e.ctx)
-			e.mispred = pred != b.Taken
-
-			branches++
-			microOps += uint64(b.OpsBefore) + 1
-
-			p.OnResolve(b.PC, b.Taken, e.mispred, &e.ctx)
-
-			retireAt[tail0] = seq + uint64(window)
-			if e.mispred {
-				mispreds++
-				penaltySum += opt.PenaltyBase
-				// Pipeline drain: everything in flight (including this
-				// branch) retires within ExecDelay fetch slots of the
-				// resolution.
-				drainAt := seq + uint64(opt.ExecDelay)
-				for i, left := head, count; left > 0; i, left = (i+1)&ringMask, left-1 {
-					if retireAt[i] > drainAt {
-						retireAt[i] = drainAt
+			for i := range lanes {
+				ln := &lanes[i]
+				t := ln.tail
+				e := &ln.ring[t]
+				ln.tail = (t + 1) & ln.mask
+				ln.count++
+				ln.p.OnResolve(b.PC, b.Taken, e.mispred, &e.ctx)
+				ln.retireAt[t] = seq + uint64(ln.window)
+				if e.mispred {
+					ln.mispreds++
+					ln.penaltySum += opt.PenaltyBase
+					// Pipeline drain: everything in flight (including this
+					// branch) retires within ExecDelay fetch slots of the
+					// resolution.
+					drainAt := seq + uint64(opt.ExecDelay)
+					for j, left := ln.head, ln.count; left > 0; j, left = (j+1)&ln.mask, left-1 {
+						if ln.retireAt[j] > drainAt {
+							ln.retireAt[j] = drainAt
+						}
 					}
 				}
 			}
+			branches++
+			microOps += uint64(b.OpsBefore) + 1
 			seq++
 		}
 		if nextCk > 0 && branches >= nextCk {
@@ -391,8 +440,10 @@ func (rn *Runner[C]) Run(p predictor.Predictor[C], name, category string, src tr
 		}
 	}
 	// Drain the pipeline at trace end.
-	for count > 0 {
-		retireOne()
+	for i := range lanes {
+		for lanes[i].count > 0 {
+			retireOne(&lanes[i])
+		}
 	}
 	// The end-of-trace checkpoint is taken after the drain and before
 	// the stats flush: restoring it and "continuing" over zero branches
@@ -400,55 +451,79 @@ func (rn *Runner[C]) Run(p predictor.Predictor[C], name, category string, src tr
 	if opt.OnCheckpoint != nil {
 		emitCheckpoint()
 	}
-	elapsed := time.Since(start)
+	// The pass's time splits evenly across its lanes.
+	elapsed := time.Since(start) / time.Duration(len(lanes))
 
-	stats.PredictReads += branches
-	stats.Mispredictions += mispreds
-	stats.RetireReads += retireReads
-	stats.WriteEvents += writeEvents
-	stats.RetiredBranch += retiredCount
-
-	if rn.flushVec != nil {
-		// Each misprediction drains the in-flight window — a pipeline
-		// flush. Accumulated locally, flushed once per run; a warm start
-		// adds only what this run simulated (the restored prefix was
-		// accounted by the run that took the checkpoint).
-		rn.flushVec.With(opt.Scenario.Letter()).Add(mispreds - restoredMispreds)
+	var res Result
+	for i := range lanes {
+		ln := &lanes[i]
+		if rn.flushVec != nil {
+			// Each misprediction drains the in-flight window — a pipeline
+			// flush. Accumulated locally, flushed once per run; a warm start
+			// adds only what this run simulated (the restored prefix was
+			// accounted by the run that took the checkpoint).
+			flushes := ln.mispreds
+			if i == 0 {
+				flushes -= restoredMispreds
+			}
+			rn.flushVec.With(ln.scenario.Letter()).Add(flushes)
+		}
+		r := ln.result(name, category, branches, microOps, opt.ExecDelay, elapsed)
+		if i == 0 {
+			r.ResumedAt, r.ResumeErr = resumedAt, resumeErr
+			res = r
+		} else {
+			also[i-1] = r
+		}
 	}
+	return res
+}
+
+// result flushes the lane's counters into its predictor's stats and
+// reports its run.
+func (ln *lane[C]) result(name, category string, branches, microOps uint64, execDelay int, elapsed time.Duration) Result {
+	stats := ln.stats
+	stats.PredictReads += branches
+	stats.Mispredictions += ln.mispreds
+	stats.RetireReads += ln.retireReads
+	stats.WriteEvents += ln.writeEvents
+	stats.RetiredBranch += ln.retiredCount
 
 	res := Result{
 		Trace:       name,
 		Category:    category,
-		Predictor:   p.Name(),
-		Scenario:    opt.Scenario,
+		Predictor:   ln.p.Name(),
+		Scenario:    ln.scenario,
 		Branches:    branches,
 		MicroOps:    microOps,
-		Mispredicts: mispreds,
+		Mispredicts: ln.mispreds,
 		Access:      *stats,
-		Window:      window,
-		ExecDelay:   opt.ExecDelay,
+		Window:      ln.window,
+		ExecDelay:   execDelay,
 		Elapsed:     elapsed,
-		ResumedAt:   resumedAt,
-		ResumeErr:   resumeErr,
 	}
 	if secs := elapsed.Seconds(); secs > 0 && branches > 0 {
 		res.BranchesPerSec = float64(branches) / secs
 	}
 	if microOps > 0 {
 		kilo := float64(microOps) / 1000
-		res.MPKI = float64(mispreds) / kilo
-		res.MPPKI = penaltySum / kilo
+		res.MPKI = float64(ln.mispreds) / kilo
+		res.MPPKI = ln.penaltySum / kilo
 	}
 	if branches > 0 {
-		res.Misprediction = float64(mispreds) / float64(branches)
+		res.Misprediction = float64(ln.mispreds) / float64(branches)
 	}
 	return res
 }
 
 // RunTrace reuses the Runner's buffers over a materialised trace.
 func (rn *Runner[C]) RunTrace(p predictor.Predictor[C], tr *trace.Trace, opt Options) Result {
+	return rn.runTrace(p, nil, tr, opt, nil)
+}
+
+func (rn *Runner[C]) runTrace(lead predictor.Predictor[C], sibs []predictor.Predictor[C], tr *trace.Trace, opt Options, also []Result) Result {
 	rn.cursor.Seek(tr)
-	res := rn.Run(p, tr.Name, tr.Category, &rn.cursor, opt)
+	res := rn.run(lead, sibs, tr.Name, tr.Category, &rn.cursor, opt, also)
 	rn.cursor.Seek(nil)
 	return res
 }
@@ -459,15 +534,54 @@ func (rn *Runner[C]) RunTrace(p predictor.Predictor[C], tr *trace.Trace, opt Opt
 // predictor — while reusing its tables and the Runner's buffers, so
 // repeated runs allocate nothing. The function must not be called
 // concurrently; hold one per goroutine.
+//
+// When p implements predictor.Sibling, Options.Also runs further
+// scenarios in the same pass over the trace: p leads and one sibling per
+// further scenario follows, each built on first use and Reset before
+// every later pass. Result.Also returns their results in order, in a
+// slice the next call reuses; each equals its scenario's single run,
+// except that Elapsed is the pass's time split evenly across its lanes.
+// A predictor without Sibling shares nothing across scenarios, so its
+// run ignores Also and returns no Also results: the caller runs those
+// scenarios singly. Also combined with Resume or OnCheckpoint panics: a
+// checkpoint holds one lane.
 func Pooled[C any](p predictor.Predictor[C]) func(tr *trace.Trace, opt Options) Result {
 	var rn Runner[C]
-	dirty := false
-	return func(tr *trace.Trace, opt Options) Result {
-		if dirty {
-			p.Reset()
+	fork, shares := p.(predictor.Sibling[C])
+	lanes := []predictor.Predictor[C]{p}
+	dirty := []bool{false} // lanes run since their last Reset
+	// prepare returns the first n lanes, building and Resetting them as
+	// needed.
+	prepare := func(n int) []predictor.Predictor[C] {
+		for len(lanes) < n {
+			lanes = append(lanes, fork.Sibling())
+			dirty = append(dirty, false)
 		}
-		dirty = true
-		return rn.RunTrace(p, tr, opt)
+		for i := range n {
+			if dirty[i] {
+				lanes[i].Reset()
+			}
+			dirty[i] = true
+		}
+		return lanes[:n]
+	}
+	var also []Result
+	return func(tr *trace.Trace, opt Options) Result {
+		if len(opt.Also) > 0 && (opt.Resume != nil || opt.OnCheckpoint != nil) {
+			panic("sim: Options.Also cannot combine with Resume or OnCheckpoint")
+		}
+		if len(opt.Also) == 0 || !shares {
+			opt.Also = nil
+			return rn.RunTrace(prepare(1)[0], tr, opt)
+		}
+		if cap(also) < len(opt.Also) {
+			also = make([]Result, len(opt.Also))
+		}
+		also = also[:len(opt.Also)]
+		ps := prepare(1 + len(opt.Also))
+		res := rn.runTrace(ps[0], ps[1:], tr, opt, also)
+		res.Also = also
+		return res
 	}
 }
 

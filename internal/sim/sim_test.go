@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/bimodal"
@@ -202,8 +203,38 @@ func TestPooledMatchesFresh(t *testing.T) {
 		got, want := run(tr, opt), runTrace(tage.New(tage.Reference()), tr, opt)
 		got.Elapsed, got.BranchesPerSec = 0, 0
 		want.Elapsed, want.BranchesPerSec = 0, 0
-		if got != want {
+		if !reflect.DeepEqual(got, want) {
 			t.Errorf("trace %d: pooled result diverges from fresh:\n  pooled: %+v\n  fresh:  %+v", i, got, want)
 		}
 	}
 }
+
+// TestAlsoRefusedWhereALaneCannotCarryIt: Runner.Run is one lane, and a
+// checkpoint holds one lane, so Also with either panics.
+func TestAlsoRefusedWhereALaneCannotCarryIt(t *testing.T) {
+	tr := benchTrace(200)
+	also := []predictor.Scenario{predictor.ScenarioB}
+	for name, run := range map[string]func(){
+		"Runner.Run": func() {
+			var rn Runner[tage.Ctx]
+			rn.RunTrace(tage.New(smallTage()), tr, Options{Also: also})
+		},
+		"Resume": func() {
+			Pooled[tage.Ctx](tage.New(smallTage()))(tr, Options{Also: also, Resume: &Checkpoint{Blob: []byte{1}}})
+		},
+		"OnCheckpoint": func() {
+			Pooled[tage.Ctx](tage.New(smallTage()))(tr, Options{Also: also, OnCheckpoint: func([]byte, uint64) {}})
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with Also did not panic", name)
+				}
+			}()
+			run()
+		}()
+	}
+}
+
+func smallTage() tage.Config { return tage.Scale(tage.Reference(), -4) }

@@ -12,7 +12,9 @@ const rngSalt = 0x7a6e_0001
 // allocation-policy counters, the RNG stream (constructing as seeded
 // from Config.Seed), and — when configured — the bank tracker and IUM,
 // then the access accounting. Shape parameters stay with the Config.
-// Composed predictors walk their TAGE core through this.
+// The history, folds and bank tracker belong to the front end, which a
+// sibling shares (see Sibling). Composed predictors walk their TAGE
+// through this.
 func (p *Predictor) Walk(w checkpoint.Walker) {
 	w.Begin("tage", 1)
 	w.Len(len(p.entries), "tage entry store size")
@@ -26,15 +28,15 @@ func (p *Predictor) Walk(w checkpoint.Walker) {
 		}
 	}
 	p.bim.Walk(w)
-	p.ghist.Walk(w)
-	for i := range p.folds {
-		p.folds[i].Walk(w)
+	p.fe.ghist.Walk(w)
+	for i := range p.fe.folds {
+		p.fe.folds[i].Walk(w)
 	}
 	w.I32(&p.useAlt, 0)
 	w.U32(&p.tick, 0)
 	p.rand.Walk(w, p.cfg.Seed^rngSalt)
-	if p.banks != nil {
-		p.banks.Walk(w)
+	if p.fe.banks != nil {
+		p.fe.banks.Walk(w)
 	}
 	if p.ium != nil {
 		p.ium.Walk(w)
@@ -60,12 +62,12 @@ func (p *Predictor) WalkCtx(w checkpoint.Walker, ctx *Ctx) {
 	w.I32(&ctx.BimCtr, 0)
 	for i := range ctx.Ent {
 		w.U64(&ctx.Ent[i], 0)
-		if i < len(p.idxBits) && ctx.Index(i) >= 1<<p.idxBits[i] {
-			w.Failf("tage table %d index %d out of range [0,%d)", i+1, ctx.Index(i), 1<<p.idxBits[i])
+		if i < len(p.fe.idxBits) && ctx.Index(i) >= 1<<p.fe.idxBits[i] {
+			w.Failf("tage table %d index %d out of range [0,%d)", i+1, ctx.Index(i), 1<<p.fe.idxBits[i])
 		}
 	}
-	w.IntIn(&ctx.Provider, 0, 0, len(p.meta)+1, "tage provider")
-	w.IntIn(&ctx.Alt, 0, 0, len(p.meta)+1, "tage alternate")
+	w.IntIn(&ctx.Provider, 0, 0, len(p.fe.meta)+1, "tage provider")
+	w.IntIn(&ctx.Alt, 0, 0, len(p.fe.meta)+1, "tage alternate")
 	w.Bool(&ctx.ProvPred, false)
 	w.Bool(&ctx.AltPred, false)
 	w.Bool(&ctx.WeakProv, false)

@@ -20,6 +20,7 @@ import (
 	"repro/internal/histories"
 	"repro/internal/ium"
 	"repro/internal/memarray"
+	"repro/internal/predictor"
 	"repro/internal/rng"
 )
 
@@ -193,7 +194,8 @@ type entry struct {
 	tag uint16
 }
 
-// Predictor is a TAGE predictor.
+// Predictor is a TAGE predictor: a front end, which its siblings share,
+// and a table core of its own.
 //
 // The tagged components live in one contiguous backing slice (entries)
 // with per-table offsets, and each table's three folded histories sit in
@@ -201,9 +203,22 @@ type entry struct {
 // precomputed constants (index shift, index mask, tag mask) instead of
 // chasing per-table pointers.
 type Predictor struct {
-	cfg     Config
-	bim     *bimodal.Table
-	entries []entry     // all tagged tables, contiguous; table i at meta[i].offset
+	cfg Config
+	fe  *frontEnd
+	// leads is set on the predictor New built and clear on its siblings:
+	// only the leader computes the front end's indices and tags and
+	// advances its histories.
+	leads bool
+	core
+}
+
+// frontEnd is the scenario-independent half of a TAGE predictor: the
+// global history, each table's folded histories, bank selection, and
+// the geometry the index and tag hashes use. sim.Runner resolves every
+// branch with its true outcome before the next Predict, so all of it
+// is a function of the trace alone. It holds no table state, so one
+// front end can feed several table cores (see Sibling).
+type frontEnd struct {
 	meta    []tableMeta // packed per-table hot-path constants
 	lengths []int
 	idxBits []uint // log2 entries (full table)
@@ -215,14 +230,26 @@ type Predictor struct {
 	// the packed word engine here — see internal/histories/packed.go for
 	// where the packed layout does win.
 	folds []histories.TableFolds
+	banks *memarray.BankTracker // non-nil when interleaved
+
+	// lead is the context the leader filled for the branch being
+	// predicted: siblings take the bimodal index and each table's index
+	// and tag from it instead of recomputing them.
+	lead *Ctx
+}
+
+// core is the table state one predictor owns: what its update scenario
+// reads and writes.
+type core struct {
+	bim     *bimodal.Table
+	entries []entry // all tagged tables, contiguous; table i at meta[i].offset
 
 	useAlt int32  // USE_ALT_ON_NA, 4-bit signed counter
 	tick   uint32 // 8-bit allocation success/failure monitor
 
 	rand  *rng.Xoshiro
 	stats *memarray.Stats
-	banks *memarray.BankTracker // non-nil when interleaved
-	ium   *ium.Buffer           // non-nil when UseIUM
+	ium   *ium.Buffer // non-nil when UseIUM
 }
 
 // tableMeta packs the per-table constants the predict loop consumes —
@@ -280,32 +307,29 @@ func (c *Ctx) U(i int) uint8 { return uint8(c.Ent[i] >> 56) }
 // New builds a TAGE predictor from cfg.
 func New(cfg Config) *Predictor {
 	cfg = cfg.withDefaults()
+	p := &Predictor{cfg: cfg, fe: newFrontEnd(cfg), leads: true, core: newCore(cfg)}
+	p.Walk(checkpoint.Fresh())
+	return p
+}
+
+// newFrontEnd builds the front end of cfg (already defaulted).
+func newFrontEnd(cfg Config) *frontEnd {
 	m := len(cfg.TableLogs)
-	p := &Predictor{
-		cfg:     cfg,
-		bim:     nil,
+	fe := &frontEnd{
 		meta:    make([]tableMeta, m),
 		lengths: histories.GeometricSeries(cfg.MinHist, cfg.MaxHist, m),
 		idxBits: make([]uint, m),
 		ghist:   histories.NewGlobal(cfg.MaxHist + 64),
 		folds:   make([]histories.TableFolds, m),
-		rand:    new(rng.Xoshiro),
-		stats:   &memarray.Stats{},
 	}
-	p.bim = bimodal.New(cfg.LogBimodal, cfg.LogBimodalHyst, p.stats)
-	total := 0
-	for i := 0; i < m; i++ {
-		total += 1 << cfg.TableLogs[i]
-	}
-	p.entries = make([]entry, total)
 	off := uint32(0)
 	for i := 0; i < m; i++ {
-		p.idxBits[i] = cfg.TableLogs[i]
+		fe.idxBits[i] = cfg.TableLogs[i]
 		idxWidth := cfg.TableLogs[i]
 		if cfg.Interleaved {
 			idxWidth -= 2 // index within a bank; bank supplies the top 2 bits
 		}
-		p.meta[i] = tableMeta{
+		fe.meta[i] = tableMeta{
 			offset:    off,
 			idxMask:   uint32(bitutil.Mask(idxWidth)),
 			idxShift:  uint8(uint(i%int(idxWidth)) + 1),
@@ -317,22 +341,58 @@ func New(cfg Config) *Predictor {
 		if w2 < 1 {
 			w2 = 1
 		}
-		p.folds[i] = histories.NewTableFolds(p.lengths[i], idxWidth, cfg.TagBits[i], w2)
+		fe.folds[i] = histories.NewTableFolds(fe.lengths[i], idxWidth, cfg.TagBits[i], w2)
 	}
 	if cfg.Interleaved {
-		p.banks = memarray.NewBankTracker()
+		fe.banks = memarray.NewBankTracker()
 	}
+	return fe
+}
+
+// newCore builds a table core of cfg (already defaulted) in its
+// construction state: every table zero except the bimodal counters,
+// which bimodal.New initialises, and the RNG, seeded from Config.Seed.
+func newCore(cfg Config) core {
+	total := 0
+	for _, l := range cfg.TableLogs {
+		total += 1 << l
+	}
+	c := core{
+		entries: make([]entry, total),
+		rand:    new(rng.Xoshiro),
+		stats:   &memarray.Stats{},
+	}
+	c.bim = bimodal.New(cfg.LogBimodal, cfg.LogBimodalHyst, c.stats)
+	c.rand.Walk(checkpoint.Fresh(), cfg.Seed^rngSalt)
 	if cfg.UseIUM {
-		p.ium = ium.New(cfg.IUMCapacity, cfg.IUMExecDelay)
+		c.ium = ium.New(cfg.IUMCapacity, cfg.IUMExecDelay)
 	}
-	p.Walk(checkpoint.Fresh())
-	return p
+	return c
+}
+
+// Sibling implements predictor.Sibling: it returns a predictor of p's
+// configuration that shares p's front end — global history, folded
+// histories, bank selection, and each table's index and tag — and owns
+// a fresh table core: tagged and bimodal tables, USE_ALT_ON_NA, the
+// allocation monitor, the RNG, the IUM and the access stats. The
+// update scenarios differ only in when the core is read and written,
+// so one pass over a trace can run several of them on one front end.
+//
+// The lanes must keep one order. For each branch the leader (the
+// predictor New built) predicts first, then each sibling; every lane
+// predicts the branch before any lane resolves it; and the leader alone
+// advances the front end, in its OnResolve. Retire touches only a
+// lane's own core. Reset, Snapshot and Restore walk the shared front
+// end as well, so a sibling snapshots like a standalone predictor at
+// the same point, and resetting any lane resets the front end of all.
+func (p *Predictor) Sibling() predictor.Predictor[Ctx] {
+	return &Predictor{cfg: p.cfg, fe: p.fe, core: newCore(p.cfg)}
 }
 
 // table returns the backing slice of tagged table i (0-based): a view into
 // the contiguous entry store.
 func (p *Predictor) table(i int) []entry {
-	return p.entries[p.meta[i].offset : p.meta[i].offset+1<<p.idxBits[i]]
+	return p.entries[p.fe.meta[i].offset : p.fe.meta[i].offset+1<<p.fe.idxBits[i]]
 }
 
 // Name implements predictor.Predictor.
@@ -349,82 +409,92 @@ func label(name string, bits int) string {
 // StorageBits implements predictor.Predictor.
 func (p *Predictor) StorageBits() int {
 	bits := p.bim.StorageBits()
-	for i := range p.idxBits {
-		bits += (1 << p.idxBits[i]) * (CtrBits + 1 + int(p.cfg.TagBits[i]))
+	for i, l := range p.fe.idxBits {
+		bits += (1 << l) * (CtrBits + 1 + int(p.cfg.TagBits[i]))
 	}
 	return bits
 }
 
 // Lengths returns the geometric history series in use.
-func (p *Predictor) Lengths() []int { return p.lengths }
+func (p *Predictor) Lengths() []int { return p.fe.lengths }
 
 // NumTables returns the number of tagged components.
-func (p *Predictor) NumTables() int { return len(p.meta) }
+func (p *Predictor) NumTables() int { return len(p.fe.meta) }
 
 // IUM returns the attached Immediate Update Mimicker, or nil.
 func (p *Predictor) IUM() *ium.Buffer { return p.ium }
 
 // Predict implements predictor.Predictor.
 func (p *Predictor) Predict(pc uint64, ctx *Ctx) bool {
-	bank := uint32(0)
-	if p.banks != nil {
-		b := p.banks.Select(pc)
-		ctx.BimIdx = p.bim.IndexBanked(pc, b, memarray.NumBanks)
-		bank = uint32(b)
+	// The leader computes the front end for the branch — its bank, its
+	// bimodal index, and every tagged table's index and tag — and reads
+	// its entries there; a sibling reads its own entries where the
+	// leader's point. Either way bit i of hits is set when table i+1
+	// hits.
+	var hits uint32
+	if !p.leads {
+		hits = p.follow(ctx)
 	} else {
-		ctx.BimIdx = p.bim.Index(pc)
+		fe := p.fe
+		bank := uint32(0)
+		if fe.banks != nil {
+			b := fe.banks.Select(pc)
+			ctx.BimIdx = p.bim.IndexBanked(pc, b, memarray.NumBanks)
+			bank = uint32(b)
+		} else {
+			ctx.BimIdx = p.bim.Index(pc)
+		}
+
+		// The index, tag, entry read and hit test of every tagged component,
+		// fully inlined: one ascending pass over the flat fold and constant
+		// arrays. Clamping to MaxTables (guaranteed by config validation)
+		// lets the compiler drop the bounds checks on the fixed-size ctx
+		// arrays.
+		folds := fe.folds
+		if len(folds) > MaxTables {
+			folds = folds[:MaxTables]
+		}
+		meta := fe.meta[:len(folds)]
+		entries := p.entries
+		h := uint32(pc >> 2)
+		if bank == 0 {
+			// Common case (non-interleaved, or bank 0): the bank term is zero,
+			// so its variable shift drops out of the loop entirely.
+			for i := range folds {
+				f := &folds[i]
+				mt := &meta[i]
+				idx := (h ^ (h >> (mt.idxShift & 31)) ^ f.Idx.Value()) & mt.idxMask
+				tg := uint16(h^f.Tag1.Value()^(f.Tag2.Value()<<1)) & mt.tagMask
+				e := entries[mt.offset+idx]
+				ctx.Ent[i] = uint64(idx) | uint64(tg)<<32 | uint64(uint8(e.ctr))<<48 | uint64(e.u)<<56
+				// Branchless hit accumulation: the provider scan becomes a
+				// leading-bit count after the loop instead of a data-dependent
+				// (and mispredict-prone) in-loop update.
+				var hb uint32
+				if e.tag == tg {
+					hb = 1
+				}
+				hits |= hb << (uint(i) & 31)
+			}
+		} else {
+			for i := range folds {
+				f := &folds[i]
+				mt := &meta[i]
+				idx := (h^(h>>(mt.idxShift&31))^f.Idx.Value())&mt.idxMask | bank<<(mt.bankShift&31)
+				tg := uint16(h^f.Tag1.Value()^(f.Tag2.Value()<<1)) & mt.tagMask
+				e := entries[mt.offset+idx]
+				ctx.Ent[i] = uint64(idx) | uint64(tg)<<32 | uint64(uint8(e.ctr))<<48 | uint64(e.u)<<56
+				var hb uint32
+				if e.tag == tg {
+					hb = 1
+				}
+				hits |= hb << (uint(i) & 31)
+			}
+		}
+		fe.lead = ctx
 	}
 	ctx.BimCtr = p.bim.Read(ctx.BimIdx)
 
-	// The index, tag, entry read and provider selection of every tagged
-	// component, fully inlined: one ascending pass over the flat fold and
-	// constant arrays. The highest-numbered hit becomes the provider, the
-	// previous best the alternate — the same pair the descending scan of
-	// Section 3.1 selects. Clamping to MaxTables (guaranteed by config
-	// validation) lets the compiler drop the bounds checks on the
-	// fixed-size ctx arrays.
-	folds := p.folds
-	if len(folds) > MaxTables {
-		folds = folds[:MaxTables]
-	}
-	meta := p.meta[:len(folds)]
-	entries := p.entries
-	var hits uint32
-	h := uint32(pc >> 2)
-	if bank == 0 {
-		// Common case (non-interleaved, or bank 0): the bank term is zero,
-		// so its variable shift drops out of the loop entirely.
-		for i := range folds {
-			f := &folds[i]
-			mt := &meta[i]
-			idx := (h ^ (h >> (mt.idxShift & 31)) ^ f.Idx.Value()) & mt.idxMask
-			tg := uint16(h^f.Tag1.Value()^(f.Tag2.Value()<<1)) & mt.tagMask
-			e := entries[mt.offset+idx]
-			ctx.Ent[i] = uint64(idx) | uint64(tg)<<32 | uint64(uint8(e.ctr))<<48 | uint64(e.u)<<56
-			// Branchless hit accumulation: the provider scan becomes a
-			// leading-bit count after the loop instead of a data-dependent
-			// (and mispredict-prone) in-loop update.
-			var hb uint32
-			if e.tag == tg {
-				hb = 1
-			}
-			hits |= hb << (uint(i) & 31)
-		}
-	} else {
-		for i := range folds {
-			f := &folds[i]
-			mt := &meta[i]
-			idx := (h^(h>>(mt.idxShift&31))^f.Idx.Value())&mt.idxMask | bank<<(mt.bankShift&31)
-			tg := uint16(h^f.Tag1.Value()^(f.Tag2.Value()<<1)) & mt.tagMask
-			e := entries[mt.offset+idx]
-			ctx.Ent[i] = uint64(idx) | uint64(tg)<<32 | uint64(uint8(e.ctr))<<48 | uint64(e.u)<<56
-			var hb uint32
-			if e.tag == tg {
-				hb = 1
-			}
-			hits |= hb << (uint(i) & 31)
-		}
-	}
 	// The highest-numbered hit provides, the next highest is the
 	// alternate — exactly the descending scan of Section 3.1.
 	provider := bits.Len32(hits)
@@ -463,6 +533,34 @@ func (p *Predictor) Predict(pc uint64, ctx *Ctx) bool {
 	return ctx.FinalPred
 }
 
+// entKey masks the index and tag out of a packed Ctx.Ent word.
+const entKey = 1<<48 - 1
+
+// follow reads this predictor's entries at the bimodal index and the
+// per-table indices and tags the leader computed for the branch (see
+// Sibling), and returns the tag-hit mask.
+func (p *Predictor) follow(ctx *Ctx) uint32 {
+	lead := p.fe.lead
+	ctx.BimIdx = lead.BimIdx
+	meta := p.fe.meta
+	if len(meta) > MaxTables {
+		meta = meta[:MaxTables]
+	}
+	entries := p.entries
+	var hits uint32
+	for i := range meta {
+		key := lead.Ent[i] & entKey
+		e := entries[meta[i].offset+uint32(key)]
+		ctx.Ent[i] = key | uint64(uint8(e.ctr))<<48 | uint64(e.u)<<56
+		var hb uint32
+		if e.tag == uint16(key>>32) {
+			hb = 1
+		}
+		hits |= hb << (uint(i) & 31)
+	}
+	return hits
+}
+
 // providerIndex returns the physical index of the provider entry (the
 // bimodal index when the base predictor provides).
 func (p *Predictor) providerIndex(ctx *Ctx) uint32 {
@@ -494,9 +592,9 @@ func (p *Predictor) computePrediction(ctx *Ctx) bool {
 	return ctx.ProvPred
 }
 
-// OnResolve implements predictor.Predictor: speculative history update
-// (immediate, as hardware repairs history on mispredictions) and IUM
-// bookkeeping.
+// OnResolve implements predictor.Predictor: IUM bookkeeping and, on the
+// leader, the speculative history update (immediate, as hardware
+// repairs history on mispredictions).
 func (p *Predictor) OnResolve(pc uint64, taken, mispredicted bool, ctx *Ctx) {
 	if p.ium != nil {
 		base, bits := providerSignedCtr(ctx)
@@ -508,8 +606,10 @@ func (p *Predictor) OnResolve(pc uint64, taken, mispredicted bool, ctx *Ctx) {
 			p.ium.OnMispredict()
 		}
 	}
-	p.ghist.Push(taken)
-	histories.UpdateAll(p.ghist, p.folds, taken)
+	if p.leads {
+		p.fe.ghist.Push(taken)
+		histories.UpdateAll(p.fe.ghist, p.fe.folds, taken)
+	}
 }
 
 // Retire implements predictor.Predictor: the Section 3.2 update, performed
@@ -534,6 +634,7 @@ func (p *Predictor) Retire(pc uint64, taken bool, ctx *Ctx, reread bool) {
 	// Entry pointers for the provider and alternate: resolved once and
 	// reused by both the read and the write halves of the update.
 	var provE, altE *entry
+	meta := p.fe.meta
 
 	if reread {
 		// Recompute the whole read from current table state at the same
@@ -541,12 +642,12 @@ func (p *Predictor) Retire(pc uint64, taken bool, ctx *Ctx, reread bool) {
 		// fetch-time history, so indices and tags are unchanged).
 		bimCtr = p.bim.Read(ctx.BimIdx)
 		provider, alt = 0, 0
-		m := len(p.meta)
+		m := len(meta)
 		if m > MaxTables {
 			m = MaxTables // never taken; lets the compiler drop ctx bounds checks
 		}
 		for i := m - 1; i >= 0; i-- {
-			e := &p.entries[p.meta[i].offset+ctx.Index(i)]
+			e := &p.entries[meta[i].offset+ctx.Index(i)]
 			if e.tag != ctx.Tag(i) {
 				continue
 			}
@@ -576,10 +677,10 @@ func (p *Predictor) Retire(pc uint64, taken bool, ctx *Ctx, reread bool) {
 		}
 	} else {
 		if provider > 0 {
-			provE = &p.entries[p.meta[provider-1].offset+ctx.Index(provider-1)]
+			provE = &p.entries[meta[provider-1].offset+ctx.Index(provider-1)]
 		}
 		if alt > 0 {
-			altE = &p.entries[p.meta[alt-1].offset+ctx.Index(alt-1)]
+			altE = &p.entries[meta[alt-1].offset+ctx.Index(alt-1)]
 		}
 	}
 
@@ -614,7 +715,7 @@ func (p *Predictor) Retire(pc uint64, taken bool, ctx *Ctx, reread bool) {
 	// (2) Allocate new entries on a misprediction (Section 3.2.1): up to
 	// MaxAlloc entries on non-consecutive tables above the provider,
 	// chosen among useless (u == 0) entries.
-	if mispredicted && provider < len(p.meta) {
+	if mispredicted && provider < len(meta) {
 		p.allocate(ctx, provider, taken, reread)
 	}
 
@@ -644,7 +745,8 @@ func (p *Predictor) writeU(e *entry, v uint8) {
 // u bits are consulted from current table state, otherwise from the
 // fetch-time snapshot in ctx (mirroring the Retire read policy).
 func (p *Predictor) allocate(ctx *Ctx, provider int, taken bool, reread bool) {
-	m := len(p.meta)
+	meta := p.fe.meta
+	m := len(meta)
 	start := provider + 1
 	// Randomise the starting table by one position to avoid systematically
 	// starving longer-history tables.
@@ -655,10 +757,10 @@ func (p *Predictor) allocate(ctx *Ctx, provider int, taken bool, reread bool) {
 	for t := start; t <= m && allocated < p.cfg.MaxAlloc; {
 		u := ctx.U(t - 1)
 		if reread {
-			u = p.entries[p.meta[t-1].offset+ctx.Index(t-1)].u
+			u = p.entries[meta[t-1].offset+ctx.Index(t-1)].u
 		}
 		if u == 0 {
-			e := &p.entries[p.meta[t-1].offset+ctx.Index(t-1)]
+			e := &p.entries[meta[t-1].offset+ctx.Index(t-1)]
 			e.tag = ctx.Tag(t - 1)
 			e.ctr = int8(bitutil.WeakTaken)
 			if !taken {
@@ -691,8 +793,8 @@ func (p *Predictor) AccessStats() *memarray.Stats { return p.stats }
 // each tagged table), for the area/energy model.
 func (p *Predictor) TableBits() []int {
 	out := []int{p.bim.StorageBits()}
-	for i := range p.idxBits {
-		out = append(out, (1<<p.idxBits[i])*(CtrBits+1+int(p.cfg.TagBits[i])))
+	for i, l := range p.fe.idxBits {
+		out = append(out, (1<<l)*(CtrBits+1+int(p.cfg.TagBits[i])))
 	}
 	return out
 }

@@ -60,7 +60,9 @@ type (
 	// the callback returns (the runner reuses its buffer for the next
 	// checkpoint), so a callback that keeps one copies it.
 	Checkpoint = sim.Checkpoint
-	// Result is the outcome of simulating one trace.
+	// Result is the outcome of simulating one trace. Its Also holds the
+	// results of Options.Also in a slice the runner reuses: it is valid
+	// until that runner's next call, so a caller that keeps it copies it.
 	Result = sim.Result
 	// Suite aggregates per-trace results.
 	Suite = sim.Suite
@@ -188,8 +190,9 @@ func (m *Model) Run(tr *Trace, opt Options) Result {
 // instance: every call starts from cold state (the predictor is Reset
 // between runs) but reuses the warmed table storage and simulation
 // buffers, so repeated runs allocate nothing. Results are byte-identical
-// to Model.Run. The returned function is not safe for concurrent use;
-// create one runner per goroutine.
+// to Model.Run. A result's Also (see Options.Also) is valid only until
+// the runner's next call, which reuses the slice. The returned function
+// is not safe for concurrent use; create one runner per goroutine.
 func (m *Model) NewRunner() func(tr *Trace, opt Options) Result {
 	return m.newRunner()
 }
