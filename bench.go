@@ -3,10 +3,9 @@ package repro
 import (
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 
 	"repro/internal/harness"
+	"repro/internal/models"
 )
 
 // The batch-experiment harness (internal/harness) exposed through the
@@ -89,171 +88,26 @@ func ParseScenarios(csv string) ([]Scenario, error) {
 	return harness.ParseScenarios(csv)
 }
 
-// LookupModel resolves a model identifier — a named model or any model
-// spec (see ParseSpec) — to a fresh Model, with an error naming the valid
-// identifiers and spec kinds on a miss. It is sugar over the ModelSpec
-// lifecycle: ParseSpec then Build.
-func LookupModel(name string) (*Model, error) {
-	spec, err := ParseSpec(name)
-	if err != nil {
-		return nil, err
-	}
-	return spec.Build()
-}
-
-// ModelNames lists the model identifiers in sorted order.
-func ModelNames() []string {
-	var names []string
-	for name := range Models() {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// ScalableModels maps the model identifiers that support storage-budget
-// scaling (the -delta axis) to their scaled constructors; deltaLog 0 is
-// each model's declared budget.
-func ScalableModels() map[string]func(deltaLog int) *Model {
-	return map[string]func(int) *Model{
-		"tage":     ScaledTAGE,
-		"tage-lsc": ScaledTAGELSC,
-	}
-}
-
-// ScalableModelNames lists the identifiers usable with a deltaLog axis,
-// sorted.
-func ScalableModelNames() []string {
-	var names []string
-	for name := range ScalableModels() {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // BenchModels resolves model identifiers — named models or arbitrary
-// specs — to harness models. Resolving builds no predictor: names and
-// storage budgets come from the configurations, and each cell executed
-// for the model runs a cold predictor. The harness name (and therefore
-// every cell key and store record) is the canonical spec string, which
-// for the named models is exactly the identifier, so pre-spec baselines
-// keep their keys; the canonical spec also rides along in
-// BenchModel.Spec so records say which configuration produced them.
-// Scalable specs (see ModelSpec.CanScale) carry the Scale hook the
-// deltaLog axis expands through, implemented as spec rewriting: the
-// scaled variant is spec.WithDelta(d) rebuilt.
+// specs — to harness models through internal/models, the resolver farm
+// workers use too. Resolving builds no predictor, and each model is
+// named by its canonical spec (for the named models, exactly the
+// identifier), so every cell key and store record says which
+// configuration produced it. Two identifiers with one canonical form
+// would collide on cell keys and are refused.
 func BenchModels(names []string) ([]BenchModel, error) {
 	out := make([]BenchModel, 0, len(names))
 	seen := make(map[string]string, len(names))
 	for _, name := range names {
-		spec, err := ParseSpec(name)
+		m, err := models.Resolve(name)
 		if err != nil {
 			return nil, err
 		}
-		canon := spec.Canonical()
-		if prev, dup := seen[canon]; dup {
-			return nil, fmt.Errorf("repro: model %q duplicates %q (both canonicalise to %q); cell keys would collide", name, prev, canon)
+		if prev, dup := seen[m.Name]; dup {
+			return nil, fmt.Errorf("repro: model %q duplicates %q (both canonicalise to %q); cell keys would collide", name, prev, m.Name)
 		}
-		seen[canon] = name
-		m, err := spec.Build()
-		if err != nil {
-			return nil, err
-		}
-		bm := BenchModel{
-			Name:        canon,
-			Spec:        canon,
-			StorageBits: m.StorageBits(),
-			Run:         m.Run,
-			NewRunner:   m.NewRunner,
-		}
-		if spec.CanScale() {
-			base := spec
-			bm.Scale = func(deltaLog int) BenchModel {
-				scaled, err := base.WithDelta(deltaLog)
-				var sm *Model
-				if err == nil {
-					sm, err = scaled.Build()
-				}
-				if err != nil {
-					// Surfaced per-cell through the harness's panic
-					// isolation as a failed record, never a dead sweep
-					// (the harness backfills the scaled spec string).
-					return BenchModel{Run: func(tr *Trace, opt Options) Result { panic(err) }}
-				}
-				return BenchModel{Spec: scaled.Canonical(), StorageBits: sm.StorageBits(), Run: sm.Run, NewRunner: sm.NewRunner}
-			}
-		}
-		out = append(out, bm)
-	}
-	return out, nil
-}
-
-// SplitSpecList splits a comma-separated model list the spec-aware way:
-// a comma starts a new spec only when what follows looks like one (a
-// named model, optionally @delta, or a "kind:" prefix); otherwise it
-// continues the previous spec's field list — so one flag value can
-// carry multi-field specs: "tage:tables=9,hist=6:500,gshare:log=14" is
-// two specs, not three. Empty segments are dropped.
-func SplitSpecList(s string) []string {
-	var out []string
-	for _, seg := range strings.Split(s, ",") {
-		seg = strings.TrimSpace(seg)
-		if seg == "" {
-			continue
-		}
-		if len(out) > 0 && !startsSpec(seg) {
-			out[len(out)-1] += "," + seg
-			continue
-		}
-		out = append(out, seg)
-	}
-	return out
-}
-
-// startsSpec reports whether a comma-separated segment begins a new
-// model spec rather than continuing the previous one's fields (which
-// are always key=value pairs).
-func startsSpec(seg string) bool {
-	if kind, _, ok := strings.Cut(seg, ":"); ok {
-		_, known := specKindDefs[strings.TrimSpace(kind)]
-		return known
-	}
-	name := seg
-	if at := strings.LastIndexByte(name, '@'); at >= 0 {
-		name = name[:at]
-	}
-	_, named := Models()[strings.TrimSpace(name)]
-	return named
-}
-
-// SweepSpecs expands one spec field across values for every base spec —
-// the `bpbench -sweep` axis: each base is rewritten per value via
-// ModelSpec.WithField and returned in canonical form, erroring on
-// duplicate resulting configurations (which would collide on cell keys).
-func SweepSpecs(bases []string, key string, values []string) ([]string, error) {
-	if len(values) == 0 {
-		return nil, fmt.Errorf("repro: sweep of %q has no values", key)
-	}
-	var out []string
-	seen := make(map[string]bool)
-	for _, b := range bases {
-		spec, err := ParseSpec(b)
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range values {
-			sw, err := spec.WithField(key, v)
-			if err != nil {
-				return nil, err
-			}
-			c := sw.Canonical()
-			if seen[c] {
-				return nil, fmt.Errorf("repro: sweep %s over %q produces duplicate spec %q", key, b, c)
-			}
-			seen[c] = true
-			out = append(out, c)
-		}
+		seen[m.Name] = name
+		out = append(out, m)
 	}
 	return out, nil
 }

@@ -75,12 +75,17 @@ func TestScaledModelNameFormatting(t *testing.T) {
 }
 
 func TestBenchModelsScaleHook(t *testing.T) {
-	ms, err := BenchModels([]string{"tage", "tage-lsc", "gshare"})
+	// A spec that already carries a delta has no hook of its own.
+	ms, err := BenchModels([]string{"tage", "tage-lsc", "gshare", "tage@+1"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	scalables := map[string]bool{}
+	for _, name := range ScalableModelNames() {
+		scalables[name] = true
+	}
 	for _, m := range ms {
-		_, scalable := ScalableModels()[m.Name]
+		scalable := scalables[m.Name]
 		if (m.Scale != nil) != scalable {
 			t.Errorf("%s: Scale hook presence %v, want %v", m.Name, m.Scale != nil, scalable)
 		}
@@ -99,8 +104,8 @@ func TestBenchModelsScaleHook(t *testing.T) {
 
 func TestModelNamesSortedAndComplete(t *testing.T) {
 	names := ModelNames()
-	if len(names) != len(Models()) {
-		t.Fatalf("ModelNames covers %d of %d models", len(names), len(Models()))
+	if len(names) != 9 {
+		t.Fatalf("ModelNames covers %d of the 9 named models", len(names))
 	}
 	if !strings.HasPrefix(names[0], "ftlpp") {
 		t.Fatalf("names not sorted: %v", names)
@@ -109,5 +114,19 @@ func TestModelNamesSortedAndComplete(t *testing.T) {
 		if names[i-1] >= names[i] {
 			t.Fatalf("names not sorted: %v", names)
 		}
+	}
+}
+
+// TestDeltaAxisRefusesSpecsWithADelta: expanding a budget axis over a
+// spec that already carries a delta is an error for every caller, not a
+// cell "tage@+1@+2" that measures tage@+2 under a name no parser reads.
+func TestDeltaAxisRefusesSpecsWithADelta(t *testing.T) {
+	m, err := NewBenchMatrix([]string{"tage@+1", "tage"}, []string{"INT01"}, "A", []int{1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.DeltaLogs = []int{1, 2}
+	if _, err := ExpandBench(m); err == nil || !strings.Contains(err.Error(), "already carries a storage delta") {
+		t.Fatalf("expanding tage@+1 over a delta axis: %v", err)
 	}
 }

@@ -249,18 +249,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	if len(deltas) > 0 {
-		// A spec that already carries a storage delta would collide with
-		// the axis rewriting it ("tage@+1@+2" is not a spec).
-		for _, s := range modelSpecs {
-			if spec, err := repro.ParseSpec(s); err == nil {
-				if d, has := spec.Delta(); has {
-					log.Error(fmt.Sprintf("bpbench: model %q already carries a storage delta (@%+d); drop it or the -delta axis", s, d))
-					return 2
-				}
-			}
-		}
-	}
 	m, err := repro.NewBenchMatrix(modelSpecs, tracePatterns, *scenarios, lengths)
 	if err != nil {
 		log.Error(fmt.Sprintf("bpbench: %v", err))

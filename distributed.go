@@ -5,11 +5,12 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/models"
 )
 
 // Distributed sweep facade: the coordinator/worker/merge pieces of
 // internal/harness re-exported under the Bench* naming the rest of the
-// public surface uses, plus a ModelResolver wired to the spec language.
+// public surface uses, plus the model resolver of internal/models.
 //
 // A minimal farm is three processes:
 //
@@ -50,17 +51,9 @@ func NewBenchLeaseQueue(ttl time.Duration, batch int, reg *MetricsRegistry) *Ben
 	return harness.NewLeaseQueue(ttl, batch, reg)
 }
 
-// BenchResolver adapts the spec language (ParseSpec / BenchModels) to
-// the resolver coordinators and workers rebuild wire jobs with.
-func BenchResolver() BenchModelResolver {
-	return func(spec string) (BenchModel, error) {
-		models, err := BenchModels([]string{spec})
-		if err != nil {
-			return BenchModel{}, err
-		}
-		return models[0], nil
-	}
-}
+// BenchResolver is the resolver coordinators and workers rebuild wire
+// jobs with: internal/models' Resolve, the one BenchModels uses.
+func BenchResolver() BenchModelResolver { return models.Resolve }
 
 // RunBenchWorker pulls leases from a coordinator and executes them
 // with the in-process engine until ctx is cancelled.

@@ -6,25 +6,21 @@
 // crossovers — are the reproduction targets, and each report carries the
 // shape checks it is expected to satisfy.
 //
-// Every experiment declares its predictors as harness models and runs
-// them over the 40-trace suite as one harness matrix, so all fifteen get
-// the pooled predictors, the shared trace cache, the resumable result
-// store and the warm cache; every number is read from the cell records.
+// Every experiment names its predictors by model spec, resolved through
+// internal/models like every other caller's, and runs them over the
+// 40-trace suite as one harness matrix, so all fifteen get the pooled
+// predictors, the shared trace cache, the resumable result store and the
+// warm cache; every number is read from the cell records.
 package experiments
 
 import (
 	"fmt"
 	"runtime"
 
-	"repro/internal/composed"
-	"repro/internal/gehl"
-	"repro/internal/gshare"
 	"repro/internal/harness"
 	"repro/internal/memarray"
+	"repro/internal/models"
 	"repro/internal/predictor"
-	"repro/internal/sim"
-	"repro/internal/tage"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -195,109 +191,22 @@ func accessTotals(cells []harness.Record) (memarray.Stats, error) {
 	return t, nil
 }
 
-// pooledModel declares a predictor configuration as a harness model. The
-// name keys the model's cells, so it must be unique to one configuration;
-// bits is the storage budget the configuration reports, so declaring a
-// model builds nothing. mk builds the predictor where one runs: Run
-// simulates a freshly-built predictor, NewRunner one pooled predictor
-// Reset between cells (byte-identical, and free of construction after a
-// worker's first cell of the model). Every predictor built is held to the
-// declared budget, so no record carries a budget its predictor lacks.
-func pooledModel[C any](name string, bits int, mk func() predictor.Predictor[C]) harness.Model {
-	newRunner := func() func(tr *trace.Trace, opt sim.Options) sim.Result {
-		p := mk()
-		if got := p.StorageBits(); got != bits {
-			panic(fmt.Sprintf("experiments: %s declares %d storage bits but its predictor has %d", p.Name(), bits, got))
+// resolve names an experiment's models by their spec strings, resolved
+// through internal/models exactly as bpbench and the farm workers
+// resolve them: each cell shares its key and store record with
+// `bpbench -models <spec>`, and a wire job rebuilds it. The specs are
+// literals, so an unresolvable one is a bug every experiment test
+// catches; it panics.
+func resolve(specs ...string) []harness.Model {
+	out := make([]harness.Model, len(specs))
+	for i, s := range specs {
+		m, err := models.Resolve(s)
+		if err != nil {
+			panic(err)
 		}
-		return sim.Pooled(p)
+		out[i] = m
 	}
-	return harness.Model{
-		Name:        name,
-		StorageBits: bits,
-		Run: func(tr *trace.Trace, opt sim.Options) sim.Result {
-			return newRunner()(tr, opt)
-		},
-		NewRunner: newRunner,
-	}
-}
-
-// specModel is pooledModel for a configuration that a canonical model
-// spec builds identically: the spec names the model and rides along in
-// its records, so experiment cells share keys and store records with
-// `bpbench -models <spec>`, and a resume validates them the same way.
-func specModel[C any](spec string, bits int, mk func() predictor.Predictor[C]) harness.Model {
-	m := pooledModel(spec, bits, mk)
-	m.Spec = spec
-	return m
-}
-
-// scalableModel is a model with the Figure 9 budget-scaling hook:
-// variant(d) declares the configuration with every budget scaled by 2^d,
-// the model itself is the d = 0 variant named spec, and every variant
-// declares its own storage budget (the harness names and specs the
-// variants).
-func scalableModel(spec string, variant func(d int) harness.Model) harness.Model {
-	m := variant(0)
-	m.Name, m.Spec, m.Scale = spec, spec, variant
-	return m
-}
-
-// tageModel is a TAGE configuration as a harness model.
-func tageModel(spec string, cfg tage.Config) harness.Model {
-	return specModel(spec, cfg.StorageBits(), func() predictor.Predictor[tage.Ctx] { return tage.New(cfg) })
-}
-
-// composedModel is a composed-stack configuration as a harness model.
-func composedModel(spec string, cfg composed.Config) harness.Model {
-	return specModel(spec, cfg.StorageBits(), func() predictor.Predictor[composed.Ctx] { return composed.New(cfg) })
-}
-
-// --- the paper's configurations shared across experiments ---
-
-// refTAGE is the reference 512 Kbit TAGE of Section 3.4.
-func refTAGE() harness.Model { return tageModel("tage", tage.Reference()) }
-
-// gshareModel is the 512 Kbit gshare of Section 4.1.
-func gshareModel() harness.Model {
-	return specModel("gshare", gshare.StorageBits(18), func() predictor.Predictor[gshare.Ctx] { return gshare.New(18) })
-}
-
-// gehlModel is the 520 Kbit GEHL of Section 4.1.
-func gehlModel() harness.Model {
-	cfg := gehl.Config{}
-	return specModel("gehl", cfg.StorageBits(), func() predictor.Predictor[gehl.Ctx] { return gehl.New(cfg) })
-}
-
-// tageIUM is the reference TAGE with the Immediate Update Mimicker.
-func tageIUM() harness.Model {
-	return composedModel("tage-ium", composed.TageIUM(tage.Reference(), "TAGE+IUM"))
-}
-
-// tageIUMLoop adds the loop predictor to TAGE+IUM (Section 5.2).
-func tageIUMLoop() harness.Model {
-	cfg := composed.TageIUM(tage.Reference(), "TAGE+IUM+loop")
-	cfg.UseLoop = true
-	return composedModel("composed:tage+ium+loop", cfg)
-}
-
-// islTAGE is the Section 5 ISL-TAGE: TAGE+IUM+loop+SC.
-func islTAGE() harness.Model {
-	return composedModel("isl-tage", composed.ISLTAGE(tage.Reference(), "ISL-TAGE"))
-}
-
-// tageLSC is the Section 6.1 budget-matched 512 Kbit TAGE-LSC.
-func tageLSC() harness.Model {
-	return composedModel("tage-lsc", composed.TAGELSC(composed.Budget512K(), "TAGE-LSC"))
-}
-
-// tageLSCBanked is the Section 7 TAGE-LSC with 4-way interleaved
-// single-ported tables in both the global and the local components.
-func tageLSCBanked() harness.Model {
-	tcfg := composed.Budget512K()
-	tcfg.Interleaved = true
-	c := composed.TAGELSC(tcfg, "TAGE-LSC-interleaved")
-	c.LSC.Interleaved = true
-	return composedModel("tage-lsc-banked", c)
+	return out
 }
 
 // Row is one line of a report: a labelled paper-vs-measured pair.

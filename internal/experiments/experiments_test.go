@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/memarray"
+	"repro/internal/models"
 	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -99,7 +100,7 @@ func TestReportPassed(t *testing.T) {
 // constructed predictor on the same trace, and two sweeps must agree.
 func TestMakeRunnerColdStatePerTrace(t *testing.T) {
 	cfg := Config{BranchesPerTrace: 5000, Parallelism: 1}.withDefaults()
-	model := gshareModel()
+	model := resolve("gshare")[0]
 	m := cfg.suiteMatrix([]harness.Model{model}, predictor.ScenarioA)
 	a, _, err := runMatrix(m, cfg)
 	if err != nil {
@@ -132,7 +133,7 @@ func TestMakeRunnerColdStatePerTrace(t *testing.T) {
 func TestSuiteRunnerCovers40Traces(t *testing.T) {
 	cfg := Config{BranchesPerTrace: 2000, Parallelism: 2}.withDefaults()
 	var rep Report
-	s := rep.run(cfg.suiteMatrix([]harness.Model{gshareModel()}, predictor.ScenarioA), cfg)
+	s := rep.run(cfg.suiteMatrix(resolve("gshare"), predictor.ScenarioA), cfg)
 	if s == nil {
 		t.Fatalf("sweep failed: %v", rep.Notes)
 	}
@@ -365,16 +366,65 @@ func TestRunMatrixResultStore(t *testing.T) {
 // TestExperimentModelsDeclareTheirBudgets: every model E1–E15 put in
 // their matrices, Figure 9's budget variants included, declares its
 // storage budget from its configuration without building a predictor,
-// and pooledModel holds every predictor a runner builds to that budget —
+// and the adapter holds every predictor a runner builds to that budget —
 // a mismatch panics, which fails the cell and so the report. Each model
 // builds at least once when all fifteen run, even this small.
+//
+// Every cell must also rebuild from its wire form through the registry's
+// resolver, under the same key and budget, so `bpbench work` can serve
+// E1–E15 cells. Only the seven experiment-local models of E9 and E10,
+// which no spec expresses, may lack a spec.
 func TestExperimentModelsDeclareTheirBudgets(t *testing.T) {
+	cfg := Config{BranchesPerTrace: 200, Parallelism: 2, ResultStore: filepath.Join(t.TempDir(), "store.jsonl")}
 	for _, e := range Registry() {
-		rep := e.Run(Config{BranchesPerTrace: 200, Parallelism: 2})
+		rep := e.Run(cfg)
 		for _, c := range rep.Checks {
 			if c.Name == "harness sweep ran" && !c.Pass {
 				t.Errorf("%s: %v", rep.ID, rep.Notes)
 			}
 		}
+	}
+	local := map[string]bool{
+		"isl-tage-512k-sc5":          true,
+		"tage-lsc-13comp-hist6:2000": true,
+		"tage-lsc-13comp-hist3:300":  true,
+		"tage-lsc-13comp-hist4:1000": true,
+		"tage-lsc-13comp-hist8:5000": true,
+		"tage-lsc-9comp-hist6:1000":  true,
+		"tage-lsc-6comp-hist6:500":   true,
+	}
+	recs, _, err := harness.ReadStoreFile(cfg.ResultStore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, localCells := 0, map[string]bool{}
+	for _, r := range recs {
+		if r.Kind != harness.KindCell {
+			continue
+		}
+		cells++
+		if r.Spec == "" {
+			if !local[r.Model] {
+				t.Errorf("cell %s has no spec and is not an experiment-local model", r.Key())
+			}
+			localCells[r.Model] = true
+			continue
+		}
+		w := harness.WireJob{
+			Model: r.Model, Spec: r.Spec, Trace: r.Trace, TraceSpec: r.TraceSpec,
+			Scenario: r.Scenario, Branches: r.Branches, DeltaLog: r.DeltaLog, Seed: r.Seed,
+			Window: r.Window, ExecDelay: r.ExecDelay,
+		}
+		j, err := w.Job(models.Resolve)
+		if err != nil {
+			t.Errorf("cell %s does not rebuild from its wire form: %v", r.Key(), err)
+			continue
+		}
+		if j.Key() != r.Key() || j.Model.StorageBits != r.StorageBits {
+			t.Errorf("cell %s (%d bits) rebuilds as %s (%d bits)", r.Key(), r.StorageBits, j.Key(), j.Model.StorageBits)
+		}
+	}
+	if cells == 0 || len(localCells) != len(local) {
+		t.Fatalf("store holds %d cells and %d of the %d experiment-local models", cells, len(localCells), len(local))
 	}
 }

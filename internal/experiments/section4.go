@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cactimodel"
-	"repro/internal/harness"
 	"repro/internal/predictor"
-	"repro/internal/tage"
 )
 
 // E1 reproduces Section 4.1.1: effective writes per misprediction and per
@@ -15,28 +13,27 @@ import (
 func E1(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E1", Title: "Effective writes with silent-update elimination (§4.1.1)"}
-	type entry struct {
+	entries := []struct {
 		name    string
-		model   harness.Model
+		spec    string
 		paperWM string
 		paperWB string
+	}{
+		{"TAGE 512Kb", "tage", "2.17", "9.06"},
+		{"GEHL 520Kb", "gehl", "1.94", "9.10"},
+		{"gshare 512Kb", "gshare", "1.54", "9.61"},
 	}
-	entries := []entry{
-		{"TAGE 512Kb", refTAGE(), "2.17", "9.06"},
-		{"GEHL 520Kb", gehlModel(), "1.94", "9.10"},
-		{"gshare 512Kb", gshareModel(), "1.54", "9.61"},
-	}
-	models := make([]harness.Model, len(entries))
+	specs := make([]string, len(entries))
 	for i, e := range entries {
-		models[i] = e.model
+		specs[i] = e.spec
 	}
-	s := r.run(cfg.suiteMatrix(models, predictor.ScenarioA), cfg)
+	s := r.run(cfg.suiteMatrix(resolve(specs...), predictor.ScenarioA), cfg)
 	if s == nil {
 		return r
 	}
 	silentOK := true
 	for _, e := range entries {
-		acc, err := accessTotals(s.of(e.model.Name, predictor.ScenarioA))
+		acc, err := accessTotals(s.of(e.spec, predictor.ScenarioA))
 		if err != nil {
 			r.fail(err)
 			return r
@@ -64,22 +61,21 @@ func E1(cfg Config) Report {
 func E2(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E2", Title: "Delayed-update scenarii (§4.1.2)"}
-	type entry struct {
+	entries := []struct {
 		name  string
-		model harness.Model
+		spec  string
 		paper [4]string // I, A, B, C
-	}
-	entries := []entry{
-		{"gshare", gshareModel(), [4]string{"944", "970", "1292", "1011"}},
-		{"GEHL", gehlModel(), [4]string{"664", "685", "801", "744"}},
-		{"TAGE", refTAGE(), [4]string{"609", "617", "640", "625"}},
+	}{
+		{"gshare", "gshare", [4]string{"944", "970", "1292", "1011"}},
+		{"GEHL", "gehl", [4]string{"664", "685", "801", "744"}},
+		{"TAGE", "tage", [4]string{"609", "617", "640", "625"}},
 	}
 	order := []predictor.Scenario{predictor.ScenarioI, predictor.ScenarioA, predictor.ScenarioB, predictor.ScenarioC}
-	models := make([]harness.Model, len(entries))
+	specs := make([]string, len(entries))
 	for i, e := range entries {
-		models[i] = e.model
+		specs[i] = e.spec
 	}
-	s := r.run(cfg.suiteMatrix(models, order...), cfg)
+	s := r.run(cfg.suiteMatrix(resolve(specs...), order...), cfg)
 	if s == nil {
 		return r
 	}
@@ -87,7 +83,7 @@ func E2(cfg Config) Report {
 	for _, e := range entries {
 		mppki[e.name] = map[predictor.Scenario]float64{}
 		for i, sc := range order {
-			v := s.mppki(e.model.Name, sc)
+			v := s.mppki(e.spec, sc)
 			mppki[e.name][sc] = v
 			r.row(fmt.Sprintf("%s %s MPPKI", e.name, sc), e.paper[i], "%.0f", v)
 		}
@@ -125,20 +121,17 @@ func E2(cfg Config) Report {
 func E3(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E3", Title: "Bank-interleaved single-ported TAGE (§4.3)"}
-	flat := refTAGE()
-	banked := tage.Reference()
-	banked.Interleaved = true
-	inter := tageModel("tage:banked=1", banked)
-	s := r.run(cfg.suiteMatrix([]harness.Model{flat, inter}, predictor.ScenarioC), cfg)
+	const flat, inter = "tage", "tage:banked=1"
+	s := r.run(cfg.suiteMatrix(resolve(flat, inter), predictor.ScenarioC), cfg)
 	if s == nil {
 		return r
 	}
-	acc, err := accessTotals(s.of(flat.Name, predictor.ScenarioC))
+	acc, err := accessTotals(s.of(flat, predictor.ScenarioC))
 	if err != nil {
 		r.fail(err)
 		return r
 	}
-	fm, im := s.mppki(flat.Name, predictor.ScenarioC), s.mppki(inter.Name, predictor.ScenarioC)
+	fm, im := s.mppki(flat, predictor.ScenarioC), s.mppki(inter, predictor.ScenarioC)
 	r.row("TAGE [C] flat MPPKI", "625", "%.0f", fm)
 	r.row("TAGE [C] 4-way interleaved MPPKI", "627", "%.0f", im)
 	r.row("interleaving penalty", "+0.3%", "%s", pct(im-fm, fm))
@@ -164,17 +157,13 @@ func E3(cfg Config) Report {
 func E4(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E4", Title: "Immediate Update Mimicker (§5.1)"}
-	plainM := refTAGE()
-	iumCfg := tage.Reference()
-	iumCfg.UseIUM = true
-	iumM := tageModel("tage:ium=1", iumCfg)
-	s := r.run(cfg.suiteMatrix([]harness.Model{plainM, iumM},
+	s := r.run(cfg.suiteMatrix(resolve("tage", "tage:ium=1"),
 		predictor.ScenarioI, predictor.ScenarioA, predictor.ScenarioB, predictor.ScenarioC), cfg)
 	if s == nil {
 		return r
 	}
-	plain := func(sc predictor.Scenario) float64 { return s.mppki(plainM.Name, sc) }
-	withIUM := func(sc predictor.Scenario) float64 { return s.mppki(iumM.Name, sc) }
+	plain := func(sc predictor.Scenario) float64 { return s.mppki("tage", sc) }
+	withIUM := func(sc predictor.Scenario) float64 { return s.mppki("tage:ium=1", sc) }
 	base := plain(predictor.ScenarioI)
 	r.row("TAGE [I] (oracle)", "609", "%.0f", base)
 	paperPlain := map[predictor.Scenario]string{predictor.ScenarioA: "617", predictor.ScenarioB: "640", predictor.ScenarioC: "625"}

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"repro/internal/harness"
-	"repro/internal/predictor"
-	"repro/internal/tage"
-)
+import "repro/internal/predictor"
 
 // E5 reproduces Section 5.2: the loop predictor on top of TAGE+IUM.
 // Paper: 611 -> 593 MPPKI, "approximately a 3% reduction of the
@@ -12,12 +8,12 @@ import (
 func E5(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E5", Title: "Loop predictor on top of TAGE+IUM (§5.2)"}
-	base, withLoop := tageIUM(), tageIUMLoop()
-	s := r.run(cfg.suiteMatrix([]harness.Model{base, withLoop}, predictor.ScenarioA), cfg)
+	const base, withLoop = "tage-ium", "composed:tage+ium+loop"
+	s := r.run(cfg.suiteMatrix(resolve(base, withLoop), predictor.ScenarioA), cfg)
 	if s == nil {
 		return r
 	}
-	b, w := s.mppki(base.Name, predictor.ScenarioA), s.mppki(withLoop.Name, predictor.ScenarioA)
+	b, w := s.mppki(base, predictor.ScenarioA), s.mppki(withLoop, predictor.ScenarioA)
 	r.row("TAGE+IUM MPPKI", "611", "%.0f", b)
 	r.row("TAGE+IUM+loop MPPKI", "593", "%.0f", w)
 	r.row("reduction", "-3%", "%s", pct(w-b, b))
@@ -31,12 +27,12 @@ func E5(cfg Config) Report {
 func E6(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E6", Title: "Statistical Corrector on top of TAGE+IUM+loop (§5.3)"}
-	base, isl := tageIUMLoop(), islTAGE()
-	s := r.run(cfg.suiteMatrix([]harness.Model{base, isl}, predictor.ScenarioA), cfg)
+	const base, isl = "composed:tage+ium+loop", "isl-tage"
+	s := r.run(cfg.suiteMatrix(resolve(base, isl), predictor.ScenarioA), cfg)
 	if s == nil {
 		return r
 	}
-	b, w := s.mppki(base.Name, predictor.ScenarioA), s.mppki(isl.Name, predictor.ScenarioA)
+	b, w := s.mppki(base, predictor.ScenarioA), s.mppki(isl, predictor.ScenarioA)
 	r.row("TAGE+IUM+loop MPPKI", "593", "%.0f", b)
 	r.row("ISL-TAGE (+SC) MPPKI", "580", "%.0f", w)
 	r.row("reduction", "-2%", "%s", pct(w-b, b))
@@ -50,13 +46,12 @@ func E6(cfg Config) Report {
 func E7(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E7", Title: "ISL-TAGE vs scaling TAGE to 2 Mbits (§5.4)"}
-	t512, isl := refTAGE(), islTAGE()
-	t2m := tageModel("tage@+2", tage.Scale(tage.Reference(), 2))
-	s := r.run(cfg.suiteMatrix([]harness.Model{t512, isl, t2m}, predictor.ScenarioA), cfg)
+	const t512, isl, t2m = "tage", "isl-tage", "tage@+2"
+	s := r.run(cfg.suiteMatrix(resolve(t512, isl, t2m), predictor.ScenarioA), cfg)
 	if s == nil {
 		return r
 	}
-	sum := func(m harness.Model) float64 { return s.mppki(m.Name, predictor.ScenarioA) }
+	sum := func(spec string) float64 { return s.mppki(spec, predictor.ScenarioA) }
 	a, b, c := sum(t512), sum(isl), sum(t2m)
 	r.row("TAGE 512Kb MPPKI", "617", "%.0f", a)
 	r.row("ISL-TAGE 512Kb MPPKI", "580", "%.0f", b)

@@ -4,9 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/composed"
-	"repro/internal/ftlpp"
 	"repro/internal/harness"
-	"repro/internal/neural"
+	"repro/internal/models"
 	"repro/internal/predictor"
 	"repro/internal/sim"
 	"repro/internal/tage"
@@ -20,17 +19,16 @@ import (
 func E8(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E8", Title: "Local Statistical Corrector (§6.1)"}
-	base, isl := tageIUM(), islTAGE()
-	full := composedModel("composed:tage+ium+loop+gsc+lsc", composed.FullStack(tage.Reference(), "TAGE+IUM+loop+SC+LSC"))
-	lscOnly := composedModel("composed:tage+ium+lsc", composed.TAGELSC(tage.Reference(), "TAGE+IUM+LSC"))
-	s := r.run(cfg.suiteMatrix([]harness.Model{base, isl, full, lscOnly}, predictor.ScenarioA), cfg)
+	const base, isl = "tage-ium", "isl-tage"
+	const full, lscOnly = "composed:tage+ium+loop+gsc+lsc", "composed:tage+ium+lsc"
+	s := r.run(cfg.suiteMatrix(resolve(base, isl, full, lscOnly), predictor.ScenarioA), cfg)
 	if s == nil {
 		return r
 	}
-	b := s.mppki(base.Name, predictor.ScenarioA)
-	i := s.mppki(isl.Name, predictor.ScenarioA)
-	f := s.mppki(full.Name, predictor.ScenarioA)
-	lo := s.mppki(lscOnly.Name, predictor.ScenarioA)
+	b := s.mppki(base, predictor.ScenarioA)
+	i := s.mppki(isl, predictor.ScenarioA)
+	f := s.mppki(full, predictor.ScenarioA)
+	lo := s.mppki(lscOnly, predictor.ScenarioA)
 	r.row("TAGE+IUM MPPKI", "611", "%.0f", b)
 	r.row("ISL-TAGE (loop+SC) MPPKI", "580", "%.0f", i)
 	r.row("full stack +LSC MPPKI", "555", "%.0f", f)
@@ -67,20 +65,19 @@ func mustFind(name string) workload.Spec {
 func E9(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E9", Title: "512Kbit budget match: TAGE-LSC vs ISL-TAGE (§6.1)"}
-	tagelsc := tageLSC()
-	// No model spec describes this one (its TAGE core halves T7 and its SC
-	// has five tables), so it carries an experiment-local name.
+	// No model spec describes the same-structure ISL-TAGE (its TAGE core
+	// halves T7 and its SC has five tables), so it carries an
+	// experiment-local name.
+	const tagelsc, islSame = "tage-lsc", "isl-tage-512k-sc5"
 	isl512 := composed.ISLTAGE(composed.Budget512K(), "ISL-TAGE-512K")
 	// "5 tables GEHL-like predictor for Statistical Corrector".
 	isl512.SC.Lengths = []int{0, 4, 10, 17, 31}
-	islSame := pooledModel("isl-tage-512k-sc5", isl512.StorageBits(), func() predictor.Predictor[composed.Ctx] {
-		return composed.New(isl512)
-	})
-	s := r.run(cfg.suiteMatrix([]harness.Model{tagelsc, islSame}, predictor.ScenarioA), cfg)
+	ms := append(resolve(tagelsc), models.Composed(islSame, isl512))
+	s := r.run(cfg.suiteMatrix(ms, predictor.ScenarioA), cfg)
 	if s == nil {
 		return r
 	}
-	a, b := s.mppki(tagelsc.Name, predictor.ScenarioA), s.mppki(islSame.Name, predictor.ScenarioA)
+	a, b := s.mppki(tagelsc, predictor.ScenarioA), s.mppki(islSame, predictor.ScenarioA)
 	r.row("TAGE-LSC 512Kb MPPKI", "562", "%.0f", a)
 	r.row("ISL-TAGE 512Kb (same structure) MPPKI", "581", "%.0f", b)
 	r.row("TAGE-LSC advantage", "-3.3%", "%s", pct(a-b, b))
@@ -149,7 +146,7 @@ func E10(cfg Config) Report {
 	// No model spec describes these cores (the 13-component ones halve
 	// T7, the others use their own size ladders), so each variant carries
 	// an experiment-local name unique to its configuration.
-	models := make([]harness.Model, len(variants))
+	ms := make([]harness.Model, len(variants))
 	for i, v := range variants {
 		name := fmt.Sprintf("tage-lsc-%dcomp-hist%d:%d", v.nTagged+1, v.min, v.max)
 		tcfg := tageConfigFor(v.nTagged, v.min, v.max, v.label)
@@ -158,19 +155,16 @@ func E10(cfg Config) Report {
 			tcfg.MinHist, tcfg.MaxHist = v.min, v.max
 			tcfg.Name = v.label
 		}
-		c := composed.TAGELSC(tcfg, v.label)
-		models[i] = pooledModel(name, c.StorageBits(), func() predictor.Predictor[composed.Ctx] {
-			return composed.New(c)
-		})
+		ms[i] = models.Composed(name, composed.TAGELSC(tcfg, v.label))
 	}
-	s := r.run(cfg.suiteMatrix(models, predictor.ScenarioA), cfg)
+	s := r.run(cfg.suiteMatrix(ms, predictor.ScenarioA), cfg)
 	if s == nil {
 		return r
 	}
 	var baseV float64
 	var worst float64
 	for i, v := range variants {
-		m := s.mppki(models[i].Name, predictor.ScenarioA)
+		m := s.mppki(ms[i].Name, predictor.ScenarioA)
 		r.row(v.label+" MPPKI", v.paper, "%.0f", m)
 		if i == 0 {
 			baseV = m
@@ -184,23 +178,6 @@ func E10(cfg Config) Report {
 	return r
 }
 
-// ScalableTAGEModel is the reference TAGE as a harness model with the
-// Figure 9 budget-scaling hook; deltaLog 0 is the 512Kbit reference.
-func ScalableTAGEModel() harness.Model {
-	return scalableModel("tage", func(d int) harness.Model {
-		return tageModel("", tage.Scale(tage.Reference(), d))
-	})
-}
-
-// ScalableTAGELSCModel is TAGE-LSC as a harness model with the budget
-// hook scaling its TAGE component (the Figure 9 protocol).
-func ScalableTAGELSCModel() harness.Model {
-	return scalableModel("tage-lsc", func(d int) harness.Model {
-		return composedModel("", composed.TAGELSC(
-			tage.Scale(composed.Budget512K(), d), fmt.Sprintf("TAGE-LSC%+d", d)))
-	})
-}
-
 // E11 reproduces Figure 9: TAGE vs TAGE-LSC, 128Kbit to 32Mbit, scaling
 // all components by powers of two. Shape targets: TAGE-LSC performs as a
 // 4-8x larger TAGE in the 128-512Kbit range; both curves plateau by
@@ -212,7 +189,7 @@ func E11(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E11", Title: "Figure 9: TAGE vs TAGE-LSC size scaling"}
 	deltas := []int{-2, -1, 0, 1, 2, 3, 4, 5, 6} // 128Kb .. 32Mb
-	m := cfg.suiteMatrix([]harness.Model{ScalableTAGEModel(), ScalableTAGELSCModel()}, predictor.ScenarioA)
+	m := cfg.suiteMatrix(resolve("tage", "tage-lsc"), predictor.ScenarioA)
 	m.DeltaLogs = deltas
 	s := r.run(m, cfg)
 	if s == nil {
@@ -286,24 +263,20 @@ func E12(cfg Config) Report {
 	r := Report{ID: "E12", Title: "Figure 10: TAGE family vs neural predictors"}
 	entries := []struct {
 		name      string
-		model     harness.Model
+		spec      string
 		paperEasy string
 		paperHard string
 	}{
-		{"ISL-TAGE", islTAGE(), "196", "2311"},
-		{"TAGE-LSC", tageLSC(), "198", "2287"},
-		{"OH-SNAP", specModel("ohsnap", neural.Config{}.StorageBits(), func() predictor.Predictor[neural.Ctx] {
-			return neural.New(neural.Config{})
-		}), "254", "2227"},
-		{"FTL++", specModel("ftlpp", ftlpp.Config{}.StorageBits(), func() predictor.Predictor[ftlpp.Ctx] {
-			return ftlpp.New(ftlpp.Config{})
-		}), "232", "2222"},
+		{"ISL-TAGE", "isl-tage", "196", "2311"},
+		{"TAGE-LSC", "tage-lsc", "198", "2287"},
+		{"OH-SNAP", "ohsnap", "254", "2227"},
+		{"FTL++", "ftlpp", "232", "2222"},
 	}
-	models := make([]harness.Model, len(entries))
+	specs := make([]string, len(entries))
 	for i, e := range entries {
-		models[i] = e.model
+		specs[i] = e.spec
 	}
-	s := r.run(cfg.suiteMatrix(models, predictor.ScenarioA), cfg)
+	s := r.run(cfg.suiteMatrix(resolve(specs...), predictor.ScenarioA), cfg)
 	if s == nil {
 		return r
 	}
@@ -311,7 +284,7 @@ func E12(cfg Config) Report {
 	hard := map[string]float64{}
 	for _, e := range entries {
 		var easyCells, hardCells []harness.Record
-		for _, c := range s.of(e.model.Name, predictor.ScenarioA) {
+		for _, c := range s.of(e.spec, predictor.ScenarioA) {
 			if workload.HardNames[c.Trace] {
 				hardCells = append(hardCells, c)
 			} else {

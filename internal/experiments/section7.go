@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"repro/internal/cactimodel"
-	"repro/internal/harness"
 	"repro/internal/predictor"
 	"repro/internal/workload"
 )
@@ -15,12 +14,12 @@ import (
 func E13(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E13", Title: "Interleaved TAGE-LSC (§7.1)"}
-	flat, inter := tageLSC(), tageLSCBanked()
-	s := r.run(cfg.suiteMatrix([]harness.Model{flat, inter}, predictor.ScenarioA), cfg)
+	const flat, inter = "tage-lsc", "tage-lsc-banked"
+	s := r.run(cfg.suiteMatrix(resolve(flat, inter), predictor.ScenarioA), cfg)
 	if s == nil {
 		return r
 	}
-	f, i := s.mppki(flat.Name, predictor.ScenarioA), s.mppki(inter.Name, predictor.ScenarioA)
+	f, i := s.mppki(flat, predictor.ScenarioA), s.mppki(inter, predictor.ScenarioA)
 	r.row("TAGE-LSC flat MPPKI", "562", "%.0f", f)
 	r.row("TAGE-LSC interleaved MPPKI", "569", "%.0f", i)
 	r.row("interleaving cost", "+1.2%", "%s", pct(i-f, f))
@@ -40,15 +39,15 @@ func E13(cfg Config) Report {
 func E14(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E14", Title: "Eliminating retire reads on TAGE-LSC (§7.2)"}
-	banked := tageLSCBanked()
-	s := r.run(cfg.suiteMatrix([]harness.Model{banked},
+	const banked = "tage-lsc-banked"
+	s := r.run(cfg.suiteMatrix(resolve(banked),
 		predictor.ScenarioA, predictor.ScenarioC, predictor.ScenarioB), cfg)
 	if s == nil {
 		return r
 	}
-	a := s.mppki(banked.Name, predictor.ScenarioA)
-	c := s.mppki(banked.Name, predictor.ScenarioC)
-	b := s.mppki(banked.Name, predictor.ScenarioB)
+	a := s.mppki(banked, predictor.ScenarioA)
+	c := s.mppki(banked, predictor.ScenarioC)
+	b := s.mppki(banked, predictor.ScenarioB)
 	r.row("interleaved TAGE-LSC [A] MPPKI", "569", "%.0f", a)
 	r.row("interleaved TAGE-LSC [C] MPPKI", "575", "%.0f", c)
 	r.row("interleaved TAGE-LSC [B] MPPKI", "599", "%.0f", b)
@@ -66,15 +65,15 @@ func E14(cfg Config) Report {
 func E15(cfg Config) Report {
 	cfg = cfg.withDefaults()
 	r := Report{ID: "E15", Title: "Benchmark set characterisation (§2.2)"}
-	model := tageIUMLoop()
-	s := r.run(cfg.suiteMatrix([]harness.Model{model}, predictor.ScenarioA), cfg)
+	const model = "composed:tage+ium+loop"
+	s := r.run(cfg.suiteMatrix(resolve(model), predictor.ScenarioA), cfg)
 	if s == nil {
 		return r
 	}
 	var hardMisp, totalMisp uint64
 	var worstEasy, bestHard float64
 	bestHard = 1e18
-	for _, res := range s.of(model.Name, predictor.ScenarioA) {
+	for _, res := range s.of(model, predictor.ScenarioA) {
 		totalMisp += res.Mispredicts
 		if workload.HardNames[res.Trace] {
 			hardMisp += res.Mispredicts

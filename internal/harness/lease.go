@@ -66,9 +66,9 @@ func wireJob(j Job) WireJob {
 }
 
 // ModelResolver rebuilds a harness model from its canonical spec string
-// (or name, for models without one). The repro facade supplies one over
-// ParseSpec/Build; it is injected rather than imported because the
-// facade layers on top of this package.
+// (or name, for models without one). internal/models' Resolve is the
+// resolver bpbench, farm workers and the experiments use; it is injected
+// rather than imported because that package layers on top of this one.
 type ModelResolver func(spec string) (Model, error)
 
 // Job reconstructs the executable job on a worker. The resolved model

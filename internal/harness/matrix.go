@@ -15,7 +15,7 @@ import (
 
 // Model is a named predictor configuration the harness can run. Run must
 // simulate a freshly-constructed predictor over the trace (cold state per
-// job); the root repro package adapts its Model type to this shape.
+// job); internal/models resolves every predictor model to this shape.
 type Model struct {
 	Name string
 	// Spec is the canonical model-spec string the model was built from
@@ -34,11 +34,12 @@ type Model struct {
 	// goroutine at a time. Nil models always run through Run.
 	NewRunner func() func(tr *trace.Trace, opt sim.Options) sim.Result
 	// Scale, when non-nil, returns the model with every component budget
-	// multiplied by 2^deltaLog (the Figure 9 protocol). A model that
-	// cannot be budget-scaled leaves it nil; expanding such a model across
-	// a DeltaLogs axis is an error, not a silent skip. Expand ignores the
-	// Name the callee set and renames each variant ScaledName(base, d) so
-	// cell keys follow one convention harness-wide.
+	// multiplied by 2^deltaLog (the Figure 9 protocol), Spec included. A
+	// model that cannot be budget-scaled, or whose spec already carries a
+	// delta, leaves it nil; expanding such a model across a DeltaLogs axis
+	// is an error, not a silent skip. Expand ignores the Name the callee
+	// set and renames each variant ScaledName(base, d) so cell keys follow
+	// one convention harness-wide.
 	Scale func(deltaLog int) Model
 }
 
@@ -240,17 +241,15 @@ func (m *Matrix) modelVariants() ([]modelVariant, error) {
 	var out []modelVariant
 	for _, mdl := range m.Models {
 		if mdl.Scale == nil {
+			if strings.Contains(mdl.Spec, "@") {
+				// The spec already has the delta suffix ScaledName writes.
+				return nil, fmt.Errorf("harness: model %q already carries a storage delta; drop it or the deltaLog axis", mdl.Name)
+			}
 			return nil, fmt.Errorf("harness: model %q does not support budget scaling (no Scale hook) but the matrix declares a deltaLog axis", mdl.Name)
 		}
 		for _, d := range m.DeltaLogs {
 			scaled := mdl.Scale(d)
 			scaled.Name = ScaledName(mdl.Name, d)
-			if scaled.Spec == "" && mdl.Spec != "" {
-				// The delta suffix is spec syntax: a scaled variant's
-				// canonical spec is the base spec rescaled, which is
-				// exactly its scaled name.
-				scaled.Spec = ScaledName(mdl.Spec, d)
-			}
 			if scaled.Run == nil {
 				return nil, fmt.Errorf("harness: model %q scaled by %+d has no Run", mdl.Name, d)
 			}

@@ -12,10 +12,10 @@ import (
 // A model's name and storage budget are functions of its configuration:
 // declaring, resolving or scaling a model builds no predictor. The
 // predictor a model does build (to run it) counts the tables it
-// allocated, and newModel holds every such predictor to the declaration.
-// These tests build each model the CLIs, the property suites and the
-// Figure 9 axis resolve, so a configuration whose reported budget drifts
-// from the tables it allocates fails here.
+// allocated, and the adapter in internal/models holds every such
+// predictor to the declaration. These tests build each model the CLIs,
+// the property suites and the Figure 9 axis resolve, so a configuration
+// whose reported budget drifts from the tables it allocates fails here.
 
 // metadataSpecs lists every model the oracle covers: each named model,
 // each scalable model across the Figure 9 budgets -4..+3, the checkpoint
@@ -66,7 +66,7 @@ func TestModelMetadataMatchesBuiltPredictor(t *testing.T) {
 	}
 }
 
-// runProtected runs m once over tr, turning a panic (newModel's check of
+// runProtected runs m once over tr, turning a panic (the adapter's check of
 // the built predictor against the declaration) into an error.
 func runProtected(m *Model, tr *Trace) (res Result, err error) {
 	defer func() {

@@ -219,21 +219,21 @@ func TestFusedLanesMatchSingleRuns(t *testing.T) {
 			opt.Also = append(opt.Also, scenarios[(i+k)%4])
 		}
 		t.Run(spec, func(t *testing.T) {
-			switch inst := m.mk().(type) {
-			case *typedInstance[tage.Ctx]:
-				checkLanes(t, inst.p, func() predictor.Predictor[tage.Ctx] { return m.mk().(*typedInstance[tage.Ctx]).p }, tr, opt)
-			case *typedInstance[composed.Ctx]:
-				checkLanes(t, inst.p, func() predictor.Predictor[composed.Ctx] { return m.mk().(*typedInstance[composed.Ctx]).p }, tr, opt)
-			case *typedInstance[gshare.Ctx]:
-				checkLanes(t, inst.p, func() predictor.Predictor[gshare.Ctx] { return m.mk().(*typedInstance[gshare.Ctx]).p }, tr, opt)
-			case *typedInstance[gehl.Ctx]:
-				checkLanes(t, inst.p, func() predictor.Predictor[gehl.Ctx] { return m.mk().(*typedInstance[gehl.Ctx]).p }, tr, opt)
-			case *typedInstance[neural.Ctx]:
-				checkLanes(t, inst.p, func() predictor.Predictor[neural.Ctx] { return m.mk().(*typedInstance[neural.Ctx]).p }, tr, opt)
-			case *typedInstance[ftlpp.Ctx]:
-				checkLanes(t, inst.p, func() predictor.Predictor[ftlpp.Ctx] { return m.mk().(*typedInstance[ftlpp.Ctx]).p }, tr, opt)
+			switch p := m.NewPredictor().(type) {
+			case predictor.Predictor[tage.Ctx]:
+				checkLanes(t, p, func() predictor.Predictor[tage.Ctx] { return m.NewPredictor().(predictor.Predictor[tage.Ctx]) }, tr, opt)
+			case predictor.Predictor[composed.Ctx]:
+				checkLanes(t, p, func() predictor.Predictor[composed.Ctx] { return m.NewPredictor().(predictor.Predictor[composed.Ctx]) }, tr, opt)
+			case predictor.Predictor[gshare.Ctx]:
+				checkLanes(t, p, func() predictor.Predictor[gshare.Ctx] { return m.NewPredictor().(predictor.Predictor[gshare.Ctx]) }, tr, opt)
+			case predictor.Predictor[gehl.Ctx]:
+				checkLanes(t, p, func() predictor.Predictor[gehl.Ctx] { return m.NewPredictor().(predictor.Predictor[gehl.Ctx]) }, tr, opt)
+			case predictor.Predictor[neural.Ctx]:
+				checkLanes(t, p, func() predictor.Predictor[neural.Ctx] { return m.NewPredictor().(predictor.Predictor[neural.Ctx]) }, tr, opt)
+			case predictor.Predictor[ftlpp.Ctx]:
+				checkLanes(t, p, func() predictor.Predictor[ftlpp.Ctx] { return m.NewPredictor().(predictor.Predictor[ftlpp.Ctx]) }, tr, opt)
 			default:
-				t.Fatalf("no lane check for %T", inst)
+				t.Fatalf("no lane check for %T", p)
 			}
 		})
 	}

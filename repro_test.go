@@ -6,8 +6,11 @@ import (
 )
 
 func TestModelsInstantiate(t *testing.T) {
-	for name, mk := range Models() {
-		m := mk()
+	for _, name := range ModelNames() {
+		m, err := LookupModel(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		if m.Name() == "" {
 			t.Errorf("%s: empty name", name)
 		}
@@ -31,7 +34,11 @@ func TestModelBudgets(t *testing.T) {
 	// 523,264 bits (65,408 bytes), the §6.1 TAGE-LSC fits 512 Kbits, and
 	// the §4.1 gshare is 2^18 2-bit counters.
 	for name, want := range map[string]int{"tage": 523264, "tage-lsc": 522208, "gshare": 524288} {
-		if got := Models()[name]().StorageBits(); got != want {
+		m, err := LookupModel(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := m.StorageBits(); got != want {
 			t.Errorf("%s: %d storage bits, want %d", name, got, want)
 		}
 	}

@@ -129,30 +129,6 @@ func runShort(t *testing.T, m *Model) [4]float64 {
 	return [4]float64{res.MPKI, res.MPPKI, float64(res.Mispredicts), float64(res.MicroOps)}
 }
 
-// TestNamedModelsRebuildIdentically: every Models() identifier parses to
-// a spec whose Build produces a model with identical results and storage
-// to the hand-written constructor — the named models really are sugar
-// over the spec API.
-func TestNamedModelsRebuildIdentically(t *testing.T) {
-	for name, mk := range Models() {
-		spec, err := ParseSpec(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		built, err := spec.Build()
-		if err != nil {
-			t.Fatalf("%s: build: %v", name, err)
-		}
-		direct := mk()
-		if built.StorageBits() != direct.StorageBits() {
-			t.Fatalf("%s: spec build %d bits, constructor %d bits", name, built.StorageBits(), direct.StorageBits())
-		}
-		if got, want := runShort(t, built), runShort(t, direct); got != want {
-			t.Fatalf("%s: spec build result %v, constructor result %v", name, got, want)
-		}
-	}
-}
-
 // TestExplicitSpecsMatchSugar: the parameterised kinds with their
 // defaults rebuild the corresponding named models bit for bit — the
 // sugar and the explicit grammar describe the same predictors.
