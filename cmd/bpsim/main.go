@@ -117,7 +117,8 @@ func main() {
 
 	// Every trace is one harness cell: -cell-par of them simulate at once
 	// on pooled predictors, and the lines stream out in suite order. Each
-	// trace is used once, so none is kept in a cache.
+	// trace is read by one cell, so the harness drops it once that cell
+	// finishes.
 	var traces []string
 	if *traceName != "" {
 		traces = []string{*traceName}
@@ -130,7 +131,7 @@ func main() {
 	bm.Window = *window
 	log.Debug(fmt.Sprintf("bpsim: running %d trace(s) of %d branches", len(bm.Traces), *branches))
 	suite := &suitePrinter{log: log}
-	sum, err := repro.RunBench(bm, repro.BenchConfig{Parallelism: *cellPar, NoTraceCache: true, NoAggregates: true}, suite)
+	sum, err := repro.RunBench(bm, repro.BenchConfig{Parallelism: *cellPar, NoAggregates: true}, suite)
 	if err != nil {
 		log.Error(fmt.Sprintf("bpsim: %v", err))
 		os.Exit(1)

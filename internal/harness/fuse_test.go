@@ -251,6 +251,56 @@ func TestWorkerKeepsRunnersAcrossLeases(t *testing.T) {
 	}
 }
 
+// TestWorkerLeaseSpanningTwoModelsKeepsTheLast: a lease whose cells run
+// m1 and then m2 ends holding only m2's runner, so m1's is collectable,
+// and the next lease of m2 reuses the runner it kept.
+func TestWorkerLeaseSpanningTwoModelsKeepsTheLast(t *testing.T) {
+	_, srv := newTestService(t, time.Minute, "")
+	reg := metrics.NewRegistry()
+	rt := newRunnerTracker()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		done <- RunWorker(ctx, WorkerOptions{
+			BaseURL: srv.URL,
+			ID:      "spanner",
+			Resolve: func(spec string) (Model, error) { return rt.model(spec), nil },
+			Config:  Config{Parallelism: 1, Metrics: reg},
+			Poll:    10 * time.Millisecond,
+		})
+	}()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("worker: %v", err)
+		}
+	}()
+
+	sweep := func(models ...string) {
+		t.Helper()
+		// The test queue leases two cells at a time: one cell per model
+		// makes the two-model sweep one lease.
+		for _, r := range submitSweep(t, srv.URL, SweepRequest{
+			Models: models, Traces: []string{"INT01"}, Scenarios: "A", Branches: []int{500}, NoAggregates: true,
+		}) {
+			if r.Failed() {
+				t.Fatalf("%s: %s", r.Key(), r.Err)
+			}
+		}
+	}
+	sweep("m1", "m2")
+	for name, want := range map[string]int{"m1": 0, "m2": 1} {
+		if built, held := rt.counts(name); built != 1 || held != want {
+			t.Fatalf("after a lease of m1 then m2: %s runners built %d, held %d; want 1 and %d", name, built, held, want)
+		}
+	}
+	sweep("m2")
+	s := reg.Snapshot()
+	if hits, misses := s.Value(MetricPredictorPoolHits), s.Value(MetricPredictorPoolMisses); hits != 1 || misses != 2 {
+		t.Fatalf("next lease of m2: pool hits=%v misses=%v, want 1 and 2", hits, misses)
+	}
+}
+
 // TestWorkerCompletesLeaseTooShortToHeartbeat: a granted TTL whose third
 // rounds to zero must not reach time.NewTicker (which panics, killing
 // the worker); the worker heartbeats at the default TTL's pace instead

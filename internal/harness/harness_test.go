@@ -3,8 +3,11 @@ package harness
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/gshare"
 	"repro/internal/predictor"
@@ -365,5 +368,42 @@ func TestRunRealPredictorDeterministic(t *testing.T) {
 	}
 	if a[0].MPKI <= 0 || a[0].Mispredicts == 0 {
 		t.Fatalf("suspicious real-run record: %+v", a[0])
+	}
+}
+
+// TestCachedTraceDroppedAfterItsLastPass: the trace cache holds a trace
+// only until the last pass that reads it finishes, so by the time that
+// trace's last cell is visited the trace is collectable. The fake model
+// returns no Also results, so the later passes also run as requeued
+// single cells.
+func TestCachedTraceDroppedAfterItsLastPass(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		var mu sync.Mutex
+		seen := make(map[string]weak.Pointer[trace.Trace])
+		mdl := fakeModel("m", flat(1))
+		run := mdl.Run
+		mdl.Run = func(tr *trace.Trace, opt sim.Options) sim.Result {
+			mu.Lock()
+			seen[tr.Name] = weak.Make(tr)
+			mu.Unlock()
+			return run(tr, opt)
+		}
+		m := testMatrix(t, []Model{mdl}, []string{"INT01", "INT02", "MM05", "WS03"},
+			[]predictor.Scenario{predictor.ScenarioA, predictor.ScenarioC}, []int{500})
+		jobs, err := m.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		executeJobs(jobs, Config{Parallelism: par}, nil, nil, func(r Record) {
+			if r.Scenario != "C" { // C is each trace's last cell
+				return
+			}
+			runtime.GC()
+			mu.Lock()
+			defer mu.Unlock()
+			if seen[r.Trace].Value() != nil {
+				t.Errorf("parallelism %d: trace %s still held after its last cell", par, r.Trace)
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"log/slog"
 	"runtime"
 	"slices"
@@ -22,8 +21,10 @@ type Config struct {
 	// NoTraceCache disables sharing of generated traces between jobs.
 	// By default a trace is synthesised once per (benchmark, length) and
 	// reused across every model and scenario touching it — the dominant
-	// saving in wide matrices — at the cost of holding distinct traces in
-	// memory for the duration of the run.
+	// saving in wide matrices — at the cost of holding it in memory from
+	// its first pass to its last. Regenerating still saves memory where a
+	// trace's passes are far apart: in a multi-model matrix every trace
+	// stays cached until the last model's pass over it.
 	NoTraceCache bool
 	// NoAggregates suppresses the category/hard/suite rollup records.
 	NoAggregates bool
@@ -106,39 +107,83 @@ type Summary struct {
 	Merged []Record
 }
 
-// traceCache memoises workload generation per (benchmark, length). Each
-// entry is built at most once even under concurrent demand. The hit and
-// miss counters are nil-safe no-ops when telemetry is off; a "miss" is
-// the lookup that inserted the entry (and therefore pays the
-// generation), every other lookup is a hit even if it briefly waits on
-// the builder.
+// traceCache memoises workload generation per (benchmark, length) for
+// one run's passes. Each entry counts the passes that read its trace, is
+// built at most once even under concurrent demand, and is dropped once
+// the last of those passes finishes, so a trace is held from its first
+// pass to its last. The hit and miss counters are nil-safe no-ops when
+// telemetry is off; a "miss" is the lookup that generates the trace,
+// every other lookup is a hit even if it briefly waits on the builder.
 type traceCache struct {
-	mu           sync.Mutex
-	m            map[string]*traceEntry
+	mu sync.Mutex
+	m  map[traceKey]*traceEntry
+	// hash makes each entry carry its trace's content hash, which the
+	// warm cache keys checkpoints by.
+	hash         bool
 	hits, misses *metrics.Counter
 }
 
-type traceEntry struct {
-	once sync.Once
-	tr   *trace.Trace
+// traceKey identifies a cached trace: one benchmark at one length.
+type traceKey struct {
+	name     string
+	branches int
 }
 
-func (c *traceCache) get(spec workload.Spec, branches int) *trace.Trace {
-	key := fmt.Sprintf("%s/%d", spec.Name, branches)
+type traceEntry struct {
+	once   sync.Once
+	tr     *trace.Trace
+	hash   uint64
+	passes int // passes not yet finished reading the entry; guarded by the cache's mu
+}
+
+func jobTrace(j Job) traceKey { return traceKey{j.Spec.Name, j.Branches} }
+
+// expect counts one more pass that reads j's trace.
+func (c *traceCache) expect(j Job) {
 	c.mu.Lock()
-	e, ok := c.m[key]
-	if !ok {
+	defer c.mu.Unlock()
+	k := jobTrace(j)
+	e := c.m[k]
+	if e == nil {
 		e = &traceEntry{}
-		c.m[key] = e
+		c.m[k] = e
 	}
+	e.passes++
+}
+
+// get returns j's trace, and its content hash when the cache hashes,
+// generating both on the entry's first lookup.
+func (c *traceCache) get(j Job) (*trace.Trace, uint64) {
+	c.mu.Lock()
+	e := c.m[jobTrace(j)]
 	c.mu.Unlock()
-	if ok {
-		c.hits.Inc()
-	} else {
+	built := false
+	e.once.Do(func() {
+		built = true
+		e.tr = workload.Generate(j.Spec, j.Branches)
+		if c.hash {
+			e.hash = e.tr.Hash()
+		}
+	})
+	if built {
 		c.misses.Inc()
+	} else {
+		c.hits.Inc()
 	}
-	e.once.Do(func() { e.tr = workload.Generate(spec, branches) })
-	return e.tr
+	return e.tr, e.hash
+}
+
+// done counts off a finished pass that read j's trace, or failed before
+// it could, and drops the entry after its last pass.
+func (c *traceCache) done(j Job) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	k := jobTrace(j)
+	e := c.m[k]
+	e.passes--
+	if e.passes == 0 {
+		delete(c.m, k)
+	}
 }
 
 // Run expands the matrix and executes every job on the worker pool,
@@ -199,35 +244,61 @@ func (a *runnerArena) runner(mdl Model) func(tr *trace.Trace, opt sim.Options) s
 	return fn
 }
 
-// runnerPool holds one runner arena per worker goroutine. A pool that
-// outlives one executeJobs call — RunWorker keeps one across its leases
-// — lets later calls reuse the warmed predictors of earlier ones.
+// runnerPool holds one runner arena per worker goroutine, and counts the
+// passes each model of the current executeJobs call still has queued, so
+// a worker drops a runner once no queued pass can need it. A pool that
+// outlives one call — RunWorker keeps one across its leases — lets later
+// calls reuse the warmed predictor each worker ran last.
 type runnerPool struct {
 	arenas []*runnerArena
+	mu     sync.Mutex
+	queued map[string]int // passes not yet started, per model key
 }
 
-// prepare readies arenas for workers goroutines metered by rm, dropping
-// every pooled runner of a model the jobs do not run, so a pool kept
-// across calls holds at most one call's models.
-func (p *runnerPool) prepare(workers int, jobs []Job, rm *runMetrics) {
-	keep := make(map[string]bool)
-	for _, j := range jobs {
-		keep[modelKey(j.Model)] = true
-	}
-	for _, a := range p.arenas {
-		for key := range a.m {
-			if !keep[key] {
-				delete(a.m, key)
-			}
-		}
+// prepare readies arenas for workers goroutines metered by rm to run
+// passes of jobs: it counts each model's passes and drops every pooled
+// runner of a model with none.
+func (p *runnerPool) prepare(workers int, jobs []Job, passes [][]int, rm *runMetrics) {
+	p.queued = make(map[string]int)
+	for _, pass := range passes {
+		p.queued[modelKey(jobs[pass[0]].Model)]++
 	}
 	for len(p.arenas) < workers {
 		p.arenas = append(p.arenas, &runnerArena{m: make(map[string]func(tr *trace.Trace, opt sim.Options) sim.Result)})
 	}
 	for _, a := range p.arenas {
+		p.release(a, "")
 		a.hits, a.misses = nil, nil
 		if rm != nil {
 			a.hits, a.misses = rm.poolHits, rm.poolMisses
+		}
+	}
+}
+
+// queue counts one more queued pass of model key.
+func (p *runnerPool) queue(key string) {
+	p.mu.Lock()
+	p.queued[key]++
+	p.mu.Unlock()
+}
+
+// start counts a pass of model key off the queue as worker arena a
+// starts it, and drops a's runners that no queued pass needs.
+func (p *runnerPool) start(a *runnerArena, key string) {
+	p.mu.Lock()
+	p.queued[key]--
+	p.mu.Unlock()
+	p.release(a, key)
+}
+
+// release drops every runner in a, except keep's, whose model has no
+// pass queued: its tables, sibling cores and simulation buffers.
+func (p *runnerPool) release(a *runnerArena, keep string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for key := range a.m {
+		if key != keep && p.queued[key] == 0 {
+			delete(a.m, key)
 		}
 	}
 }
@@ -295,14 +366,28 @@ func planPasses(jobs []Job, fuse bool, workers int) [][]int {
 // fresh pool when nil), so its repeated cells of a model Reset one
 // pooled predictor; every trace still starts from cold state, so the
 // records are byte-identical at any parallelism.
+//
+// A pooled runner and a cached trace are held only while a queued pass
+// needs them: a worker starting a pass drops its runners of models with
+// no pass queued, the trace cache drops a trace after the last pass that
+// reads it, and each worker returns holding only the runner of the model
+// it ran last.
 func executeJobs(jobs []Job, cfg Config, rm *runMetrics, pool *runnerPool, visit func(Record)) []Record {
-	cache := &traceCache{m: make(map[string]*traceEntry)}
-	if rm != nil {
-		cache.hits, cache.misses = rm.cacheHits, rm.cacheMisses
-		rm.poolStart = time.Now()
-	}
 	wc := newWarmCache(cfg.WarmCache, rm, cfg.Log)
 	passes := planPasses(jobs, wc == nil, cfg.workers())
+	var cache *traceCache
+	if !cfg.NoTraceCache {
+		cache = &traceCache{m: make(map[traceKey]*traceEntry), hash: wc != nil}
+		for _, p := range passes {
+			cache.expect(jobs[p[0]])
+		}
+	}
+	if rm != nil {
+		if cache != nil {
+			cache.hits, cache.misses = rm.cacheHits, rm.cacheMisses
+		}
+		rm.poolStart = time.Now()
+	}
 	results := make([]Record, len(jobs))
 	done := make([]chan struct{}, len(jobs))
 	for i := range jobs {
@@ -325,21 +410,25 @@ func executeJobs(jobs []Job, cfg Config, rm *runMetrics, pool *runnerPool, visit
 		for k := range pass {
 			jobDone[k] = rm.jobBegin(w)
 		}
+		lead := jobs[pass[0]]
 		err := Protect(func() {
-			lead := jobs[pass[0]]
 			run := arena.runner(lead.Model)
 			var tr *trace.Trace
-			if cfg.NoTraceCache {
-				tr = workload.Generate(lead.Spec, lead.Branches)
-			} else {
-				tr = cache.get(lead.Spec, lead.Branches)
+			var hash uint64
+			if cache != nil {
+				tr, hash = cache.get(lead)
 				// The pass's other cells read the same entry.
 				cache.hits.Add(uint64(len(pass) - 1))
+			} else {
+				tr = workload.Generate(lead.Spec, lead.Branches)
+				if wc != nil {
+					hash = tr.Hash()
+				}
 			}
 			opt := lead.Opts
 			opt.Metrics = cfg.Metrics
 			if wc != nil {
-				key := wc.key(lead, tr)
+				key := wc.key(lead, hash)
 				opt.Resume = wc.load(key)
 				opt.CheckpointEvery = cfg.checkpointEvery()
 				opt.OnCheckpoint = func(blob []byte, at uint64) { wc.save(key, blob, at) }
@@ -372,6 +461,9 @@ func executeJobs(jobs []Job, cfg Config, rm *runMetrics, pool *runnerPool, visit
 				results[i] = cellRecord(jobs[i], run(tr, one))
 			}
 		})
+		if cache != nil {
+			cache.done(lead)
+		}
 		for k, i := range pass {
 			if err != nil {
 				results[i] = failedRecord(jobs[i], err)
@@ -387,21 +479,36 @@ func executeJobs(jobs []Job, cfg Config, rm *runMetrics, pool *runnerPool, visit
 		pool = &runnerPool{}
 	}
 	workers := min(cfg.workers(), len(passes))
-	pool.prepare(workers, jobs, rm)
+	pool.prepare(workers, jobs, passes, rm)
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		wg.Add(1)
 		go func(w int) {
+			defer wg.Done()
+			arena := pool.arenas[w]
+			var last string
 			for pass := range next {
-				if _, ok := solo.Load(modelKey(jobs[pass[0]].Model)); ok && len(pass) > 1 {
+				last = modelKey(jobs[pass[0]].Model)
+				if _, ok := solo.Load(last); ok && len(pass) > 1 {
+					// Count each single before queueing it, so no worker
+					// sees its model or trace run out of passes meanwhile.
 					for _, i := range pass[1:] {
+						pool.queue(last)
+						if cache != nil {
+							cache.expect(jobs[i])
+						}
 						next <- []int{i}
 					}
 					pass = pass[:1]
 				}
-				runPass(pass, w, pool.arenas[w])
+				pool.start(arena, last)
+				runPass(pass, w, arena)
 				for _, i := range pass {
 					close(done[i])
 				}
 			}
+			// No pass is queued any more: keep only the last model's runner.
+			pool.release(arena, last)
 		}(w)
 	}
 	for i := range jobs {
@@ -409,6 +516,7 @@ func executeJobs(jobs []Job, cfg Config, rm *runMetrics, pool *runnerPool, visit
 		visit(results[i])
 	}
 	close(next)
+	wg.Wait()
 	return results
 }
 

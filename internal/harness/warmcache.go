@@ -11,7 +11,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // warmCache is the store-adjacent checkpoint blob cache: one file per
@@ -25,7 +24,6 @@ import (
 // depends on: any load failure falls back to a cold run.
 type warmCache struct {
 	dir          string
-	hashes       sync.Map // *trace.Trace -> uint64, memoised content hashes
 	hits, misses *metrics.Counter
 	writeErrs    *metrics.Counter
 	log          *slog.Logger
@@ -65,26 +63,18 @@ func (wc *warmCache) fail(err error) {
 	}
 }
 
-func (wc *warmCache) traceHash(tr *trace.Trace) uint64 {
-	if h, ok := wc.hashes.Load(tr); ok {
-		return h.(uint64)
-	}
-	h := tr.Hash()
-	wc.hashes.Store(tr, h)
-	return h
-}
-
 // key is the cache identity of one cell: the canonical model spec (the
-// name for models built without one), the trace's content hash — so a
-// regenerated or retuned workload invalidates its blobs by construction
-// — and the pipeline configuration the simulation runs under.
-func (wc *warmCache) key(j Job, tr *trace.Trace) string {
+// name for models built without one), the content hash of the cell's
+// trace (trace.Trace.Hash) — so a regenerated or retuned workload
+// invalidates its blobs by construction — and the pipeline configuration
+// the simulation runs under.
+func (wc *warmCache) key(j Job, traceHash uint64) string {
 	spec := j.Model.Spec
 	if spec == "" {
 		spec = j.Model.Name
 	}
 	return fmt.Sprintf("%s|%016x|%s|w%d|d%d|p%g",
-		spec, wc.traceHash(tr), j.Opts.Scenario.Letter(),
+		spec, traceHash, j.Opts.Scenario.Letter(),
 		j.Opts.Window, j.Opts.ExecDelay, j.Opts.PenaltyBase)
 }
 

@@ -5,9 +5,11 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/checkpoint"
 	"repro/internal/composed"
@@ -276,4 +278,33 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
+}
+
+// TestWarmCacheKeepsNoTraces: keying checkpoints by trace content must
+// not pin the traces. Without the trace cache every cell regenerates its
+// trace, and each cell finds every earlier cell's trace collected.
+func TestWarmCacheKeepsNoTraces(t *testing.T) {
+	var earlier []weak.Pointer[trace.Trace]
+	mdl := fakeModel("m", flat(1))
+	run := mdl.Run
+	mdl.Run = func(tr *trace.Trace, opt sim.Options) sim.Result {
+		runtime.GC()
+		for _, p := range earlier {
+			if p.Value() != nil {
+				t.Errorf("%s/%s: an earlier cell's trace is still held", tr.Name, opt.Scenario.Letter())
+			}
+		}
+		earlier = append(earlier, weak.Make(tr))
+		return run(tr, opt)
+	}
+	m := testMatrix(t, []Model{mdl}, []string{"INT01", "INT02", "MM05"},
+		[]predictor.Scenario{predictor.ScenarioA, predictor.ScenarioC}, []int{500})
+	cfg := Config{Parallelism: 1, NoTraceCache: true, WarmCache: t.TempDir(), NoAggregates: true}
+	sum, err := Run(m, cfg, Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Failed != 0 || len(earlier) != 6 {
+		t.Fatalf("%d failed cells, %d traces run; want 0 and 6", sum.Failed, len(earlier))
+	}
 }
