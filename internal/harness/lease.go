@@ -187,8 +187,9 @@ const (
 
 // LeaseQueue is the coordinator side of the lease protocol: pending
 // cells go in via a LeaseScheduler, workers take TTL-bounded batches
-// out with Acquire, keep them alive with Renew, and hand records back
-// with Complete. All methods are safe for concurrent use.
+// out with Acquire (or, while running one, Prefetch), keep them alive
+// with Renew, and hand records back with Complete. All methods are safe
+// for concurrent use.
 type LeaseQueue struct {
 	ttl   time.Duration
 	batch int
@@ -198,6 +199,7 @@ type LeaseQueue struct {
 	pending []*queuedJob
 	leases  map[string]*activeLease
 	wake    chan struct{}
+	seen    map[string]time.Time // when each worker last asked or renewed
 
 	granted, completed, expired, renewals, records *metrics.CounterVec
 	pendingG, leasedG                              *metrics.Gauge
@@ -219,6 +221,7 @@ func NewLeaseQueue(ttl time.Duration, batch int, reg *metrics.Registry) *LeaseQu
 		ttl:       ttl,
 		batch:     batch,
 		leases:    make(map[string]*activeLease),
+		seen:      make(map[string]time.Time),
 		wake:      make(chan struct{}),
 		granted:   reg.CounterVec(MetricLeasesGranted, "Leases granted, by worker.", "worker"),
 		completed: reg.CounterVec(MetricLeasesCompleted, "Leases completed, by worker.", "worker"),
@@ -261,15 +264,35 @@ func (q *LeaseQueue) reapLocked(now time.Time) {
 	}
 }
 
+// pendingLocked counts the cells awaiting a lease.
+func (q *LeaseQueue) pendingLocked() int {
+	n := 0
+	for _, j := range q.pending {
+		if !j.done {
+			n++
+		}
+	}
+	return n
+}
+
+// aloneLocked reports whether worker is the only one heard from within
+// a TTL, forgetting the workers that have gone quiet.
+func (q *LeaseQueue) aloneLocked(worker string, now time.Time) bool {
+	alone := true
+	for w, at := range q.seen {
+		if now.Sub(at) > q.ttl {
+			delete(q.seen, w)
+		} else if w != worker {
+			alone = false
+		}
+	}
+	return alone
+}
+
 // gaugesLocked recomputes the pending/leased cell gauges; cheap at
 // queue-operation frequency and immune to accounting drift.
 func (q *LeaseQueue) gaugesLocked() {
-	var p, l float64
-	for _, j := range q.pending {
-		if !j.done {
-			p++
-		}
-	}
+	var l float64
 	for _, al := range q.leases {
 		for _, j := range al.jobs {
 			if !j.done {
@@ -277,7 +300,7 @@ func (q *LeaseQueue) gaugesLocked() {
 			}
 		}
 	}
-	q.pendingG.Set(p)
+	q.pendingG.Set(float64(q.pendingLocked()))
 	q.leasedG.Set(l)
 }
 
@@ -313,13 +336,34 @@ func (q *LeaseQueue) abandon(items []*queuedJob) []*queuedJob {
 // to wait for work to appear before returning nil (no work). The grant
 // starts the lease's TTL clock.
 func (q *LeaseQueue) Acquire(worker string, wait time.Duration) *Lease {
+	return q.acquire(worker, wait, false)
+}
+
+// Prefetch grants worker, which is running a lease, the batch it will
+// run next, without waiting. It grants only a worker the queue has
+// heard from alone within a TTL: while other workers are at work, none
+// is granted a batch ahead that a faster one could run. And it never
+// takes the last batch: while no more cells are pending than one lease
+// holds it returns nil, leaving them to a worker that is idle now (a
+// worker not yet heard from included), or to this one once its lease
+// ends.
+func (q *LeaseQueue) Prefetch(worker string) *Lease {
+	return q.acquire(worker, 0, true)
+}
+
+func (q *LeaseQueue) acquire(worker string, wait time.Duration, prefetch bool) *Lease {
 	deadline := time.Now().Add(wait)
 	for {
 		q.mu.Lock()
 		now := time.Now()
 		q.reapLocked(now)
+		q.seen[worker] = now
+		limit := q.batch
+		if prefetch && (q.pendingLocked() <= q.batch || !q.aloneLocked(worker, now)) {
+			limit = 0 // left to a worker that is or may soon be idle
+		}
 		var take []*queuedJob
-		for len(q.pending) > 0 && len(take) < q.batch {
+		for len(q.pending) > 0 && len(take) < limit {
 			j := q.pending[0]
 			q.pending = q.pending[1:]
 			if !j.done {
@@ -375,6 +419,7 @@ func (q *LeaseQueue) Renew(id string) error {
 		return ErrLeaseGone
 	}
 	l.expires = time.Now().Add(q.ttl)
+	q.seen[l.worker] = time.Now()
 	q.renewals.With(l.worker).Inc()
 	return nil
 }

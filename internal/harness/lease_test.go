@@ -100,6 +100,76 @@ func TestLeaseSchedulerDeliversInJobOrder(t *testing.T) {
 	}
 }
 
+// enqueueCells puts n cells of fresh jobs on q.
+func enqueueCells(t *testing.T, q *LeaseQueue, models ...string) {
+	t.Helper()
+	jobs := leaseJobs(t, models...) // 2 cells a model
+	items := make([]*queuedJob, len(jobs))
+	for i, j := range jobs {
+		w := wireJob(j)
+		items[i] = &queuedJob{idx: i, wire: w, key: w.Key(), deliver: func(Record) {}}
+	}
+	q.enqueue(items)
+}
+
+// TestPrefetchLeavesTheLastLease: a prefetch takes a batch only while
+// more than one batch of cells is pending, and answers at once.
+func TestPrefetchLeavesTheLastLease(t *testing.T) {
+	for _, batch := range []int{1, 2} {
+		q := NewLeaseQueue(time.Minute, batch, nil)
+		if l := q.Prefetch("w"); l != nil {
+			t.Fatalf("batch %d: prefetch from an empty queue granted %+v", batch, l)
+		}
+		enqueueCells(t, q, "m1")
+		if batch == 1 {
+			if l := q.Prefetch("w"); l == nil || len(l.Jobs) != 1 {
+				t.Fatalf("batch 1, two cells pending: prefetch granted %+v, want one cell", l)
+			}
+		}
+		start := time.Now()
+		if l := q.Prefetch("w"); l != nil {
+			t.Fatalf("batch %d: prefetch took the last pending lease %+v", batch, l)
+		}
+		if waited := time.Since(start); waited > time.Second {
+			t.Fatalf("batch %d: a refused prefetch waited %v", batch, waited)
+		}
+		if l := q.Acquire("idle", time.Second); l == nil || len(l.Jobs) != batch {
+			t.Fatalf("batch %d: the idle worker got %+v, want the last lease", batch, l)
+		}
+	}
+}
+
+// TestPrefetchOnlyForALoneWorker: while another worker has asked for or
+// renewed a lease within a TTL, a prefetch gets nothing; once that
+// worker has gone quiet for a TTL, prefetching resumes.
+func TestPrefetchOnlyForALoneWorker(t *testing.T) {
+	const ttl = 100 * time.Millisecond
+	q := NewLeaseQueue(ttl, 1, nil)
+	enqueueCells(t, q, "m1", "m2", "m3") // 6 cells
+	if l := q.Prefetch("a"); l == nil {
+		t.Fatal("a lone worker's prefetch got nothing")
+	}
+	b := q.Acquire("b", 0)
+	if b == nil {
+		t.Fatal("b got no lease")
+	}
+	if l := q.Prefetch("a"); l != nil {
+		t.Fatalf("a prefetched %+v while b was working", l)
+	}
+	time.Sleep(ttl / 2)
+	if err := q.Renew(b.ID); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(ttl / 2)
+	if l := q.Prefetch("a"); l != nil {
+		t.Fatalf("a prefetched %+v while b was renewing its lease", l)
+	}
+	time.Sleep(2 * ttl) // b goes quiet; its lease expires and requeues
+	if l := q.Prefetch("a"); l == nil {
+		t.Fatal("a's prefetch got nothing after b went quiet")
+	}
+}
+
 func TestLeaseExpiryRequeuesAndRejectsLateCompletion(t *testing.T) {
 	q := NewLeaseQueue(50*time.Millisecond, 2, nil)
 	jobs := leaseJobs(t, "m1") // 2 cells

@@ -21,6 +21,9 @@ import (
 //
 //	POST /v1/sweep            JSON SweepRequest in, JSONL records out (streamed)
 //	GET  /v1/lease?worker=ID&wait=SECS   next lease as JSON, or 204 when idle
+//	GET  /v1/lease?worker=ID&prefetch=1  the lease after the one the worker runs,
+//	                          at once; 204 unless the worker is the only one
+//	                          heard from and more than one lease is pending
 //	POST /v1/renew?id=LEASE   heartbeat; 410 when the lease expired
 //	POST /v1/results?id=LEASE JSONL records in; 410 when the lease expired
 //	GET  /healthz             liveness probe
@@ -225,7 +228,12 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 		wait = time.Duration(secs * float64(time.Second))
 	}
-	lease := s.Queue.Acquire(worker, wait)
+	var lease *Lease
+	if r.URL.Query().Get("prefetch") == "1" {
+		lease = s.Queue.Prefetch(worker)
+	} else {
+		lease = s.Queue.Acquire(worker, wait)
+	}
 	if lease == nil {
 		w.WriteHeader(http.StatusNoContent)
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -15,7 +16,9 @@ import (
 )
 
 // WorkerOptions configures RunWorker, the pull loop a `bpbench work`
-// process runs against a coordinator.
+// process runs against a coordinator. How far the lease wire overlaps
+// the simulation is fixed, not an option: one lease fetched ahead and
+// one results post in flight (see RunWorker).
 type WorkerOptions struct {
 	// BaseURL is the coordinator address, e.g. "http://host:9090".
 	BaseURL string
@@ -33,7 +36,10 @@ type WorkerOptions struct {
 	// Poll is the sleep between empty lease polls (default 500ms); the
 	// coordinator additionally long-polls each request.
 	Poll time.Duration
-	// Client overrides http.DefaultClient.
+	// Client overrides http.DefaultClient. The worker has one lease
+	// request or results post outstanding at a time (heartbeats
+	// aside), so a client held to one connection still overlaps the
+	// wire with the simulation.
 	Client *http.Client
 	// Log, when non-nil, receives per-lease diagnostics.
 	Log *slog.Logger
@@ -42,8 +48,24 @@ type WorkerOptions struct {
 // RunWorker pulls job leases from a coordinator, executes them with the
 // in-process engine, and streams the records back, until ctx is
 // cancelled (which returns nil) or the coordinator becomes unusable.
-// While a lease executes, a heartbeat goroutine renews it at a third of
-// its TTL, so only a dead or wedged worker lets a lease expire.
+//
+// The lease wire overlaps the simulation. While a lease runs, the
+// worker asks for the next one without waiting (a prefetch), and it
+// posts a finished lease's results while the next lease runs. The
+// coordinator grants a prefetch only to a worker it has heard from
+// alone within a TTL, and never the last pending lease (see
+// LeaseQueue.Prefetch): with several workers at work, none is granted
+// a lease ahead, and each overlaps only its posts. A worker holds at
+// most one lease it has not started and has at most one results post
+// in flight, and it asks for a lease only once the previous post has
+// landed, so on a single connection a lease request never waits behind
+// a post. Every lease it holds, started or not, is heartbeated at a
+// third of its TTL from its grant, so only a dead or wedged worker lets
+// a lease expire; a lease lost before it started is dropped unrun. A
+// failed prefetch only leaves the worker to ask again when its lease
+// ends. RunWorker returns only after its last post has ended. A failed
+// post is its error, returned once the lease that ran meanwhile has
+// been posted too, so no finished lease is thrown away.
 func RunWorker(ctx context.Context, opt WorkerOptions) error {
 	if opt.BaseURL == "" {
 		return fmt.Errorf("harness: worker needs a coordinator BaseURL")
@@ -51,7 +73,6 @@ func RunWorker(ctx context.Context, opt WorkerOptions) error {
 	if opt.Resolve == nil {
 		return fmt.Errorf("harness: worker needs a model resolver")
 	}
-	base := strings.TrimRight(opt.BaseURL, "/")
 	if opt.ID == "" {
 		host, err := os.Hostname()
 		if err != nil || host == "" {
@@ -62,45 +83,166 @@ func RunWorker(ctx context.Context, opt WorkerOptions) error {
 	if opt.Poll <= 0 {
 		opt.Poll = 500 * time.Millisecond
 	}
-	client := opt.Client
-	if client == nil {
-		client = http.DefaultClient
+	if opt.Client == nil {
+		opt.Client = http.DefaultClient
 	}
-	log := opt.Log
-	if log == nil {
-		log = slog.New(slog.DiscardHandler)
+	if opt.Log == nil {
+		opt.Log = slog.New(slog.DiscardHandler)
 	}
-
-	leaseURL := fmt.Sprintf("%s/v1/lease?worker=%s&wait=2", base, url.QueryEscape(opt.ID))
 	// The pooled runners outlive each lease, so consecutive leases of a
 	// model reuse its warmed predictors instead of rebuilding them.
-	pool := &runnerPool{}
-	for {
+	w := &worker{ctx: ctx, opt: opt, base: strings.TrimRight(opt.BaseURL, "/"), pool: &runnerPool{}}
+	leaseURL := fmt.Sprintf("%s/v1/lease?worker=%s", w.base, url.QueryEscape(opt.ID))
+
+	var (
+		next    *heldLease // fetched ahead, not started
+		posting chan error // the results post in flight
+	)
+	defer func() {
+		if next != nil {
+			next.stop()
+		}
+		landed(posting)
+	}()
+	// fail ends the loop: cancellation is a clean stop, anything else
+	// means the coordinator is unusable.
+	fail := func(err error) error {
 		if ctx.Err() != nil {
 			return nil
 		}
-		lease, err := fetchLease(ctx, client, leaseURL)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil
+		return err
+	}
+	for ctx.Err() == nil {
+		cur := next
+		next = nil
+		if cur == nil {
+			// Nothing fetched ahead: once the last post has landed, ask
+			// again, long-polling the coordinator.
+			err := landed(posting)
+			posting = nil
+			if err != nil {
+				return fail(err)
 			}
-			return fmt.Errorf("harness: acquiring lease: %w", err)
+			if cur, err = w.fetch(leaseURL + "&wait=2"); err != nil {
+				return fail(err)
+			}
+			if cur == nil { // queue idle
+				select {
+				case <-ctx.Done():
+				case <-time.After(opt.Poll):
+				}
+				continue
+			}
 		}
-		if lease == nil { // queue idle
-			select {
-			case <-ctx.Done():
-				return nil
-			case <-time.After(opt.Poll):
-			}
+		select {
+		case <-cur.expired: // fetched ahead and lost while it waited
+			cur.stop()
 			continue
+		default:
 		}
-		if err := runLease(ctx, client, base, lease, opt, pool, log); err != nil {
-			if ctx.Err() != nil {
-				return nil
+		// Once the previous post has landed, fetch the next lease while
+		// this one runs. A failed fetch only leaves next nil: the long
+		// poll above reports a coordinator that is really down. The
+		// goroutine sets next before it sends.
+		prev := posting
+		posted := make(chan error, 1)
+		go func() {
+			err := landed(prev)
+			if err == nil {
+				var ferr error
+				if next, ferr = w.fetch(leaseURL + "&wait=0&prefetch=1"); ferr != nil && ctx.Err() == nil {
+					opt.Log.Warn("fetching the next lease ahead failed", "err", ferr)
+				}
 			}
-			return err
+			posted <- err
+		}()
+		recs := w.run(cur)
+		err := <-posted
+		posting = nil
+		if err != nil {
+			// Nothing was fetched after the failed post. Post what this
+			// lease finished before giving up on the coordinator.
+			if recs != nil {
+				err = errors.Join(err, w.post(cur, recs))
+			}
+			return fail(err)
+		}
+		if recs != nil {
+			posting = make(chan error, 1)
+			go func(ch chan<- error) { ch <- w.post(cur, recs) }(posting)
 		}
 	}
+	return nil
+}
+
+// landed waits for a results post to end and returns its error; a nil
+// channel (no post) has nothing to wait for.
+func landed(posting chan error) error {
+	if posting == nil {
+		return nil
+	}
+	return <-posting
+}
+
+// worker is one RunWorker loop's state.
+type worker struct {
+	ctx  context.Context
+	opt  WorkerOptions
+	base string
+	pool *runnerPool
+}
+
+// heldLease is a granted lease, renewed at a third of its TTL until
+// stop. expired closes when a renewal is refused: the coordinator has
+// requeued the lease's cells.
+type heldLease struct {
+	*Lease
+	expired chan struct{}
+	stop    func() // ends the heartbeat and waits for it
+}
+
+// fetch asks the coordinator for work and starts heartbeating what it
+// grants. A 204 (no work) returns (nil, nil).
+func (w *worker) fetch(leaseURL string) (*heldLease, error) {
+	lease, err := fetchLease(w.ctx, w.opt.Client, leaseURL)
+	if err != nil || lease == nil {
+		if err != nil {
+			err = fmt.Errorf("harness: acquiring lease: %w", err)
+		}
+		return nil, err
+	}
+	w.opt.Log.Debug("lease acquired", "id", lease.ID, "cells", len(lease.Jobs))
+	// A renewal rejection means the coordinator already expired the
+	// lease; it is abandoned (its cells are requeued) rather than racing
+	// a re-grant. A TTL too short to divide into a heartbeat interval is
+	// treated like a missing one.
+	ttl := time.Duration(lease.TTLSeconds * float64(time.Second))
+	if ttl/3 <= 0 {
+		ttl = DefaultLeaseTTL
+	}
+	hbCtx, cancel := context.WithCancel(w.ctx)
+	done := make(chan struct{})
+	l := &heldLease{Lease: lease, expired: make(chan struct{}), stop: func() { cancel(); <-done }}
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(ttl / 3)
+		defer tick.Stop()
+		for {
+			select {
+			case <-hbCtx.Done():
+				return
+			case <-tick.C:
+				if err := renewLease(hbCtx, w.opt.Client, w.base, lease.ID); err != nil {
+					if hbCtx.Err() == nil {
+						w.opt.Log.Warn("lease renewal failed", "id", lease.ID, "err", err)
+						close(l.expired)
+					}
+					return
+				}
+			}
+		}
+	}()
+	return l, nil
 }
 
 // fetchLease asks the coordinator for work. A 204 returns (nil, nil).
@@ -129,24 +271,22 @@ func fetchLease(ctx context.Context, client *http.Client, leaseURL string) (*Lea
 	}
 }
 
-// runLease executes one lease end to end: convert the wire jobs back
-// into runnable Jobs, heartbeat while the engine runs, and post the
-// records (one per wire job, lease order) back to the coordinator.
-func runLease(ctx context.Context, client *http.Client, base string, lease *Lease, opt WorkerOptions, pool *runnerPool, log *slog.Logger) error {
-	log.Debug("lease acquired", "id", lease.ID, "cells", len(lease.Jobs))
-
+// run executes a held lease and ends its heartbeat, returning one record
+// per wire job in lease order, or nil when the lease expired before it
+// finished (its cells are requeued, so its records would be refused).
+func (w *worker) run(l *heldLease) []Record {
 	// Wire jobs that fail to resolve (unknown spec, unknown trace)
 	// still produce a record — a failed cell the coordinator can
 	// deliver — so a misconfigured worker surfaces errors instead of
 	// bouncing the same lease between expiry and re-grant forever.
-	results := make([]Record, len(lease.Jobs))
-	filled := make([]bool, len(lease.Jobs))
+	results := make([]Record, len(l.Jobs))
+	filled := make([]bool, len(l.Jobs))
 	var jobs []Job
 	var jobSlot []int // jobs[i] fills results[jobSlot[i]]
-	for i, wj := range lease.Jobs {
-		j, err := wj.Job(opt.Resolve)
+	for i, wj := range l.Jobs {
+		j, err := wj.Job(w.opt.Resolve)
 		if err != nil {
-			log.Warn("lease job unresolvable", "id", lease.ID, "key", wj.Key(), "err", err)
+			w.opt.Log.Warn("lease job unresolvable", "id", l.ID, "key", wj.Key(), "err", err)
 			results[i] = wireFailedRecord(wj, err)
 			filled[i] = true
 			continue
@@ -155,60 +295,30 @@ func runLease(ctx context.Context, client *http.Client, base string, lease *Leas
 		jobSlot = append(jobSlot, i)
 	}
 
-	// Heartbeat at a third of the TTL until execution finishes. A
-	// renewal rejection means the coordinator already expired us;
-	// abandon the lease (its cells are requeued) rather than racing a
-	// re-grant. A TTL too short to divide into a heartbeat interval is
-	// treated like a missing one.
-	ttl := time.Duration(lease.TTLSeconds * float64(time.Second))
-	if ttl/3 <= 0 {
-		ttl = DefaultLeaseTTL
-	}
-	hbCtx, stopHB := context.WithCancel(ctx)
-	expired := make(chan struct{})
-	go func() {
-		tick := time.NewTicker(ttl / 3)
-		defer tick.Stop()
-		for {
-			select {
-			case <-hbCtx.Done():
-				return
-			case <-tick.C:
-				if err := renewLease(hbCtx, client, base, lease.ID); err != nil {
-					if hbCtx.Err() == nil {
-						log.Warn("lease renewal failed", "id", lease.ID, "err", err)
-						close(expired)
-					}
-					return
-				}
-			}
-		}
-	}()
-
-	cfg := opt.Config
+	cfg := w.opt.Config
 	cfg.Scheduler = nil  // leased cells always run on the local pool
 	cfg.Provenance = nil // the coordinator stamps on append
 	if len(jobs) > 0 {
-		recs := executeJobs(jobs, cfg, newRunMetrics(cfg.Metrics), pool, func(Record) {})
+		recs := executeJobs(jobs, cfg, newRunMetrics(cfg.Metrics), w.pool, func(Record) {})
 		for i, r := range recs {
 			results[jobSlot[i]] = r
 			filled[jobSlot[i]] = true
 		}
 	}
-	stopHB()
+	l.stop()
 
 	select {
-	case <-expired:
-		log.Warn("lease expired mid-run, dropping results", "id", lease.ID)
+	case <-l.expired:
+		w.opt.Log.Warn("lease expired mid-run, dropping results", "id", l.ID)
 		return nil
 	default:
 	}
 	for i, ok := range filled {
 		if !ok { // engine returned short — shouldn't happen, but never post holes
-			results[i] = wireFailedRecord(lease.Jobs[i], fmt.Errorf("harness: worker produced no record"))
+			results[i] = wireFailedRecord(l.Jobs[i], fmt.Errorf("harness: worker produced no record"))
 		}
 	}
-	return postResults(ctx, client, base, lease.ID, results, log)
+	return results
 }
 
 func renewLease(ctx context.Context, client *http.Client, base, id string) error {
@@ -229,10 +339,11 @@ func renewLease(ctx context.Context, client *http.Client, base, id string) error
 	return nil
 }
 
-// postResults streams the lease's records back as JSONL. A 410 (lease
-// expired while we raced the post) is logged and swallowed: the
-// coordinator has already requeued the cells.
-func postResults(ctx context.Context, client *http.Client, base, id string, recs []Record, log *slog.Logger) error {
+// post streams a lease's records back as JSONL. A 410 (lease expired
+// while we raced the post) is logged and swallowed: the coordinator has
+// already requeued the cells.
+func (w *worker) post(l *heldLease, recs []Record) error {
+	id, log := l.ID, w.opt.Log
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf)
 	for _, r := range recs {
@@ -240,13 +351,13 @@ func postResults(ctx context.Context, client *http.Client, base, id string, recs
 			return fmt.Errorf("harness: encoding results: %w", err)
 		}
 	}
-	u := fmt.Sprintf("%s/v1/results?id=%s", base, url.QueryEscape(id))
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, &buf)
+	u := fmt.Sprintf("%s/v1/results?id=%s", w.base, url.QueryEscape(id))
+	req, err := http.NewRequestWithContext(w.ctx, http.MethodPost, u, &buf)
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/x-ndjson")
-	resp, err := client.Do(req)
+	resp, err := w.opt.Client.Do(req)
 	if err != nil {
 		return fmt.Errorf("harness: posting results: %w", err)
 	}
