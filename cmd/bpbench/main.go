@@ -602,17 +602,12 @@ func parseSweep(s, flagName string, rangeOK func(string) bool) (key string, valu
 	}
 	parts := splitList(rest)
 	if len(parts) == 1 && strings.Contains(parts[0], ":") && rangeOK(key) {
-		lo, hi, _ := strings.Cut(parts[0], ":")
-		l, err1 := strconv.Atoi(strings.TrimSpace(lo))
-		h, err2 := strconv.Atoi(strings.TrimSpace(hi))
-		if err1 != nil || err2 != nil {
-			return "", nil, fmt.Errorf("bad %s range %q (want lo:hi, e.g. tables=9:13)", flagName, parts[0])
+		ns, err := parseRange(parts[0], flagName)
+		if err != nil {
+			return "", nil, err
 		}
-		if l > h {
-			return "", nil, fmt.Errorf("bad %s range %q: lo %d > hi %d", flagName, parts[0], l, h)
-		}
-		for v := l; v <= h; v++ {
-			values = append(values, strconv.Itoa(v))
+		for _, n := range ns {
+			values = append(values, strconv.Itoa(n))
 		}
 		return key, values, nil
 	}
@@ -622,24 +617,11 @@ func parseSweep(s, flagName string, rangeOK func(string) bool) (key string, valu
 // parseDeltas parses the -delta axis: an inclusive "lo:hi" deltaLog
 // range or a comma-separated list; empty means no budget sweep.
 func parseDeltas(s string) ([]int, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
+	switch s = strings.TrimSpace(s); {
+	case s == "":
 		return nil, nil
-	}
-	if lo, hi, ok := strings.Cut(s, ":"); ok {
-		l, err1 := strconv.Atoi(strings.TrimSpace(lo))
-		h, err2 := strconv.Atoi(strings.TrimSpace(hi))
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("bad -delta range %q (want lo:hi, e.g. -4:3)", s)
-		}
-		if l > h {
-			return nil, fmt.Errorf("bad -delta range %q: lo %d > hi %d", s, l, h)
-		}
-		out := make([]int, 0, h-l+1)
-		for d := l; d <= h; d++ {
-			out = append(out, d)
-		}
-		return out, nil
+	case strings.Contains(s, ":"):
+		return parseRange(s, "-delta")
 	}
 	var out []int
 	for _, p := range splitList(s) {
@@ -648,6 +630,24 @@ func parseDeltas(s string) ([]int, error) {
 			return nil, fmt.Errorf("bad -delta value %q", p)
 		}
 		out = append(out, d)
+	}
+	return out, nil
+}
+
+// parseRange expands a flag's inclusive integer range "lo:hi".
+func parseRange(s, flagName string) ([]int, error) {
+	lo, hi, _ := strings.Cut(s, ":")
+	l, err1 := strconv.Atoi(strings.TrimSpace(lo))
+	h, err2 := strconv.Atoi(strings.TrimSpace(hi))
+	if err1 != nil || err2 != nil {
+		return nil, fmt.Errorf("bad %s range %q (want integers lo:hi, e.g. 9:13 or -4:3)", flagName, s)
+	}
+	if l > h {
+		return nil, fmt.Errorf("bad %s range %q: lo %d > hi %d", flagName, s, l, h)
+	}
+	out := make([]int, 0, h-l+1)
+	for n := l; n <= h; n++ {
+		out = append(out, n)
 	}
 	return out, nil
 }

@@ -336,7 +336,7 @@ func (q *LeaseQueue) abandon(items []*queuedJob) []*queuedJob {
 // to wait for work to appear before returning nil (no work). The grant
 // starts the lease's TTL clock.
 func (q *LeaseQueue) Acquire(worker string, wait time.Duration) *Lease {
-	return q.acquire(worker, wait, false)
+	return q.acquire(context.TODO(), worker, wait, false)
 }
 
 // Prefetch grants worker, which is running a lease, the batch it will
@@ -348,10 +348,12 @@ func (q *LeaseQueue) Acquire(worker string, wait time.Duration) *Lease {
 // worker not yet heard from included), or to this one once its lease
 // ends.
 func (q *LeaseQueue) Prefetch(worker string) *Lease {
-	return q.acquire(worker, 0, true)
+	return q.acquire(context.TODO(), worker, 0, true)
 }
 
-func (q *LeaseQueue) acquire(worker string, wait time.Duration, prefetch bool) *Lease {
+// acquire is Acquire, or Prefetch if prefetch is set, that stops
+// waiting and grants nothing once ctx (the long poll's request) ends.
+func (q *LeaseQueue) acquire(ctx context.Context, worker string, wait time.Duration, prefetch bool) *Lease {
 	deadline := time.Now().Add(wait)
 	for {
 		q.mu.Lock()
@@ -404,6 +406,8 @@ func (q *LeaseQueue) acquire(worker string, wait time.Duration, prefetch bool) *
 		select {
 		case <-wake:
 		case <-time.After(poll):
+		case <-ctx.Done():
+			return nil
 		}
 	}
 }

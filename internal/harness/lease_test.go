@@ -171,7 +171,11 @@ func TestPrefetchOnlyForALoneWorker(t *testing.T) {
 }
 
 func TestLeaseExpiryRequeuesAndRejectsLateCompletion(t *testing.T) {
-	q := NewLeaseQueue(50*time.Millisecond, 2, nil)
+	// No scheduling stall outlasts this TTL, so nothing expires before
+	// the test lets the TTL pass, which it does by moving the lease's
+	// deadline rather than by sleeping.
+	const ttl = time.Minute
+	q := NewLeaseQueue(ttl, 2, nil)
 	jobs := leaseJobs(t, "m1") // 2 cells
 	items := make([]*queuedJob, len(jobs))
 	for i, j := range jobs {
@@ -181,14 +185,25 @@ func TestLeaseExpiryRequeuesAndRejectsLateCompletion(t *testing.T) {
 	q.enqueue(items)
 
 	// A doomed worker takes the lease and dies without completing.
+	granted := time.Now()
 	doomed := q.Acquire("dead", time.Second)
+	returned := time.Now()
 	if doomed == nil || len(doomed.Jobs) != 2 {
 		t.Fatalf("doomed lease = %+v", doomed)
 	}
-	if q.Acquire("idle", 10*time.Millisecond) != nil {
+	q.mu.Lock()
+	expires := q.leases[doomed.ID].expires
+	q.mu.Unlock()
+	if expires.Before(granted.Add(ttl)) || expires.After(returned.Add(ttl)) {
+		t.Fatalf("lease expires %v after it was asked for, want the %v TTL from its grant", expires.Sub(granted), ttl)
+	}
+	if q.Acquire("idle", 0) != nil {
 		t.Fatal("cells leased twice before expiry")
 	}
-	time.Sleep(80 * time.Millisecond) // TTL passes with no renewal
+	// The TTL passes with no renewal.
+	q.mu.Lock()
+	q.leases[doomed.ID].expires = time.Now()
+	q.mu.Unlock()
 
 	// The cells come back and a healthy worker gets them.
 	release := q.Acquire("healthy", time.Second)

@@ -232,7 +232,7 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("prefetch") == "1" {
 		lease = s.Queue.Prefetch(worker)
 	} else {
-		lease = s.Queue.Acquire(worker, wait)
+		lease = s.Queue.acquire(r.Context(), worker, wait, false)
 	}
 	if lease == nil {
 		w.WriteHeader(http.StatusNoContent)

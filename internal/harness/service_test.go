@@ -262,6 +262,51 @@ func TestServiceRejectsBadSweeps(t *testing.T) {
 	}
 }
 
+// TestCancelledLongPollReleasesTheServer: a worker that gives up on a
+// long poll (cancelled, or its connection dropped) must not leave the
+// handler waiting out the poll's wait, or closing the server waits
+// with it.
+func TestCancelledLongPollReleasesTheServer(t *testing.T) {
+	q := NewLeaseQueue(time.Minute, 2, nil)
+	svc := &Service{Queue: q, Resolve: fakeResolver(3)}
+	mux := http.NewServeMux()
+	svc.Register(mux)
+	srv := httptest.NewServer(mux)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/lease?worker=gone&wait=30", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	// The queue records the worker on entering the poll.
+	for waiting := false; !waiting; {
+		time.Sleep(time.Millisecond)
+		q.mu.Lock()
+		_, waiting = q.seen["gone"]
+		q.mu.Unlock()
+	}
+	cancel()
+	<-polled
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("closing the server still waits on a cancelled 30 s long poll after 1 s")
+	}
+}
+
 func TestWorkerReportsUnresolvableCellsAsFailures(t *testing.T) {
 	q := NewLeaseQueue(time.Minute, 2, nil)
 	svc := &Service{Queue: q, Resolve: fakeResolver(3)}

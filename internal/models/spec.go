@@ -36,6 +36,11 @@ package models
 // formatting, stack order and the delta sign, so ParseSpec(s.Canonical())
 // is the identity and two spellings of the same configuration collide on
 // the same cell key instead of silently duplicating work.
+//
+// The field list, WithField, SweepSpecs, the range rule and SplitList
+// are the core this grammar shares with the trace grammar
+// (internal/grammar); the named sugar, the composed stack, @delta and
+// the kind table with its builders are the model grammar's own.
 
 import (
 	"errors"
@@ -45,6 +50,7 @@ import (
 
 	"repro/internal/composed"
 	"repro/internal/gehl"
+	"repro/internal/grammar"
 	"repro/internal/tage"
 )
 
@@ -52,15 +58,13 @@ import (
 // obtain one from ParseSpec (or derive one with WithField / WithDelta,
 // which re-validate).
 type Spec struct {
-	kind     string      // spec kind, or a named-model identifier
-	named    bool        // kind is a row of the named-model table
-	parts    []string    // composed component stack, canonical order
-	fields   []specField // explicitly-set fields, canonical order
-	delta    int         // storage-budget exponent (2^delta)
-	hasDelta bool        // spec carries a delta suffix (including @+0)
+	kind     string         // spec kind, or a named-model identifier
+	named    bool           // kind is a row of the named-model table
+	parts    []string       // composed component stack, canonical order
+	fields   grammar.Values // explicitly-set fields, canonical order
+	delta    int            // storage-budget exponent (2^delta)
+	hasDelta bool           // spec carries a delta suffix (including @+0)
 }
-
-type specField struct{ key, val string }
 
 // Kind returns the spec kind ("tage", "gshare", …) or, for named sugar,
 // the model identifier.
@@ -74,14 +78,7 @@ func (s Spec) IsNamed() bool { return s.named }
 func (s Spec) Delta() (int, bool) { return s.delta, s.hasDelta }
 
 // Field returns the explicitly-set value of a field, if any.
-func (s Spec) Field(key string) (string, bool) {
-	for _, f := range s.fields {
-		if f.key == key {
-			return f.val, true
-		}
-	}
-	return "", false
-}
+func (s Spec) Field(key string) (string, bool) { return s.fields.Get(key) }
 
 // Canonical returns the canonical spec string: parsing it back yields an
 // identical spec, and every layer (cell keys, stores, diffs) uses this
@@ -91,20 +88,11 @@ func (s Spec) Canonical() string {
 	b.WriteString(s.kind)
 	if !s.named {
 		b.WriteByte(':')
-		sep := false
-		if len(s.parts) > 0 {
-			b.WriteString(strings.Join(s.parts, "+"))
-			sep = true
+		b.WriteString(strings.Join(s.parts, "+"))
+		if len(s.parts) > 0 && len(s.fields) > 0 {
+			b.WriteByte(',')
 		}
-		for _, f := range s.fields {
-			if sep {
-				b.WriteByte(',')
-			}
-			b.WriteString(f.key)
-			b.WriteByte('=')
-			b.WriteString(f.val)
-			sep = true
-		}
+		s.fields.Write(&b)
 	}
 	if s.hasDelta {
 		fmt.Fprintf(&b, "@%+d", s.delta)
@@ -159,28 +147,12 @@ func (s Spec) WithField(key, val string) (Spec, error) {
 		}
 		base = Spec{kind: s.kind, delta: s.delta, hasDelta: s.hasDelta}
 	}
-	def := kinds[base.kind]
-	fd := def.field(key)
-	if fd == nil {
-		return Spec{}, fmt.Errorf("models: spec kind %q has no field %q (valid fields: %s)", base.kind, key, def.fieldKeys())
-	}
-	canon, err := fd.normalise(val)
+	fields, err := specGrammar.With(base.kind, base.fields, key, val)
 	if err != nil {
-		return Spec{}, fmt.Errorf("models: field %q: %w", key, err)
+		return Spec{}, err
 	}
-	vals := make(map[string]string, len(base.fields)+1)
-	for _, f := range base.fields {
-		vals[f.key] = f.val
-	}
-	vals[key] = canon
-	out := base
-	out.fields = nil
-	for _, fd := range def.fields {
-		if v, ok := vals[fd.key]; ok {
-			out.fields = append(out.fields, specField{fd.key, v})
-		}
-	}
-	return out, nil
+	base.fields = fields
+	return base, nil
 }
 
 // Kinds lists the parameterised spec kinds in documentation order.
@@ -188,24 +160,9 @@ func Kinds() []string {
 	return []string{"tage", "gshare", "gehl", "composed"}
 }
 
-// FieldSweepsAsRange reports whether a sweep of the field may use the
-// inclusive lo:hi integer-range form: true only when every kind defining
-// the key declares it a plain integer (fields whose values carry their
-// own ':' — hist — or are non-numeric need explicit value lists).
-// Derived from the field registry, so a future colon-valued field
-// automatically opts out instead of misparsing as a range.
-func FieldSweepsAsRange(key string) bool {
-	found := false
-	for _, def := range kinds {
-		if fd := def.field(key); fd != nil {
-			if !fd.intRange {
-				return false
-			}
-			found = true
-		}
-	}
-	return found
-}
+// FieldSweepsAsRange reports whether `bpbench -sweep` may give the field
+// as an inclusive lo:hi range (grammar.Grammar.SweepsAsRange).
+func FieldSweepsAsRange(key string) bool { return specGrammar.SweepsAsRange(key) }
 
 // ParseSpec parses a model-spec string: a named model ("tage-lsc"), a
 // parameterised configuration ("tage:tables=9,hist=6:2000"), either
@@ -252,45 +209,24 @@ func ParseSpec(s string) (Spec, error) {
 		}
 		return Spec{}, fmt.Errorf("models: spec %q has an empty parameter list (for the default configuration use the named model, e.g. %q)", raw, kind)
 	}
-	items := strings.Split(body, ",")
-	idx := 0
+	list := body
 	if def.stacked {
-		parts, err := parseStack(items[0])
+		stack, rest, hasFields := strings.Cut(body, ",")
+		parts, err := parseStack(stack)
 		if err != nil {
 			return Spec{}, fmt.Errorf("models: spec %q: %w", raw, err)
 		}
 		spec.parts = parts
-		idx = 1
+		if !hasFields {
+			return spec, nil
+		}
+		list = rest
 	}
-	vals := make(map[string]string)
-	for _, item := range items[idx:] {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			return Spec{}, fmt.Errorf("models: spec %q has an empty field (stray comma?)", raw)
-		}
-		k, v, ok := strings.Cut(item, "=")
-		if !ok {
-			return Spec{}, fmt.Errorf("models: spec %q: field %q is not key=value", raw, item)
-		}
-		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-		fd := def.field(k)
-		if fd == nil {
-			return Spec{}, fmt.Errorf("models: spec kind %q has no field %q (valid fields: %s)", kind, k, def.fieldKeys())
-		}
-		if _, dup := vals[k]; dup {
-			return Spec{}, fmt.Errorf("models: spec %q sets field %q twice", raw, k)
-		}
-		canon, err := fd.normalise(v)
-		if err != nil {
-			return Spec{}, fmt.Errorf("models: spec %q: field %q: %w", raw, k, err)
-		}
-		vals[k] = canon
+	fields, err := specGrammar.Parse(raw, kind, list)
+	if err != nil {
+		return Spec{}, err
 	}
-	for _, fd := range def.fields {
-		if v, ok := vals[fd.key]; ok {
-			spec.fields = append(spec.fields, specField{fd.key, v})
-		}
-	}
+	spec.fields = fields
 	return spec, nil
 }
 
@@ -315,71 +251,14 @@ func (s Spec) build() *Model {
 	return n.model()
 }
 
-// SplitList splits a comma-separated model list the spec-aware way: a
-// comma starts a new spec only when what follows looks like one (a named
-// model, optionally @delta, or a "kind:" prefix); otherwise it continues
-// the previous spec's field list — so one flag value can carry
-// multi-field specs: "tage:tables=9,hist=6:500,gshare:log=14" is two
-// specs, not three. Empty segments are dropped.
-func SplitList(s string) []string {
-	var out []string
-	for _, seg := range strings.Split(s, ",") {
-		seg = strings.TrimSpace(seg)
-		if seg == "" {
-			continue
-		}
-		if len(out) > 0 && !startsSpec(seg) {
-			out[len(out)-1] += "," + seg
-			continue
-		}
-		out = append(out, seg)
-	}
-	return out
-}
+// SplitList splits a -models value into specs (grammar.Grammar.Split):
+// "tage:tables=9,hist=6:500,gshare:log=14" is two specs, not three.
+func SplitList(s string) []string { return specGrammar.Split(s) }
 
-// startsSpec reports whether a comma-separated segment begins a new
-// model spec rather than continuing the previous one's fields (which
-// are always key=value pairs).
-func startsSpec(seg string) bool {
-	if kind, _, ok := strings.Cut(seg, ":"); ok {
-		return kinds[strings.TrimSpace(kind)] != nil
-	}
-	name := seg
-	if at := strings.LastIndexByte(name, '@'); at >= 0 {
-		name = name[:at]
-	}
-	return lookup(strings.TrimSpace(name)) != nil
-}
-
-// SweepSpecs expands one spec field across values for every base spec —
-// the `bpbench -sweep` axis: each base is rewritten per value via
-// WithField and returned in canonical form, erroring on duplicate
-// resulting configurations (which would collide on cell keys).
+// SweepSpecs expands one spec field across values for every base spec,
+// the `bpbench -sweep` axis (grammar.Sweep).
 func SweepSpecs(bases []string, key string, values []string) ([]string, error) {
-	if len(values) == 0 {
-		return nil, fmt.Errorf("models: sweep of %q has no values", key)
-	}
-	var out []string
-	seen := make(map[string]bool)
-	for _, b := range bases {
-		spec, err := ParseSpec(b)
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range values {
-			sw, err := spec.WithField(key, v)
-			if err != nil {
-				return nil, err
-			}
-			c := sw.Canonical()
-			if seen[c] {
-				return nil, fmt.Errorf("models: sweep %s over %q produces duplicate spec %q", key, b, c)
-			}
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	return out, nil
+	return grammar.Sweep(&specGrammar, ParseSpec, bases, key, values)
 }
 
 // --- delta / stack parsing ---
@@ -431,53 +310,27 @@ func parseStack(s string) ([]string, error) {
 
 // --- field definitions ---
 
-type fieldDef struct {
-	key string
-	// intRange marks plain-integer fields, whose sweep values may be
-	// written as an inclusive lo:hi range; fields whose values carry
-	// their own ':' (hist) or are non-numeric must use explicit lists.
-	intRange  bool
-	normalise func(string) (string, error)
-}
-
 type kindDef struct {
 	stacked bool // body starts with a '+'-joined component stack
-	fields  []fieldDef
+	fields  grammar.Fields
 	build   func(Spec) *Model
 }
 
-func (d *kindDef) field(key string) *fieldDef {
-	for i := range d.fields {
-		if d.fields[i].key == key {
-			return &d.fields[i]
+// specGrammar is the model grammar as the shared spec machinery sees
+// it: its kinds and their fields.
+var specGrammar = grammar.Grammar{
+	Name:  "models",
+	Kinds: Kinds(),
+	Fields: func(kind string) grammar.Fields {
+		if def := kinds[kind]; def != nil {
+			return def.fields
 		}
-	}
-	return nil
+		return nil
+	},
 }
 
-func (d *kindDef) fieldKeys() string {
-	keys := make([]string, len(d.fields))
-	for i, f := range d.fields {
-		keys[i] = f.key
-	}
-	return strings.Join(keys, ", ")
-}
-
-func intField(key string, min, max int) fieldDef {
-	return fieldDef{key: key, intRange: true, normalise: func(v string) (string, error) {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return "", fmt.Errorf("%q is not an integer", v)
-		}
-		if n < min || n > max {
-			return "", fmt.Errorf("%d out of range [%d, %d]", n, min, max)
-		}
-		return strconv.Itoa(n), nil
-	}}
-}
-
-func uintField(key string) fieldDef {
-	return fieldDef{key: key, normalise: func(v string) (string, error) {
+func uintField(key string) grammar.Field {
+	return grammar.Field{Key: key, Normalise: func(v string) (string, error) {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
 			return "", fmt.Errorf("%q is not an unsigned integer", v)
@@ -486,8 +339,8 @@ func uintField(key string) fieldDef {
 	}}
 }
 
-func boolField(key string) fieldDef {
-	return fieldDef{key: key, normalise: func(v string) (string, error) {
+func boolField(key string) grammar.Field {
+	return grammar.Field{Key: key, Normalise: func(v string) (string, error) {
 		switch v {
 		case "1", "true":
 			return "1", nil
@@ -503,8 +356,8 @@ func boolField(key string) fieldDef {
 // power of two, so this is generous without being an allocation hazard.
 const maxSpecHist = 65536
 
-func histField(key string) fieldDef {
-	return fieldDef{key: key, normalise: func(v string) (string, error) {
+func histField(key string) grammar.Field {
+	return grammar.Field{Key: key, Normalise: func(v string) (string, error) {
 		lo, hi, ok := strings.Cut(v, ":")
 		if !ok {
 			return "", fmt.Errorf("%q is not a min:max history pair (e.g. 6:2000)", v)
@@ -523,14 +376,14 @@ func histField(key string) fieldDef {
 
 // tageCoreFields are the fields configuring a TAGE core; the composed
 // kind reuses them for its core (ium there is a stack component instead).
-func tageCoreFields(withIUM bool) []fieldDef {
-	fs := []fieldDef{
-		intField("tables", 1, tage.MaxTables),
-		intField("log", 6, 30),
-		intField("tag", 4, 16),
+func tageCoreFields(withIUM bool) grammar.Fields {
+	fs := grammar.Fields{
+		grammar.Int("tables", 1, tage.MaxTables, ""),
+		grammar.Int("log", 6, 30, ""),
+		grammar.Int("tag", 4, 16, ""),
 		histField("hist"),
-		intField("bim", 8, 30),
-		intField("alloc", 1, 32),
+		grammar.Int("bim", 8, 30, ""),
+		grammar.Int("alloc", 1, 32, ""),
 	}
 	if withIUM {
 		fs = append(fs, boolField("ium"))
@@ -546,14 +399,14 @@ var kinds = map[string]*kindDef{
 		build:  buildTageSpec,
 	},
 	"gshare": {
-		fields: []fieldDef{intField("log", 8, 30)},
+		fields: grammar.Fields{grammar.Int("log", 8, 30, "")},
 		build:  buildGshareSpec,
 	},
 	"gehl": {
-		fields: []fieldDef{
-			intField("tables", 2, gehl.MaxTables),
-			intField("log", 6, 30),
-			intField("ctr", 2, 8),
+		fields: grammar.Fields{
+			grammar.Int("tables", 2, gehl.MaxTables, ""),
+			grammar.Int("log", 6, 30, ""),
+			grammar.Int("ctr", 2, 8, ""),
 			histField("hist"),
 		},
 		build: buildGehlSpec,

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 
@@ -48,8 +49,15 @@ var HardNames = map[string]bool{
 	"MM05": true, "MM07": true, "WS03": true, "WS04": true,
 }
 
-// All returns the 40 benchmark specs in a stable order.
-func All() []Spec {
+// suite is the 40 benchmark specs in name order, built once: their
+// program closures capture nothing but the benchmark's index.
+var suite = buildSuite()
+
+// All returns the 40 benchmark specs in a stable order, in a fresh
+// slice the caller may modify.
+func All() []Spec { return slices.Clone(suite) }
+
+func buildSuite() []Spec {
 	var specs []Spec
 	add := func(cat string, i int, f func(b *builder) node) {
 		name := fmt.Sprintf("%s%02d", cat, i+1)
@@ -82,12 +90,11 @@ func All() []Spec {
 
 // Find returns the spec with the given name.
 func Find(name string) (Spec, bool) {
-	for _, s := range All() {
-		if s.Name == name {
-			return s, true
-		}
+	i, ok := slices.BinarySearchFunc(suite, name, func(s Spec, name string) int { return strings.Compare(s.Name, name) })
+	if !ok {
+		return Spec{}, false
 	}
-	return Spec{}, false
+	return suite[i], true
 }
 
 // Select resolves trace patterns against the suite and the spec
@@ -99,9 +106,8 @@ func Find(name string) (Spec, bool) {
 // matches nothing is an error with near-miss suggestions, so a typo
 // fails loudly instead of silently shrinking a sweep.
 func Select(patterns []string) ([]Spec, error) {
-	all := All()
 	if len(patterns) == 0 {
-		return all, nil
+		return All(), nil
 	}
 	matched := make(map[string]bool)
 	var specs []Spec // resolved (non-glob) workloads, pattern order
@@ -115,7 +121,7 @@ func Select(patterns []string) ([]Spec, error) {
 			continue
 		}
 		hit := false
-		for _, s := range all {
+		for _, s := range suite {
 			ok, err := path.Match(p, s.Name)
 			if err != nil {
 				return nil, fmt.Errorf("workload: bad trace pattern %q: %w", p, err)
@@ -141,7 +147,7 @@ func Select(patterns []string) ([]Spec, error) {
 		}
 	}
 	var out []Spec
-	for _, s := range all {
+	for _, s := range suite {
 		if matched[s.Name] {
 			out = append(out, s)
 		}

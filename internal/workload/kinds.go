@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/grammar"
 	"repro/internal/rng"
 )
 
@@ -24,60 +25,30 @@ var kindOrder = []string{"loopy", "callret", "datadep", "phased", "ctxflush", "m
 type traceKindDef struct {
 	kind    string
 	doc     string
-	fields  []traceFieldDef
+	fields  grammar.Fields
 	program func(ts TraceSpec, b *builder) node
 }
 
-type traceFieldDef struct {
-	key       string
-	intRange  bool // plain integer: eligible for lo:hi sweep ranges
-	def       string
-	normalise func(string) (string, error)
-}
-
-func (d *traceKindDef) field(key string) *traceFieldDef {
-	for i := range d.fields {
-		if d.fields[i].key == key {
-			return &d.fields[i]
+// traceGrammar is the trace grammar as the shared spec machinery sees
+// it: its generator kinds and their fields.
+var traceGrammar = grammar.Grammar{
+	Name:  "workload",
+	Kinds: kindOrder,
+	Fields: func(kind string) grammar.Fields {
+		if def := traceKindDefs[kind]; def != nil {
+			return def.fields
 		}
-	}
-	return nil
-}
-
-func (d *traceKindDef) fieldKeys() string {
-	keys := make([]string, len(d.fields))
-	for i, f := range d.fields {
-		keys[i] = f.key
-	}
-	return strings.Join(keys, ", ")
-}
-
-// tIntField declares an integer field with inclusive bounds.
-func tIntField(key string, min, max int64, def string) traceFieldDef {
-	return traceFieldDef{
-		key:      key,
-		intRange: true,
-		def:      def,
-		normalise: func(v string) (string, error) {
-			n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
-			if err != nil {
-				return "", fmt.Errorf("want an integer, got %q", v)
-			}
-			if n < min || n > max {
-				return "", fmt.Errorf("%d out of range [%d, %d]", n, min, max)
-			}
-			return strconv.FormatInt(n, 10), nil
-		},
-	}
+		return nil
+	},
 }
 
 // tFloatField declares a float field with inclusive bounds; the
 // canonical form is Go's shortest round-trip rendering.
-func tFloatField(key string, min, max float64, def string) traceFieldDef {
-	return traceFieldDef{
-		key: key,
-		def: def,
-		normalise: func(v string) (string, error) {
+func tFloatField(key string, min, max float64, def string) grammar.Field {
+	return grammar.Field{
+		Key:     key,
+		Default: def,
+		Normalise: func(v string) (string, error) {
 			f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
 			if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
 				return "", fmt.Errorf("want a number, got %q", v)
@@ -99,7 +70,7 @@ func tFloatField(key string, min, max float64, def string) traceFieldDef {
 func (s TraceSpec) fieldInt(key string) int {
 	v, ok := s.Field(key)
 	if !ok {
-		v = traceKindDefs[s.kind].field(key).def
+		v = traceKindDefs[s.kind].fields.Find(key).Default
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil {
@@ -112,7 +83,7 @@ func (s TraceSpec) fieldInt(key string) int {
 func (s TraceSpec) fieldFloat(key string) float64 {
 	v, ok := s.Field(key)
 	if !ok {
-		v = traceKindDefs[s.kind].field(key).def
+		v = traceKindDefs[s.kind].fields.Find(key).Default
 	}
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
@@ -132,20 +103,20 @@ func init() {
 		"loopy": {
 			kind: "loopy",
 			doc:  "trip-count loops with irregular bodies: the loop predictor's territory, jitter defeats it",
-			fields: []traceFieldDef{
-				tIntField("trip", 1, 1_000_000, "24"),
-				tIntField("jitter", 0, 1_000_000, "0"),
-				tIntField("body", 0, 64, "2"),
-				tIntField("sites", 1, 64, "4"),
+			fields: grammar.Fields{
+				grammar.Int("trip", 1, 1_000_000, "24"),
+				grammar.Int("jitter", 0, 1_000_000, "0"),
+				grammar.Int("body", 0, 64, "2"),
+				grammar.Int("sites", 1, 64, "4"),
 			},
 			program: loopyProgram,
 		},
 		"callret": {
 			kind: "callret",
 			doc:  "deep call/return trees: history churn from fan-out calls and data-dependent returns",
-			fields: []traceFieldDef{
-				tIntField("depth", 1, 32, "8"),
-				tIntField("fan", 1, 8, "3"),
+			fields: grammar.Fields{
+				grammar.Int("depth", 1, 32, "8"),
+				grammar.Int("fan", 1, 8, "3"),
 				tFloatField("ret", 0, 1, "0.3"),
 			},
 			program: callretProgram,
@@ -153,28 +124,28 @@ func init() {
 		"datadep": {
 			kind: "datadep",
 			doc:  "statistically biased, history-uncorrelated branches: the Statistical Corrector's target class",
-			fields: []traceFieldDef{
-				tIntField("sites", 1, 256, "8"),
+			fields: grammar.Fields{
+				grammar.Int("sites", 1, 256, "8"),
 				tFloatField("bias", 0.5, 1, "0.6"),
-				tIntField("filler", 0, 64, "4"),
+				grammar.Int("filler", 0, 64, "4"),
 			},
 			program: datadepProgram,
 		},
 		"phased": {
 			kind: "phased",
 			doc:  "hot/cold phase transitions: distinct programs alternate every `period` branches",
-			fields: []traceFieldDef{
-				tIntField("period", 16, 1<<30, "8192"),
-				tIntField("phases", 2, 16, "4"),
+			fields: grammar.Fields{
+				grammar.Int("period", 16, 1<<30, "8192"),
+				grammar.Int("phases", 2, 16, "4"),
 			},
 			program: phasedProgram,
 		},
 		"ctxflush": {
 			kind: "ctxflush",
 			doc:  "periodic context-switch history pollution: bursts of alien branches every `period` branches",
-			fields: []traceFieldDef{
-				tIntField("period", 64, 1<<30, "50000"),
-				tIntField("burst", 1, 4096, "64"),
+			fields: grammar.Fields{
+				grammar.Int("period", 64, 1<<30, "50000"),
+				grammar.Int("burst", 1, 4096, "64"),
 			},
 			program: ctxflushProgram,
 		},
@@ -188,7 +159,7 @@ func init() {
 		if k == "mix" {
 			continue
 		}
-		mix.fields = append(mix.fields, tIntField(k, 1, 100, ""))
+		mix.fields = append(mix.fields, grammar.Int(k, 1, 100, ""))
 	}
 	defs["mix"] = mix
 	traceKindDefs = defs

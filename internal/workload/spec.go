@@ -1,8 +1,8 @@
 package workload
 
 // The trace-spec grammar: workload identity as a parseable, canonically
-// stringable description, mirroring the ModelSpec pattern the model axis
-// already uses. A trace spec is the universal trace currency: the
+// stringable description, the trace axis's counterpart of the model
+// spec. A trace spec is the universal trace currency: the
 // harness keys cells by it, store records carry it, the distributed
 // wire format ships it so remote workers regenerate the same branches,
 // and the CLIs accept it wherever they accept benchmark names.
@@ -30,6 +30,12 @@ package workload
 // 40 named benchmarks are sugar specs whose canonical form is exactly
 // the name, so every pre-spec cell key, golden record and warm-cache
 // key survives byte-identical.
+//
+// The field list, WithField, SweepSpecs, the range rule and
+// SplitPatterns are the core this grammar shares with the model grammar
+// (internal/grammar); named benchmarks, #seed, file: and mix's
+// needs-a-weight rule are the trace grammar's own, as is the kind table
+// in kinds.go.
 
 import (
 	"fmt"
@@ -37,6 +43,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/grammar"
 	"repro/internal/trace"
 )
 
@@ -44,15 +51,13 @@ import (
 // obtain one from ParseTraceSpec (or derive one with WithField, which
 // re-validates).
 type TraceSpec struct {
-	kind    string       // generator kind, "file", or a benchmark name
-	named   bool         // kind is one of the 40 benchmark names
-	path    string       // file-backed source path (kind "file")
-	fields  []traceField // explicitly-set fields, canonical order
-	seed    uint64       // generation seed
-	hasSeed bool         // spec carries an explicit '#seed' suffix
+	kind    string         // generator kind, "file", or a benchmark name
+	named   bool           // kind is one of the 40 benchmark names
+	path    string         // file-backed source path (kind "file")
+	fields  grammar.Values // explicitly-set fields, canonical order
+	seed    uint64         // generation seed
+	hasSeed bool           // spec carries an explicit '#seed' suffix
 }
-
-type traceField struct{ key, val string }
 
 // Kind returns the generator kind ("loopy", …), "file" for file-backed
 // sources, or the benchmark name for named sugar.
@@ -69,14 +74,7 @@ func (s TraceSpec) IsFile() bool { return s.kind == "file" }
 func (s TraceSpec) Seed() (uint64, bool) { return s.seed, s.hasSeed }
 
 // Field returns the explicitly-set value of a field, if any.
-func (s TraceSpec) Field(key string) (string, bool) {
-	for _, f := range s.fields {
-		if f.key == key {
-			return f.val, true
-		}
-	}
-	return "", false
-}
+func (s TraceSpec) Field(key string) (string, bool) { return s.fields.Get(key) }
 
 // Canonical returns the canonical spec string: parsing it back yields
 // an identical spec, and every layer (cell keys, stores, wire jobs)
@@ -91,14 +89,7 @@ func (s TraceSpec) Canonical() string {
 	var b strings.Builder
 	b.WriteString(s.kind)
 	b.WriteByte(':')
-	for i, f := range s.fields {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(f.key)
-		b.WriteByte('=')
-		b.WriteString(f.val)
-	}
+	s.fields.Write(&b)
 	if s.hasSeed {
 		fmt.Fprintf(&b, "#%d", s.seed)
 	}
@@ -126,10 +117,10 @@ func KindSummaries() []string {
 		def := traceKindDefs[k]
 		fs := make([]string, len(def.fields))
 		for i, f := range def.fields {
-			if f.def != "" {
-				fs[i] = f.key + "=" + f.def
+			if f.Default != "" {
+				fs[i] = f.Key + "=" + f.Default
 			} else {
-				fs[i] = f.key
+				fs[i] = f.Key
 			}
 		}
 		out = append(out, fmt.Sprintf("%s:%s  (%s)", k, strings.Join(fs, ","), def.doc))
@@ -138,22 +129,9 @@ func KindSummaries() []string {
 	return out
 }
 
-// FieldSweepsAsRange reports whether a -trace-sweep of the field may
-// use the inclusive lo:hi integer-range form: true only when every kind
-// defining the key declares it a plain integer (float-valued fields
-// need explicit value lists).
-func FieldSweepsAsRange(key string) bool {
-	found := false
-	for _, def := range traceKindDefs {
-		if fd := def.field(key); fd != nil {
-			if !fd.intRange {
-				return false
-			}
-			found = true
-		}
-	}
-	return found
-}
+// FieldSweepsAsRange reports whether -trace-sweep may give the field as
+// an inclusive lo:hi range (grammar.Grammar.SweepsAsRange).
+func FieldSweepsAsRange(key string) bool { return traceGrammar.SweepsAsRange(key) }
 
 // ParseTraceSpec parses a trace-spec string: a benchmark name, a
 // parameterised generator ("phased:period=4096#1"), or a file-backed
@@ -203,36 +181,12 @@ func ParseTraceSpec(s string) (TraceSpec, error) {
 		spec.seed, spec.hasSeed = n, true
 		body = body[:hash]
 	}
-	vals := make(map[string]string)
 	if strings.TrimSpace(body) != "" {
-		for _, item := range strings.Split(body, ",") {
-			item = strings.TrimSpace(item)
-			if item == "" {
-				return TraceSpec{}, fmt.Errorf("workload: spec %q has an empty field (stray comma?)", raw)
-			}
-			k, v, ok := strings.Cut(item, "=")
-			if !ok {
-				return TraceSpec{}, fmt.Errorf("workload: spec %q: field %q is not key=value", raw, item)
-			}
-			k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-			fd := def.field(k)
-			if fd == nil {
-				return TraceSpec{}, fmt.Errorf("workload: kind %q has no field %q (valid fields: %s)", kind, k, def.fieldKeys())
-			}
-			if _, dup := vals[k]; dup {
-				return TraceSpec{}, fmt.Errorf("workload: spec %q sets field %q twice", raw, k)
-			}
-			canon, err := fd.normalise(v)
-			if err != nil {
-				return TraceSpec{}, fmt.Errorf("workload: spec %q: field %q: %w", raw, k, err)
-			}
-			vals[k] = canon
+		fields, err := traceGrammar.Parse(raw, kind, body)
+		if err != nil {
+			return TraceSpec{}, err
 		}
-	}
-	for _, fd := range def.fields {
-		if v, ok := vals[fd.key]; ok {
-			spec.fields = append(spec.fields, traceField{fd.key, v})
-		}
+		spec.fields = fields
 	}
 	if kind == "mix" && len(spec.fields) == 0 {
 		return TraceSpec{}, fmt.Errorf("workload: spec %q: mix needs at least one component weight, e.g. 'mix:loopy=2,datadep=1'", raw)
@@ -247,10 +201,10 @@ func exampleField(kind string) string {
 		return "key=value"
 	}
 	f := def.fields[0]
-	if f.def != "" {
-		return f.key + "=" + f.def
+	if f.Default != "" {
+		return f.Key + "=" + f.Default
 	}
-	return f.key + "=1"
+	return f.Key + "=1"
 }
 
 // WithField returns the spec with one field set (replacing an existing
@@ -265,27 +219,12 @@ func (s TraceSpec) WithField(key, val string) (TraceSpec, error) {
 	if s.kind == fileKind {
 		return TraceSpec{}, fmt.Errorf("workload: file-backed trace %q has no parameter fields", s.Canonical())
 	}
-	def := traceKindDefs[s.kind]
-	fd := def.field(key)
-	if fd == nil {
-		return TraceSpec{}, fmt.Errorf("workload: kind %q has no field %q (valid fields: %s)", s.kind, key, def.fieldKeys())
-	}
-	canon, err := fd.normalise(val)
+	fields, err := traceGrammar.With(s.kind, s.fields, key, val)
 	if err != nil {
-		return TraceSpec{}, fmt.Errorf("workload: field %q: %w", key, err)
+		return TraceSpec{}, err
 	}
-	vals := make(map[string]string, len(s.fields)+1)
-	for _, f := range s.fields {
-		vals[f.key] = f.val
-	}
-	vals[key] = canon
 	out := s
-	out.fields = nil
-	for _, fd := range def.fields {
-		if v, ok := vals[fd.key]; ok {
-			out.fields = append(out.fields, traceField{fd.key, v})
-		}
-	}
+	out.fields = fields
 	return out, nil
 }
 
@@ -356,65 +295,15 @@ func ResolveSpec(s string) (Spec, error) {
 }
 
 // SweepSpecs expands one generator field across values for every base
-// spec — the `bpbench -trace-sweep` axis: each base is rewritten per
-// value via WithField and returned in canonical form, erroring on
-// duplicate resulting workloads (which would collide on cell keys).
+// spec, the `bpbench -trace-sweep` axis (grammar.Sweep).
 func SweepSpecs(bases []string, key string, values []string) ([]string, error) {
-	if len(values) == 0 {
-		return nil, fmt.Errorf("workload: sweep of %q has no values", key)
-	}
-	var out []string
-	seen := make(map[string]bool)
-	for _, b := range bases {
-		spec, err := ParseTraceSpec(b)
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range values {
-			sw, err := spec.WithField(key, v)
-			if err != nil {
-				return nil, err
-			}
-			c := sw.Canonical()
-			if seen[c] {
-				return nil, fmt.Errorf("workload: sweep %s over %q produces duplicate spec %q", key, b, c)
-			}
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	return out, nil
+	return grammar.Sweep(&traceGrammar, ParseTraceSpec, bases, key, values)
 }
 
-// SplitPatterns splits a comma-separated trace flag the spec-aware way:
-// a comma continues the previous pattern's field list only when the
-// previous pattern is a generator spec and what follows is a bare
-// key=value pair — so "phased:period=4096,phases=8#1,INT01" is two
-// patterns, not three. Empty segments are dropped.
-func SplitPatterns(s string) []string {
-	var out []string
-	for _, seg := range strings.Split(s, ",") {
-		seg = strings.TrimSpace(seg)
-		if seg == "" {
-			continue
-		}
-		if len(out) > 0 && continuesSpec(seg) {
-			if kind, _, ok := strings.Cut(out[len(out)-1], ":"); ok && traceKindDefs[kind] != nil {
-				out[len(out)-1] += "," + seg
-				continue
-			}
-		}
-		out = append(out, seg)
-	}
-	return out
-}
-
-// continuesSpec reports whether a segment looks like a spec field
-// (key=value with a glob-free key) rather than a new pattern.
-func continuesSpec(seg string) bool {
-	k, _, ok := strings.Cut(seg, "=")
-	return ok && !strings.ContainsAny(k, ":*?[")
-}
+// SplitPatterns splits a -traces value into patterns
+// (grammar.Grammar.Split): "phased:period=4096,phases=8#1,INT01" is two
+// patterns, not three.
+func SplitPatterns(s string) []string { return traceGrammar.Split(s) }
 
 // unknownNameError explains an unmatched benchmark name with near-miss
 // suggestions and a pointer at the spec grammar — a typo should fail
@@ -437,7 +326,7 @@ func nearestNames(p string, max int) []string {
 		d    int
 	}
 	var cands []cand
-	for _, s := range All() {
+	for _, s := range suite {
 		if d := editDistance(up, s.Name); d <= 2 {
 			cands = append(cands, cand{s.Name, d})
 		}

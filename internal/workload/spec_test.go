@@ -21,17 +21,17 @@ func randomSpec(r *rand.Rand) string {
 		n := 1 + r.Intn(len(def.fields))
 		perm := r.Perm(len(def.fields))
 		for _, i := range perm[:n] {
-			parts = append(parts, fmt.Sprintf("%s=%d", def.fields[i].key, 1+r.Intn(100)))
+			parts = append(parts, fmt.Sprintf("%s=%d", def.fields[i].Key, 1+r.Intn(100)))
 		}
 	} else {
 		for _, f := range def.fields {
 			if r.Intn(2) == 0 {
 				continue
 			}
-			if f.intRange {
+			if f.Range {
 				// Stay inside each field's legal range.
 				var v int
-				switch f.key {
+				switch f.Key {
 				case "period":
 					v = 64 + r.Intn(8192)
 				case "phases":
@@ -43,9 +43,9 @@ func randomSpec(r *rand.Rand) string {
 				default:
 					v = 1 + r.Intn(64)
 				}
-				parts = append(parts, fmt.Sprintf("%s=%d", f.key, v))
+				parts = append(parts, fmt.Sprintf("%s=%d", f.Key, v))
 			} else {
-				parts = append(parts, fmt.Sprintf("%s=%.2f", f.key, 0.5+0.5*r.Float64()))
+				parts = append(parts, fmt.Sprintf("%s=%.2f", f.Key, 0.5+0.5*r.Float64()))
 			}
 		}
 	}

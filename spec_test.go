@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // --- round-trip property ---
@@ -370,5 +372,48 @@ func TestBenchModelsSpecThreading(t *testing.T) {
 	}
 	if _, err := BenchModels([]string{"tage:tables=9,log=11", "tage:log=11,tables=9"}); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate canonical error: %v", err)
+	}
+}
+
+// TestSpecParsingAllocations: a farm worker parses the model and trace
+// spec of every cell it is leased, so a parse must not allocate more
+// than it does here.
+func TestSpecParsingAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's runtime allocates on its own")
+	}
+	for _, c := range []struct {
+		spec  string
+		trace bool
+		max   float64
+	}{
+		{"tage", false, 0},
+		{"tage@+2", false, 0},
+		{"tage:tables=9,hist=6:500", false, 3},
+		{"composed:tage+ium+lsc,tables=10", false, 3},
+		{"gshare:log=14", false, 1},
+		{"loopy:#3", true, 0},
+		{"phased:period=4096,phases=8#1", true, 2},
+		{"mix:loopy=1,callret=1,datadep=1#5", true, 1},
+		{"INT01", true, 0},
+	} {
+		parse := func() {
+			if _, err := ParseSpec(c.spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c.trace {
+			parse = func() {
+				if _, err := workload.ParseTraceSpec(c.spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if got := testing.AllocsPerRun(100, parse); got > c.max {
+			t.Errorf("parsing %q allocates %v times, want at most %v", c.spec, got, c.max)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { workload.ResolveSpec("INT01") }); got != 0 {
+		t.Errorf("resolving INT01 allocates %v times, want 0", got)
 	}
 }
