@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
+	"repro/internal/models"
 )
 
 func TestBenchFacadeEndToEnd(t *testing.T) {
@@ -23,7 +26,7 @@ func TestBenchFacadeEndToEnd(t *testing.T) {
 	if sum.Jobs != 4 || sum.Failed != 0 {
 		t.Fatalf("summary = %+v", sum)
 	}
-	recs, err := ReadBenchRecords(&buf)
+	recs, err := harness.ReadRecords(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +35,7 @@ func TestBenchFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("got %d records, want 10", len(recs))
 	}
 	// A self-diff of the run must be clean.
-	rep := BenchDiff(recs, recs, BenchDiffOptions{})
+	rep := harness.Diff(recs, recs, harness.DiffOptions{})
 	if rep.HasRegressions() || rep.Cells != 4 {
 		t.Fatalf("self-diff = %+v", rep)
 	}
@@ -81,7 +84,7 @@ func TestBenchModelsScaleHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	scalables := map[string]bool{}
-	for _, name := range ScalableModelNames() {
+	for _, name := range models.ScalableNames() {
 		scalables[name] = true
 	}
 	for _, m := range ms {
@@ -126,7 +129,7 @@ func TestDeltaAxisRefusesSpecsWithADelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.DeltaLogs = []int{1, 2}
-	if _, err := ExpandBench(m); err == nil || !strings.Contains(err.Error(), "already carries a storage delta") {
+	if _, err := m.Expand(); err == nil || !strings.Contains(err.Error(), "already carries a storage delta") {
 		t.Fatalf("expanding tage@+1 over a delta axis: %v", err)
 	}
 }

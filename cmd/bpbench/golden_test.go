@@ -5,7 +5,7 @@ import (
 	"os"
 	"testing"
 
-	"repro"
+	"repro/internal/harness"
 )
 
 // TestGoldenBaseline re-runs the CI smoke matrices (2 models x 2
@@ -37,7 +37,7 @@ func TestGoldenBaseline(t *testing.T) {
 			if code != 0 {
 				t.Fatalf("matrix run exit %d: %s", code, errOut.String())
 			}
-			fresh, err := repro.ReadBenchRecords(&out)
+			fresh, err := harness.ReadRecords(&out)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,11 +46,11 @@ func TestGoldenBaseline(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer f.Close()
-			golden, err := repro.ReadBenchRecords(f)
+			golden, err := harness.ReadRecords(f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep := repro.BenchDiff(golden, fresh, repro.BenchDiffOptions{})
+			rep := harness.Diff(golden, fresh, harness.DiffOptions{})
 			if rep.Cells != 4 {
 				t.Fatalf("compared %d cells, want 4", rep.Cells)
 			}

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro"
+	"repro/internal/harness"
 )
 
 // growStore builds a store with real lifecycle garbage in it: a first
@@ -93,11 +93,11 @@ func TestCompactInPlace(t *testing.T) {
 	if code, _, errOut := runCapture(t, "compact", store); code != 0 {
 		t.Fatalf("in-place compact exit %d: %s", code, errOut)
 	}
-	recs, err := repro.ReadBenchRecordsFile(store)
+	recs, err := harness.ReadRecordsFile(store)
 	if err != nil {
 		t.Fatalf("compacted store unreadable: %v", err)
 	}
-	_, stats := repro.CompactStore(recs)
+	_, stats := harness.Compact(recs)
 	if stats.Dropped() != 0 {
 		t.Fatalf("in-place compact left droppable records: %+v", stats)
 	}
@@ -163,7 +163,7 @@ func TestFreshRunStampsProvenance(t *testing.T) {
 	if code, _, errOut := runCapture(t, sweepArgs(store)...); code != 0 {
 		t.Fatalf("sweep exit %d: %s", code, errOut)
 	}
-	recs, err := repro.ReadBenchRecordsFile(store)
+	recs, err := harness.ReadRecordsFile(store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestFreshRunStampsProvenance(t *testing.T) {
 			t.Fatalf("record %d provenance incomplete: %+v", i, r.Provenance)
 		}
 	}
-	if ps := repro.StoreProvenance(recs); len(ps) != 1 {
+	if ps := harness.StoreProvenance(recs); len(ps) != 1 {
 		t.Fatalf("fresh store spans %d revisions, want 1: %+v", len(ps), ps)
 	}
 }
@@ -193,7 +193,7 @@ func TestResumeWarnsOnProvenanceDrift(t *testing.T) {
 	}
 
 	// Rewrite the store as if it had been produced by another revision.
-	recs, err := repro.ReadBenchRecordsFile(store)
+	recs, err := harness.ReadRecordsFile(store)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,6 +71,10 @@ import (
 
 	"repro"
 	"repro/internal/cli"
+	"repro/internal/harness"
+	"repro/internal/metrics"
+	"repro/internal/models"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -97,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bpbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		models      = fs.String("models", "tage", "comma-separated model specs: named models or kind:key=value,... configurations (see -list)")
+		modelList   = fs.String("models", "tage", "comma-separated model specs: named models or kind:key=value,... configurations (see -list)")
 		sweep       = fs.String("sweep", "", "expand a spec field into a matrix axis: key=lo:hi (inclusive int range) or key=v1,v2,..., applied to every -models spec")
 		scenarios   = fs.String("scenarios", "A", "comma-separated update scenarii: I, A, B, C")
 		traces      = fs.String("traces", "", "comma-separated workloads: benchmark names/globs, generator specs like 'phased:period=4096#1', or 'file:path.bpt' (default: all 40 benchmarks)")
@@ -135,11 +139,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *list {
 		fmt.Fprintln(stdout, "models: ", strings.Join(repro.ModelNames(), " "))
-		fmt.Fprintln(stdout, "spec kinds: ", strings.Join(repro.SpecKinds(), " "), " (e.g. 'tage:tables=9,hist=6:500', 'composed:tage+ium+lsc')")
-		fmt.Fprintln(stdout, "scalable (-delta): ", strings.Join(repro.ScalableModelNames(), " "), " plus every kind: spec")
+		fmt.Fprintln(stdout, "spec kinds: ", strings.Join(models.Kinds(), " "), " (e.g. 'tage:tables=9,hist=6:500', 'composed:tage+ium+lsc')")
+		fmt.Fprintln(stdout, "scalable (-delta): ", strings.Join(models.ScalableNames(), " "), " plus every kind: spec")
 		fmt.Fprintln(stdout, "traces: ", strings.Join(repro.TraceNames(), " "))
 		fmt.Fprintln(stdout, "workload kinds (-traces specs):")
-		for _, l := range repro.WorkloadKindSummaries() {
+		for _, l := range workload.KindSummaries() {
 			fmt.Fprintln(stdout, "  "+l)
 		}
 		return 0
@@ -198,9 +202,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Telemetry: one registry feeds the harness, the /metrics endpoint
 	// and the progress line alike. Created only when something will read
 	// it — a nil registry keeps the instrumented paths at zero overhead.
-	var reg *repro.MetricsRegistry
+	var reg *metrics.Registry
 	if *metricsAddr != "" || *progress {
-		reg = repro.NewMetricsRegistry()
+		reg = metrics.NewRegistry()
 	}
 	if *metricsAddr != "" {
 		ln, err := net.Listen("tcp", *metricsAddr)
@@ -208,43 +212,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 			log.Error(fmt.Sprintf("bpbench: -metrics-addr: %v", err))
 			return 2
 		}
-		srv := &http.Server{Handler: repro.TelemetryMux(reg)}
+		srv := &http.Server{Handler: telemetryMux(reg)}
 		go func() { _ = srv.Serve(ln) }()
 		defer srv.Close()
 		log.Info(fmt.Sprintf("bpbench: serving /metrics and /debug/pprof on http://%s", ln.Addr()))
 	}
 	if *progress {
-		defer repro.StartBenchProgress(stderr, reg, 0)()
+		defer harness.StartProgress(stderr, reg, 0)()
 	}
 
 	// Spec-aware split: commas separate models only where a new spec
 	// starts, so multi-field specs ride in one -models value.
-	modelSpecs := repro.SplitSpecList(*models)
+	modelSpecs := models.SplitList(*modelList)
 	if *sweep != "" {
-		key, values, err := parseSweep(*sweep, "-sweep", repro.SpecFieldSweepsAsRange)
+		key, values, err := parseSweep(*sweep, "-sweep", models.FieldSweepsAsRange)
 		if err != nil {
 			log.Error(fmt.Sprintf("bpbench: %v", err))
 			return 2
 		}
-		if modelSpecs, err = repro.SweepSpecs(modelSpecs, key, values); err != nil {
+		if modelSpecs, err = models.SweepSpecs(modelSpecs, key, values); err != nil {
 			log.Error(fmt.Sprintf("bpbench: %v", err))
 			return 2
 		}
 	}
 	// Same spec-aware split on the trace axis: commas inside a generator
 	// spec's field list stay part of that spec.
-	tracePatterns := repro.SplitTraceList(*traces)
+	tracePatterns := workload.SplitPatterns(*traces)
 	if *traceSweep != "" {
 		if len(tracePatterns) == 0 {
 			log.Error("bpbench: -trace-sweep rewrites generator specs; name at least one with -traces (e.g. -traces 'phased:' -trace-sweep period=1024,8192)")
 			return 2
 		}
-		key, values, err := parseSweep(*traceSweep, "-trace-sweep", repro.TraceFieldSweepsAsRange)
+		key, values, err := parseSweep(*traceSweep, "-trace-sweep", workload.FieldSweepsAsRange)
 		if err != nil {
 			log.Error(fmt.Sprintf("bpbench: %v", err))
 			return 2
 		}
-		if tracePatterns, err = repro.SweepTraceSpecs(tracePatterns, key, values); err != nil {
+		if tracePatterns, err = workload.SweepSpecs(tracePatterns, key, values); err != nil {
 			log.Error(fmt.Sprintf("bpbench: %v", err))
 			return 2
 		}
@@ -263,7 +267,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Every record bpbench writes — stdout, -o file, or resume store —
 	// is stamped with the revision that produced it, so saved runs stay
 	// interpretable after the predictor changes underneath them.
-	prov := repro.CurrentProvenance()
+	prov := harness.CurrentProvenance()
 	cfg := repro.BenchConfig{Parallelism: *parallel, NoTraceCache: *noCache, NoAggregates: *noAgg, Provenance: &prov, Metrics: reg}
 	if *warmDir != "" {
 		*warmCache = true
@@ -273,9 +277,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if dir == "" {
 			switch {
 			case *resume != "":
-				dir = repro.BenchWarmCacheDir(*resume)
+				dir = harness.WarmCacheDir(*resume)
 			case *outPath != "":
-				dir = repro.BenchWarmCacheDir(*outPath)
+				dir = harness.WarmCacheDir(*outPath)
 			default:
 				log.Error("bpbench: -warm-cache derives its blob directory from -resume or -o; set one, or pass -warm-cache-dir")
 				return 2
@@ -288,14 +292,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if reg == nil {
 			// The hit/miss counters live on a registry; the summary line
 			// below needs one even when nothing else scrapes it.
-			reg = repro.NewMetricsRegistry()
+			reg = metrics.NewRegistry()
 		}
 		cfg.WarmCache = dir
 		cfg.CheckpointEvery = *ckEvery
 		cfg.Metrics = reg
 		defer func() {
-			hits, misses := repro.BenchWarmCacheStats(reg)
-			log.Info(fmt.Sprintf("bpbench: warm cache %s: %d hits, %d misses", dir, hits, misses))
+			// A counter the run never advanced has no sample and reads 0.
+			snap := reg.Snapshot()
+			hits, _ := snap.Sample(harness.MetricWarmCacheHits)
+			misses, _ := snap.Sample(harness.MetricWarmCacheMisses)
+			log.Info(fmt.Sprintf("bpbench: warm cache %s: %d hits, %d misses", dir, uint64(hits.Value), uint64(misses.Value)))
 		}()
 	}
 	if *resume != "" {
@@ -340,7 +347,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *perf {
 		// Telemetry, not data: stderr, so it never corrupts a JSONL/CSV
 		// stream on stdout.
-		repro.RenderBenchPerf(stderr, repro.BenchPerfRows(sum.Records))
+		harness.RenderPerf(stderr, harness.PerfRows(sum.Records))
 	}
 	if sum.Failed > 0 {
 		log.Error(fmt.Sprintf("bpbench: %d of %d jobs failed", sum.Failed, sum.Jobs))
@@ -355,7 +362,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // a fresh one; a crash tail (truncated final line from a killed run) is
 // dropped and overwritten, so a store survives kill -9 mid-write.
 func runResume(m *repro.BenchMatrix, cfg repro.BenchConfig, path string, perf bool, stderr io.Writer, log *slog.Logger) int {
-	jobs, err := repro.ExpandBench(m)
+	jobs, err := m.Expand()
 	if err != nil {
 		log.Error(fmt.Sprintf("bpbench: %v", err))
 		return 2
@@ -364,7 +371,7 @@ func runResume(m *repro.BenchMatrix, cfg repro.BenchConfig, path string, perf bo
 		log.Error("bpbench: filters matched no cells")
 		return 2
 	}
-	sum, err := repro.RunBenchResumeStore(path, jobs, cfg, func(plan *repro.BenchResumePlan) error {
+	sum, err := harness.ResumeStoreFile(path, jobs, cfg, func(plan *harness.ResumePlan) error {
 		// Drift is a warning, not a refusal: reusing the cells is the
 		// point of -resume, but the store now mixes revisions and
 		// cross-cell comparisons should say so (bpbench compact + a
@@ -391,7 +398,7 @@ func runResume(m *repro.BenchMatrix, cfg repro.BenchConfig, path string, perf bo
 		// The merged cell set, not the appended records: reused cells
 		// carry their preserved telemetry, so the table covers the whole
 		// grid even when the store was complete and nothing ran.
-		repro.RenderBenchPerf(stderr, repro.BenchPerfRows(sum.Merged))
+		harness.RenderPerf(stderr, harness.PerfRows(sum.Merged))
 	}
 	if sum.Failed > 0 {
 		log.Error(fmt.Sprintf("bpbench: %d of %d jobs failed", sum.Failed, sum.Jobs-sum.Skipped))
@@ -437,21 +444,21 @@ func runCompact(args []string, stdout, stderr io.Writer) int {
 	}
 	log := cli.NewLogger(stderr, *verbose, *quiet)
 
-	recs, _, err := repro.ReadBenchStoreFile(store)
+	recs, _, err := harness.ReadStoreFile(store)
 	if err != nil {
 		log.Error(fmt.Sprintf("bpbench: %v", err))
 		return 2
 	}
-	opts := repro.BenchCompactOpts{}
+	opts := harness.CompactOpts{}
 	if *pruneDrift {
 		opts.PruneDrift = true
-		opts.Head = repro.CurrentProvenance()
+		opts.Head = harness.CurrentProvenance()
 		if opts.Head.GitSHA == "" {
 			log.Error("bpbench: -prune-drift needs a git HEAD to prune against, and none was found")
 			return 2
 		}
 	}
-	out, stats := repro.CompactStoreWith(recs, opts)
+	out, stats := harness.CompactWith(recs, opts)
 	// The recomputed aggregate set can be larger than what the store held
 	// (a crash tore through the final aggregate block): account drops and
 	// repairs separately so neither count can ever print negative.
@@ -472,7 +479,7 @@ func runCompact(args []string, stdout, stderr io.Writer) int {
 		store, stats.In, stats.Out, stats.SupersededFailed+stats.DuplicateCells+staleAggs+stats.DriftDropped,
 		stats.SupersededFailed, stats.DuplicateCells, staleAggs, repair, drift,
 		stats.CellsOut, stats.FailedKept, stats.AggregatesIn, stats.AggregatesOut))
-	if prov := repro.StoreProvenance(recs); len(prov) > 1 {
+	if prov := harness.StoreProvenance(recs); len(prov) > 1 {
 		log.Info(fmt.Sprintf("bpbench: note: store spans %d revisions", len(prov)))
 	}
 	if *dryRun {
@@ -550,7 +557,7 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 	// An explicit `-tolerance 0` / `-absfloor 0` means strict exact
 	// matching, which the library expresses as a negative value (its
 	// zero value selects the defaults).
-	opt := repro.BenchDiffOptions{Tolerance: *tolerance, AbsFloor: *absFloor}
+	opt := harness.DiffOptions{Tolerance: *tolerance, AbsFloor: *absFloor}
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "tolerance" && opt.Tolerance == 0 {
 			opt.Tolerance = -1
@@ -559,11 +566,16 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 			opt.AbsFloor = -1
 		}
 	})
-	rep, err := repro.BenchDiffFiles(paths[0], paths[1], opt)
-	if err != nil {
-		log.Error(fmt.Sprintf("bpbench: %v", err))
-		return 2
+	var sides [2][]harness.Record
+	for i, p := range paths {
+		recs, err := harness.ReadRecordsFile(p)
+		if err != nil {
+			log.Error(fmt.Sprintf("bpbench: %v", err))
+			return 2
+		}
+		sides[i] = recs
 	}
+	rep := harness.Diff(sides[0], sides[1], opt)
 	rep.ShowProvenance = *provenance
 	rep.Render(stdout)
 	if rep.Cells == 0 {

@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro"
+	"repro/internal/harness"
 )
 
 func runCapture(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -25,11 +25,11 @@ func TestRunMatrixJSONL(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut)
 	}
-	recs, err := repro.ReadBenchRecords(strings.NewReader(out))
+	recs, err := harness.ReadRecords(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cells, aggs []repro.BenchRecord
+	var cells, aggs []harness.Record
 	for _, r := range recs {
 		if r.Kind == "cell" {
 			cells = append(cells, r)
@@ -65,8 +65,8 @@ func TestRunDeterministicAcrossInvocations(t *testing.T) {
 	_, out2, _ := runCapture(t, append(args, "-notracecache", "-parallelism", "1")...)
 	// Wall-clock telemetry legitimately differs between invocations; every
 	// measurement field must be identical.
-	norm := func(out string) []repro.BenchRecord {
-		recs, err := repro.ReadBenchRecords(strings.NewReader(out))
+	norm := func(out string) []harness.Record {
+		recs, err := harness.ReadRecords(strings.NewReader(out))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro"
+	"repro/internal/harness"
 )
 
 // sweepArgs is the shared small Figure 9-style grid: one scalable model
@@ -23,9 +23,9 @@ func sweepArgs(store string) []string {
 // readStore parses a result store, zeroing the wall-clock telemetry
 // fields (the only fields two identical runs may legitimately disagree
 // on).
-func readStore(t *testing.T, path string) []repro.BenchRecord {
+func readStore(t *testing.T, path string) []harness.Record {
 	t.Helper()
-	recs, err := repro.ReadBenchRecordsFile(path)
+	recs, err := harness.ReadRecordsFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +147,8 @@ func TestResumeMatchesSingleInvocationSweep(t *testing.T) {
 		t.Fatalf("full-range resume over grown store: exit %d, %s", code, errOut)
 	}
 
-	cells := func(recs []repro.BenchRecord) map[string]repro.BenchRecord {
-		out := make(map[string]repro.BenchRecord)
+	cells := func(recs []harness.Record) map[string]harness.Record {
+		out := make(map[string]harness.Record)
 		for _, r := range recs {
 			if r.Kind == "cell" {
 				out[r.Key()] = r

@@ -20,6 +20,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -27,6 +28,8 @@ import (
 
 	"repro"
 	"repro/internal/cli"
+	"repro/internal/harness"
+	"repro/internal/metrics"
 )
 
 // runServe implements `bpbench serve`. When stop is non-nil (tests),
@@ -53,17 +56,17 @@ func runServe(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int
 
 	// One registry serves /metrics, the lease queue and every
 	// submission's run telemetry.
-	reg := repro.NewMetricsRegistry()
-	queue := repro.NewBenchLeaseQueue(*leaseTTL, *leaseBatch, reg)
-	prov := repro.CurrentProvenance()
-	svc := &repro.BenchService{
+	reg := metrics.NewRegistry()
+	queue := harness.NewLeaseQueue(*leaseTTL, *leaseBatch, reg)
+	prov := harness.CurrentProvenance()
+	svc := &harness.Service{
 		Queue:   queue,
 		Resolve: repro.BenchResolver(),
 		Store:   *store,
 		Config:  repro.BenchConfig{Provenance: &prov, Metrics: reg, Log: log},
 		Log:     log,
 	}
-	mux := repro.TelemetryMux(reg)
+	mux := telemetryMux(reg)
 	svc.Register(mux)
 
 	ln, err := net.Listen("tcp", *addr)
@@ -101,6 +104,21 @@ func runServe(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int
 	return 0
 }
 
+// telemetryMux serves reg in Prometheus text-exposition format on
+// /metrics, plus the standard runtime profiling endpoints under
+// /debug/pprof/ — everything a scraper or `go tool pprof` needs to
+// watch a live sweep or a farm process.
+func telemetryMux(reg *metrics.Registry) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", metrics.Handler(reg))
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
+}
+
 // runWork implements `bpbench work -connect addr`. When ctx is nil
 // (the real CLI), SIGINT/SIGTERM cancel the worker; tests pass their
 // own context.
@@ -129,15 +147,15 @@ func runWork(args []string, stdout, stderr io.Writer, ctx context.Context) int {
 		return 2
 	}
 
-	var reg *repro.MetricsRegistry
+	var reg *metrics.Registry
 	if *metricsAddr != "" {
-		reg = repro.NewMetricsRegistry()
+		reg = metrics.NewRegistry()
 		ln, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
 			log.Error(fmt.Sprintf("bpbench: work: -metrics-addr: %v", err))
 			return 2
 		}
-		srv := &http.Server{Handler: repro.TelemetryMux(reg)}
+		srv := &http.Server{Handler: telemetryMux(reg)}
 		go func() { _ = srv.Serve(ln) }()
 		defer srv.Close()
 		log.Info(fmt.Sprintf("bpbench: serving /metrics and /debug/pprof on http://%s", ln.Addr()))
@@ -149,7 +167,7 @@ func runWork(args []string, stdout, stderr io.Writer, ctx context.Context) int {
 		defer cancel()
 	}
 	log.Info(fmt.Sprintf("bpbench: worker pulling leases from %s", *connect))
-	err := repro.RunBenchWorker(ctx, repro.BenchWorkerOptions{
+	err := harness.RunWorker(ctx, harness.WorkerOptions{
 		BaseURL: *connect,
 		ID:      *id,
 		Resolve: repro.BenchResolver(),
@@ -196,16 +214,16 @@ func runMerge(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	stores := make([][]repro.BenchRecord, 0, len(paths))
+	stores := make([][]harness.Record, 0, len(paths))
 	for _, p := range paths {
-		recs, _, err := repro.ReadBenchStoreFile(p)
+		recs, _, err := harness.ReadStoreFile(p)
 		if err != nil {
 			log.Error(fmt.Sprintf("bpbench: %v", err))
 			return 2
 		}
 		stores = append(stores, recs)
 	}
-	out, stats, err := repro.MergeBenchStores(stores...)
+	out, stats, err := harness.MergeStores(stores...)
 	if err != nil {
 		log.Error(fmt.Sprintf("bpbench: %v", err))
 		return 2

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro"
+	"repro/internal/harness"
 )
 
 // End-to-end coverage of the ModelSpec path through bpbench: arbitrary
@@ -65,7 +65,7 @@ func TestSpecDeltaAxis(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut)
 	}
-	recs, err := repro.ReadBenchRecords(strings.NewReader(out))
+	recs, err := harness.ReadRecords(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestSweepFlag(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("sweep exit %d: %s", code, errOut)
 	}
-	recs, err := repro.ReadBenchRecords(strings.NewReader(out))
+	recs, err := harness.ReadRecords(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,22 +10,23 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/harness"
 )
 
 // readCells reads a JSONL store and returns its cell records keyed for
 // comparison, with the timing/provenance noise scrubbed.
-func readCells(t *testing.T, path string) map[string]repro.BenchRecord {
+func readCells(t *testing.T, path string) map[string]harness.Record {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	recs, err := repro.ReadBenchRecords(f)
+	recs, err := harness.ReadRecords(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := make(map[string]repro.BenchRecord)
+	cells := make(map[string]harness.Record)
 	for _, r := range recs {
 		if r.Kind != "cell" {
 			continue
@@ -78,7 +79,7 @@ func TestTraceSweepExpandsCells(t *testing.T) {
 		t.Fatalf("exit %d:\n%s", code, errOut)
 	}
 	var traces []string
-	recs, err := repro.ReadBenchRecords(strings.NewReader(out))
+	recs, err := harness.ReadRecords(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,18 +98,18 @@ func TestTraceSweepExpandsCells(t *testing.T) {
 // TestSpecDeterministicAcrossParallelism: the same generator spec + seed
 // measures identically no matter how many workers simulate it.
 func TestSpecDeterministicAcrossParallelism(t *testing.T) {
-	cells := func(parallelism string) map[string]repro.BenchRecord {
+	cells := func(parallelism string) map[string]harness.Record {
 		code, out, errOut := runCapture(t, "-models", "tage", "-traces", "mix:loopy=2,datadep=1#3",
 			"-scenarios", "A,C", "-branches", "5000", "-format", "jsonl", "-noaggregates",
 			"-parallelism", parallelism)
 		if code != 0 {
 			t.Fatalf("-parallelism %s exited %d:\n%s", parallelism, code, errOut)
 		}
-		recs, err := repro.ReadBenchRecords(strings.NewReader(out))
+		recs, err := harness.ReadRecords(strings.NewReader(out))
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := make(map[string]repro.BenchRecord)
+		m := make(map[string]harness.Record)
 		for _, r := range recs {
 			r.ElapsedSec, r.BranchesPerSec = 0, 0
 			r.Provenance = nil

@@ -20,21 +20,26 @@ import (
 
 	"repro"
 	"repro/internal/cli"
+	"repro/internal/harness"
+	"repro/internal/workload"
 )
 
 // resolve maps the -model and -scenario flag values to a Model and a
-// Scenario through the shared repro-level parsers (the same mapping
-// bpbench uses), so flag handling is testable without running main.
+// Scenario through the shared parsers (the scenario mapping bpbench
+// uses), so flag handling is testable without running main.
 func resolve(model, scenario string) (*repro.Model, repro.Scenario, error) {
 	m, err := repro.LookupModel(model)
 	if err != nil {
 		return nil, 0, err
 	}
-	sc, err := repro.ParseScenario(scenario)
+	scs, err := harness.ParseScenarios(scenario)
 	if err != nil {
 		return nil, 0, err
 	}
-	return m, sc, nil
+	if len(scs) != 1 {
+		return nil, 0, fmt.Errorf("repro: want exactly one scenario, got %q", scenario)
+	}
+	return m, scs[0], nil
 }
 
 func main() {
@@ -63,7 +68,7 @@ func main() {
 		fmt.Println("models: ", strings.Join(repro.ModelNames(), " "))
 		fmt.Println("traces: ", strings.Join(repro.TraceNames(), " "))
 		fmt.Println("workload kinds:")
-		for _, l := range repro.WorkloadKindSummaries() {
+		for _, l := range workload.KindSummaries() {
 			fmt.Println("  " + l)
 		}
 		return

@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -48,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *list:
 		fmt.Fprintln(stdout, strings.Join(repro.TraceNames(), "\n"))
 		fmt.Fprintln(stdout, "\nworkload kinds (use as -name specs):")
-		for _, l := range repro.WorkloadKindSummaries() {
+		for _, l := range workload.KindSummaries() {
 			fmt.Fprintln(stdout, "  "+l)
 		}
 		return 0
@@ -78,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "\nvalid benchmark names:")
 			fmt.Fprintln(stderr, "  "+strings.Join(repro.TraceNames(), " "))
 			fmt.Fprintln(stderr, "workload kinds (specs):")
-			for _, l := range repro.WorkloadKindSummaries() {
+			for _, l := range workload.KindSummaries() {
 				fmt.Fprintln(stderr, "  "+l)
 			}
 			return 1

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 // The cross-run determinism suite. PR 1's contract — per-job seeds
@@ -30,7 +32,7 @@ func normalizedJSONL(t *testing.T, m *BenchMatrix, cfg BenchConfig) [][]byte {
 	if _, err := RunBench(m, cfg, sink); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadBenchRecords(&buf)
+	recs, err := harness.ReadRecords(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func normalizedJSONL(t *testing.T, m *BenchMatrix, cfg BenchConfig) [][]byte {
 
 func assertIdenticalRuns(t *testing.T, m *BenchMatrix) {
 	t.Helper()
-	prov := CurrentProvenance()
+	prov := harness.CurrentProvenance()
 	a := normalizedJSONL(t, m, BenchConfig{Parallelism: 4, Provenance: &prov})
 	configs := []BenchConfig{
 		{Parallelism: 1, NoTraceCache: true},

@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 
 	"repro"
 	"repro/internal/cactimodel"
@@ -14,19 +15,19 @@ import (
 func main() {
 	const branchesPerTrace = 150000
 
-	run := func(mk func() *repro.Model, sc repro.Scenario) float64 {
-		suite := &repro.Suite{}
-		for _, tn := range repro.TraceNames() {
-			tr := repro.MustGenerateTrace(tn, branchesPerTrace)
-			suite.Add(mk().Run(tr, repro.Options{Scenario: sc}))
-		}
-		return suite.TotalMPPKI()
+	// One sweep over the 40 traces: the flat TAGE-LSC under [A], the
+	// banked one under [A], [B] and [C].
+	m, err := repro.NewBenchMatrix([]string{"tage-lsc", "tage-lsc-banked"}, nil, "A,B,C", []int{branchesPerTrace})
+	if err != nil {
+		panic(err)
 	}
+	m.Exclude = []string{"tage-lsc/*/[BC]/*"}
+	recs := sweep(m)
 
-	flat := run(repro.TAGELSC512K, repro.ScenarioA)
-	inter := run(repro.TAGELSCInterleaved, repro.ScenarioA)
-	interC := run(repro.TAGELSCInterleaved, repro.ScenarioC)
-	interB := run(repro.TAGELSCInterleaved, repro.ScenarioB)
+	flat := totalMPPKI(recs, "tage-lsc", "A")
+	inter := totalMPPKI(recs, "tage-lsc-banked", "A")
+	interC := totalMPPKI(recs, "tage-lsc-banked", "C")
+	interB := totalMPPKI(recs, "tage-lsc-banked", "B")
 
 	fmt.Println("TAGE-LSC 512Kbit configuration            MPPKI-sum")
 	fmt.Printf("3-ported tables, re-read at retire [A]     %8.0f\n", flat)
@@ -43,4 +44,33 @@ func main() {
 		c.AreaRatioMonoVsBanked, c.EnergyRatioMonoVsBanked)
 	fmt.Println("\nbanked single-ported tables keep the accuracy and cut the predictor")
 	fmt.Println("to ~30% of the silicon and ~50% of the access energy (Section 7).")
+}
+
+// sweep runs m on the harness and returns its cell records in expansion
+// order: model, then trace in suite order, then scenario.
+func sweep(m *repro.BenchMatrix) []repro.BenchRecord {
+	sink, err := repro.NewBenchSink("table", io.Discard)
+	if err != nil {
+		panic(err)
+	}
+	sum, err := repro.RunBench(m, repro.BenchConfig{NoAggregates: true}, sink)
+	if err == nil && sum.Failed > 0 {
+		err = fmt.Errorf("%d of %d cells failed", sum.Failed, sum.Jobs)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return sum.Records
+}
+
+// totalMPPKI is the suite MPPKI the paper reports: the sum of one
+// model's per-trace MPPKI under one scenario, added in suite order.
+func totalMPPKI(recs []repro.BenchRecord, model, scenario string) float64 {
+	t := 0.0
+	for _, r := range recs {
+		if r.Model == model && r.Scenario == scenario {
+			t += r.MPPKI
+		}
+	}
+	return t
 }

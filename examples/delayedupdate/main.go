@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 
 	"repro"
 )
@@ -16,9 +17,14 @@ func main() {
 	scenarios := []repro.Scenario{
 		repro.ScenarioI, repro.ScenarioA, repro.ScenarioB, repro.ScenarioC,
 	}
-	models := []func() *repro.Model{
-		repro.Gshare512K, repro.GEHL520K, repro.ReferenceTAGE,
+	specs := []string{"gshare", "gehl", "tage"}
+
+	// One sweep: every model under every scenario over the 40 traces.
+	m, err := repro.NewBenchMatrix(specs, nil, "I,A,B,C", []int{branchesPerTrace})
+	if err != nil {
+		panic(err)
 	}
+	recs := sweep(m)
 
 	fmt.Printf("%-14s", "predictor")
 	for _, sc := range scenarios {
@@ -26,17 +32,15 @@ func main() {
 	}
 	fmt.Printf("  %10s\n", "[B] vs [I]")
 
-	for _, mk := range models {
-		name := mk().Name()
-		fmt.Printf("%-14s", name)
+	for _, spec := range specs {
+		mdl, err := repro.LookupModel(spec)
+		if err != nil {
+			panic(err)
+		}
+		fmt.Printf("%-14s", mdl.Name())
 		var base, scenB float64
 		for _, sc := range scenarios {
-			suite := &repro.Suite{}
-			for _, tn := range repro.TraceNames() {
-				tr := repro.MustGenerateTrace(tn, branchesPerTrace)
-				suite.Add(mk().Run(tr, repro.Options{Scenario: sc}))
-			}
-			total := suite.TotalMPPKI()
+			total, _ := suiteTotals(recs, spec, sc)
 			if sc == repro.ScenarioI {
 				base = total
 			}
@@ -50,14 +54,38 @@ func main() {
 
 	// Access counts under scenario C with silent-update elimination: the
 	// Section 4.2 argument for single-ported banked tables.
-	suite := &repro.Suite{}
-	for _, tn := range repro.TraceNames() {
-		tr := repro.MustGenerateTrace(tn, branchesPerTrace)
-		suite.Add(repro.ReferenceTAGE().Run(tr, repro.Options{Scenario: repro.ScenarioC}))
-	}
-	acc := suite.AccessTotals()
+	_, acc := suiteTotals(recs, "tage", repro.ScenarioC)
 	fmt.Printf("\nTAGE under [C]: %.3f predictor accesses per retired branch\n",
 		acc.AccessesPerBranch())
 	fmt.Printf("silent updates eliminated: %.1f%% of update attempts\n",
 		100*acc.SilentFraction())
+}
+
+// sweep runs m on the harness and returns its cell records in expansion
+// order: model, then trace in suite order, then scenario.
+func sweep(m *repro.BenchMatrix) []repro.BenchRecord {
+	sink, err := repro.NewBenchSink("table", io.Discard)
+	if err != nil {
+		panic(err)
+	}
+	sum, err := repro.RunBench(m, repro.BenchConfig{NoAggregates: true}, sink)
+	if err == nil && sum.Failed > 0 {
+		err = fmt.Errorf("%d of %d cells failed", sum.Failed, sum.Jobs)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return sum.Records
+}
+
+// suiteTotals sums one model's per-trace MPPKI and predictor accesses
+// under one scenario over the suite, added in suite order.
+func suiteTotals(recs []repro.BenchRecord, model string, sc repro.Scenario) (mppki float64, acc repro.AccessStats) {
+	for _, r := range recs {
+		if r.Model == model && r.Scenario == sc.Letter() {
+			mppki += r.MPPKI
+			acc.Add(r.Access)
+		}
+	}
+	return mppki, acc
 }

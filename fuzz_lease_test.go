@@ -72,16 +72,16 @@ func farmLease(f *testing.F) []byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	jobs, err := ExpandBench(m)
+	jobs, err := m.Expand()
 	if err != nil {
 		f.Fatal(err)
 	}
-	queue := NewBenchLeaseQueue(0, 0, nil)
+	queue := harness.NewLeaseQueue(0, 0, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		sched := &BenchLeaseScheduler{Queue: queue, Ctx: ctx}
+		sched := &harness.LeaseScheduler{Queue: queue, Ctx: ctx}
 		sched.Schedule(jobs, BenchConfig{}, func(BenchRecord) {})
 	}()
 	lease := queue.Acquire("fuzz-seed", 5*time.Second)

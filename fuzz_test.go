@@ -3,6 +3,8 @@ package repro
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/models"
 )
 
 // FuzzParseSpec: the model-spec parser faces user input (-models flags,
@@ -14,7 +16,7 @@ func FuzzParseSpec(f *testing.F) {
 	for _, name := range ModelNames() {
 		f.Add(name)
 	}
-	for _, name := range ScalableModelNames() {
+	for _, name := range models.ScalableNames() {
 		f.Add(name + "@+2")
 	}
 	r := rand.New(rand.NewSource(20260727))

@@ -13,7 +13,7 @@ import (
 // Service is the HTTP face of the distributed sweep coordinator
 // (`bpbench serve`): spec-string sweep submission with streaming JSONL
 // results on one side, the lease protocol workers speak on the other.
-// Register mounts it on a mux — conventionally the same TelemetryMux
+// Register mounts it on a mux — in `bpbench serve`, the same mux
 // that serves /metrics and /debug/pprof, so a farm scrapes coordinator
 // and lease telemetry at one address.
 //

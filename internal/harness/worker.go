@@ -34,7 +34,8 @@ type WorkerOptions struct {
 	// appends.
 	Config Config
 	// Poll is the sleep between empty lease polls (default 500ms); the
-	// coordinator additionally long-polls each request.
+	// coordinator additionally long-polls each request. It is also the
+	// first pause before retrying a failed long poll (longPollAttempts).
 	Poll time.Duration
 	// Client overrides http.DefaultClient. The worker has one lease
 	// request or results post outstanding at a time (heartbeats
@@ -45,9 +46,21 @@ type WorkerOptions struct {
 	Log *slog.Logger
 }
 
+// A worker retries a failed long poll (a coordinator not yet listening,
+// or restarting) after a pause that starts at WorkerOptions.Poll and
+// doubles up to longPollBackoffCap, and gives up with the last error
+// after longPollAttempts failures in a row. A long poll that succeeds
+// resets the count.
+const (
+	longPollAttempts   = 6
+	longPollBackoffCap = 8 * time.Second
+)
+
 // RunWorker pulls job leases from a coordinator, executes them with the
 // in-process engine, and streams the records back, until ctx is
-// cancelled (which returns nil) or the coordinator becomes unusable.
+// cancelled (which returns nil) or the coordinator becomes unusable:
+// its long poll failed longPollAttempts times in a row, or it refused
+// a results post.
 //
 // The lease wire overlaps the simulation. While a lease runs, the
 // worker asks for the next one without waiting (a prefetch), and it
@@ -97,6 +110,10 @@ func RunWorker(ctx context.Context, opt WorkerOptions) error {
 	var (
 		next    *heldLease // fetched ahead, not started
 		posting chan error // the results post in flight
+		// failures counts the long polls failed in a row; pause is the
+		// wait before the next retry.
+		failures int
+		pause    = opt.Poll
 	)
 	defer func() {
 		if next != nil {
@@ -124,8 +141,18 @@ func RunWorker(ctx context.Context, opt WorkerOptions) error {
 				return fail(err)
 			}
 			if cur, err = w.fetch(leaseURL + "&wait=2"); err != nil {
-				return fail(err)
+				if failures++; failures == longPollAttempts || ctx.Err() != nil {
+					return fail(err)
+				}
+				opt.Log.Warn("asking for a lease failed; retrying", "err", err, "after", pause, "failures", failures)
+				select {
+				case <-ctx.Done():
+				case <-time.After(pause):
+				}
+				pause = min(2*pause, longPollBackoffCap)
+				continue
 			}
+			failures, pause = 0, opt.Poll
 			if cur == nil { // queue idle
 				select {
 				case <-ctx.Done():

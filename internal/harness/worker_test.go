@@ -540,3 +540,70 @@ func TestWorkerSkipsALeaseLostBeforeItStarts(t *testing.T) {
 	default:
 	}
 }
+
+// refusingTransport fails the first refuse requests it sees, the way a
+// coordinator that is not listening yet refuses connections, and sends
+// the rest on (nil next fails every request).
+type refusingTransport struct {
+	refuse int64
+	next   http.RoundTripper
+	seen   atomic.Int64
+}
+
+func (rt *refusingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if n := rt.seen.Add(1); n <= rt.refuse || rt.next == nil {
+		return nil, fmt.Errorf("dial %s: connection refused (request %d)", req.URL.Host, n)
+	}
+	return rt.next.RoundTrip(req)
+}
+
+// TestWorkerRetriesARefusedLongPoll: a worker whose first few long polls
+// are refused backs off and asks again, and the sweep it then runs
+// matches a local run.
+func TestWorkerRetriesARefusedLongPoll(t *testing.T) {
+	srv := serveQueue(t, NewLeaseQueue(time.Minute, 1, nil), nil)
+	rt := &refusingTransport{refuse: longPollAttempts - 1, next: http.DefaultTransport}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		done <- RunWorker(ctx, WorkerOptions{
+			BaseURL: srv.URL, ID: "w", Resolve: fakeResolver(3),
+			Config: Config{Parallelism: 1}, Poll: time.Millisecond,
+			Client: &http.Client{Transport: rt},
+		})
+	}()
+	t.Cleanup(cancel)
+	if !waitFor(10*time.Second, func() bool { return rt.seen.Load() > rt.refuse }) {
+		t.Fatalf("the worker stopped asking after %d refused long polls", rt.seen.Load())
+	}
+	oneCellSweep(t, srv.URL, "INT01", "INT02")
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("RunWorker returned %v, want nil", err)
+	}
+}
+
+// TestWorkerGivesUpOnADeadCoordinator: against a coordinator that never
+// answers, RunWorker returns the refusal after exactly longPollAttempts
+// long polls.
+func TestWorkerGivesUpOnADeadCoordinator(t *testing.T) {
+	rt := &refusingTransport{}
+	done := make(chan error, 1)
+	go func() {
+		done <- RunWorker(context.Background(), WorkerOptions{
+			BaseURL: "http://coordinator.invalid", ID: "w", Resolve: fakeResolver(3),
+			Poll: time.Millisecond, Client: &http.Client{Transport: rt},
+		})
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "connection refused") {
+			t.Fatalf("RunWorker returned %v, want the refusal", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunWorker kept polling a dead coordinator")
+	}
+	if got := rt.seen.Load(); got != longPollAttempts {
+		t.Fatalf("RunWorker gave up after %d long polls, want %d", got, longPollAttempts)
+	}
+}

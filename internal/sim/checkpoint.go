@@ -3,7 +3,6 @@ package sim
 import (
 	"repro/internal/checkpoint"
 	"repro/internal/predictor"
-	"repro/internal/trace"
 )
 
 // Checkpoint is a mid-trace (or end-of-trace) snapshot of one
@@ -118,46 +117,4 @@ func (rn *Runner[C]) decodeCheckpoint(ln *lane[C], opt Options, blob []byte) (si
 	walkSim(dec.Walker(), ln, opt, &st)
 	ln.p.Restore(dec)
 	return st, dec.Err()
-}
-
-// skipPrefix discards n branches from src: O(1) for sources exposing
-// Skip (trace.Cursor), a read-and-discard loop otherwise. Returns how
-// many branches were actually skipped (short when the source ends).
-func skipPrefix(src trace.Source, n uint64, batch []trace.Branch) uint64 {
-	if sk, ok := src.(interface{ Skip(int) int }); ok {
-		var done uint64
-		for done < n {
-			step := n - done
-			if step > 1<<30 {
-				step = 1 << 30
-			}
-			got := sk.Skip(int(step))
-			done += uint64(got)
-			if got == 0 {
-				break
-			}
-		}
-		return done
-	}
-	batcher, _ := src.(trace.Batcher)
-	var done uint64
-	for done < n {
-		if batcher != nil {
-			want := n - done
-			if want > uint64(len(batch)) {
-				want = uint64(len(batch))
-			}
-			got := batcher.NextBatch(batch[:want])
-			if got == 0 {
-				break
-			}
-			done += uint64(got)
-		} else {
-			if _, ok := src.Next(); !ok {
-				break
-			}
-			done++
-		}
-	}
-	return done
 }

@@ -173,10 +173,10 @@ type inflight[C any] struct {
 	ctx     C
 }
 
-// decodeBatch is the trace-decode block size: branches are pulled from
-// Batcher sources in blocks of this many so the per-branch interface
-// call amortises away. 256 branches is 4KB of decode buffer — well
-// within L1.
+// decodeBatch is the trace-decode block size: branches are copied out
+// of the trace in blocks of this many, so the per-batch work (the
+// retired-branch counter, the checkpoint check) amortises away. 256
+// branches is 4KB of decode buffer — well within L1.
 const decodeBatch = 256
 
 // Runner is a reusable simulation engine for one context type C. It owns
@@ -193,12 +193,11 @@ type Runner[C any] struct {
 	reg        *metrics.Registry
 	retiredCtr *metrics.Counter
 	flushVec   *metrics.CounterVec
-	// cursor is the reusable trace source handed to Run by RunTrace, so a
-	// pooled run performs no per-run Reader allocation.
+	// cursor reads the trace of the current pass; it is emptied after
+	// the pass, so a pooled Runner holds no trace between passes.
 	cursor trace.Cursor
-	// batch is the decode buffer. It lives on the Runner because passing
-	// it through the Batcher interface makes it escape: as a local it
-	// would cost one heap allocation per run.
+	// batch is the decode buffer, kept on the Runner rather than in
+	// run's 4KB stack frame.
 	batch [decodeBatch]trace.Branch
 	// enc encodes every checkpoint the Runner takes, Reset for each, so
 	// once it has grown to a blob's size checkpoints allocate nothing.
@@ -263,25 +262,18 @@ func (ln *lane[C]) start(p predictor.Predictor[C], sc predictor.Scenario, window
 	}
 }
 
-// Run simulates predictor p over the branches of src, reusing the
-// Runner's buffers. The predictor must be freshly constructed or Reset.
-// It is the one-lane pass: Options.Also runs through Pooled.
-//
-// The loop is allocation-free in steady state: the in-flight ring is
-// sized to a power of two (head/tail advance by masking), the scenario
-// dispatch is hoisted out of the retire path, and branches are decoded
-// in blocks when the source supports it.
-func (rn *Runner[C]) Run(p predictor.Predictor[C], name, category string, src trace.Source, opt Options) Result {
-	return rn.run(p, nil, name, category, src, opt, nil)
-}
-
-// run simulates one pass over src with one lane per predictor: lead
+// run simulates one pass over tr with one lane per predictor: lead
 // under opt.Scenario, and each sibs[i] under opt.Also[i], whose result
 // it writes to also[i]. For each branch every lane predicts, in lane
 // order, before any lane resolves it, again in lane order: the order
 // predictor.Sibling lanes rely on. Resume and OnCheckpoint apply to a
 // one-lane pass only.
-func (rn *Runner[C]) run(lead predictor.Predictor[C], sibs []predictor.Predictor[C], name, category string, src trace.Source, opt Options, also []Result) Result {
+//
+// The loop is allocation-free in steady state: the in-flight ring is
+// sized to a power of two (head/tail advance by masking), the scenario
+// dispatch is hoisted out of the retire path, and branches are decoded
+// in blocks.
+func (rn *Runner[C]) run(lead predictor.Predictor[C], sibs []predictor.Predictor[C], tr *trace.Trace, opt Options, also []Result) Result {
 	if len(opt.Also) != len(sibs) {
 		panic(fmt.Sprintf("sim: %d Also scenarios for %d sibling lanes; run Options.Also through Pooled", len(opt.Also), len(sibs)))
 	}
@@ -295,6 +287,8 @@ func (rn *Runner[C]) run(lead predictor.Predictor[C], sibs []predictor.Predictor
 		lanes[1+i].start(p, opt.Also[i], opt.Window)
 	}
 	first := &lanes[0]
+	src := &rn.cursor
+	src.Seek(tr)
 
 	// retireOne retires a lane's oldest in-flight branch. It is a closure
 	// so that the compiler inlines it into the loop.
@@ -328,18 +322,18 @@ func (rn *Runner[C]) run(lead predictor.Predictor[C], sibs []predictor.Predictor
 		st, err := rn.decodeCheckpoint(first, opt, opt.Resume.Blob)
 		if err == nil {
 			// A blob claiming a longer already-simulated prefix than the
-			// source holds cannot be a checkpoint of this cell; refuse it
-			// before consuming the source so the cold fallback sees the
-			// whole trace. Sources without a known length skip the check.
-			if lener, ok := src.(interface{ Len() int }); ok && st.branches > uint64(lener.Len()) {
-				err = fmt.Errorf("sim: checkpoint taken after %d branches, but this source holds only %d", st.branches, lener.Len())
+			// trace holds cannot be a checkpoint of this cell; refuse it
+			// before consuming the trace so the cold fallback sees all of
+			// it.
+			if st.branches > uint64(src.Len()) {
+				err = fmt.Errorf("sim: checkpoint taken after %d branches, but this source holds only %d", st.branches, src.Len())
 			}
 		}
 		if err == nil {
 			seq, branches, microOps = st.seq, st.branches, st.microOps
 			first.restore(st)
 			restoredMispreds = st.mispreds
-			resumedAt = skipPrefix(src, branches, rn.batch[:])
+			resumedAt = uint64(src.Skip(int(branches)))
 		} else {
 			resumeErr = err
 			lead.Reset()
@@ -376,16 +370,9 @@ func (rn *Runner[C]) run(lead predictor.Predictor[C], sibs []predictor.Predictor
 	}
 
 	start := time.Now()
-	batcher, _ := src.(trace.Batcher)
 	batch := rn.batch[:]
 	for {
-		n := 0
-		if batcher != nil {
-			n = batcher.NextBatch(batch[:])
-		} else if b, ok := src.Next(); ok {
-			batch[0] = b
-			n = 1
-		}
+		n := src.NextBatch(batch)
 		if n == 0 {
 			break
 		}
@@ -468,7 +455,7 @@ func (rn *Runner[C]) run(lead predictor.Predictor[C], sibs []predictor.Predictor
 			}
 			rn.flushVec.With(ln.scenario.Letter()).Add(flushes)
 		}
-		r := ln.result(name, category, branches, microOps, opt.ExecDelay, elapsed)
+		r := ln.result(tr.Name, tr.Category, branches, microOps, opt.ExecDelay, elapsed)
 		if i == 0 {
 			r.ResumedAt, r.ResumeErr = resumedAt, resumeErr
 			res = r
@@ -476,6 +463,7 @@ func (rn *Runner[C]) run(lead predictor.Predictor[C], sibs []predictor.Predictor
 			also[i-1] = r
 		}
 	}
+	src.Seek(nil)
 	return res
 }
 
@@ -516,16 +504,11 @@ func (ln *lane[C]) result(name, category string, branches, microOps uint64, exec
 	return res
 }
 
-// RunTrace reuses the Runner's buffers over a materialised trace.
+// RunTrace simulates predictor p over tr, reusing the Runner's
+// buffers. The predictor must be freshly constructed or Reset. It is
+// the one-lane pass: Options.Also runs through Pooled.
 func (rn *Runner[C]) RunTrace(p predictor.Predictor[C], tr *trace.Trace, opt Options) Result {
-	return rn.runTrace(p, nil, tr, opt, nil)
-}
-
-func (rn *Runner[C]) runTrace(lead predictor.Predictor[C], sibs []predictor.Predictor[C], tr *trace.Trace, opt Options, also []Result) Result {
-	rn.cursor.Seek(tr)
-	res := rn.run(lead, sibs, tr.Name, tr.Category, &rn.cursor, opt, also)
-	rn.cursor.Seek(nil)
-	return res
+	return rn.run(p, nil, tr, opt, nil)
 }
 
 // Pooled returns a run function that simulates p on one reusable Runner,
@@ -579,75 +562,8 @@ func Pooled[C any](p predictor.Predictor[C]) func(tr *trace.Trace, opt Options) 
 		}
 		also = also[:len(opt.Also)]
 		ps := prepare(1 + len(opt.Also))
-		res := rn.runTrace(ps[0], ps[1:], tr, opt, also)
+		res := rn.run(ps[0], ps[1:], tr, opt, also)
 		res.Also = also
 		return res
 	}
-}
-
-// Suite aggregates per-trace results the way the paper reports them: the
-// suite MPPKI is the sum of the per-trace MPPKI values over the benchmark
-// set (40 per-trace values of ~15–25 summing to the ~600-range totals the
-// paper quotes).
-type Suite struct {
-	Results []Result
-}
-
-// Add appends a per-trace result.
-func (s *Suite) Add(r Result) { s.Results = append(s.Results, r) }
-
-// TotalMPPKI returns the summed MPPKI over all traces.
-func (s *Suite) TotalMPPKI() float64 {
-	t := 0.0
-	for _, r := range s.Results {
-		t += r.MPPKI
-	}
-	return t
-}
-
-// TotalMPKI returns the summed MPKI over all traces.
-func (s *Suite) TotalMPKI() float64 {
-	t := 0.0
-	for _, r := range s.Results {
-		t += r.MPKI
-	}
-	return t
-}
-
-// TotalMispredictions sums raw misprediction counts.
-func (s *Suite) TotalMispredictions() uint64 {
-	var t uint64
-	for _, r := range s.Results {
-		t += r.Mispredicts
-	}
-	return t
-}
-
-// AccessTotals sums access statistics across traces.
-func (s *Suite) AccessTotals() memarray.Stats {
-	var t memarray.Stats
-	for _, r := range s.Results {
-		t.Add(r.Access)
-	}
-	return t
-}
-
-// ByCategory returns summed MPPKI per benchmark category.
-func (s *Suite) ByCategory() map[string]float64 {
-	m := make(map[string]float64)
-	for _, r := range s.Results {
-		m[r.Category] += r.MPPKI
-	}
-	return m
-}
-
-// Subset returns a suite restricted to the named traces.
-func (s *Suite) Subset(names map[string]bool) *Suite {
-	out := &Suite{}
-	for _, r := range s.Results {
-		if names[r.Trace] {
-			out.Add(r)
-		}
-	}
-	return out
 }

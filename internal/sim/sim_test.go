@@ -159,24 +159,6 @@ func TestScenarioBNoRetireReads(t *testing.T) {
 	}
 }
 
-func TestSuiteAggregation(t *testing.T) {
-	s := &Suite{}
-	s.Add(Result{Trace: "A", Category: "X", MPPKI: 10, MPKI: 1, Mispredicts: 5})
-	s.Add(Result{Trace: "B", Category: "X", MPPKI: 20, MPKI: 2, Mispredicts: 7})
-	s.Add(Result{Trace: "C", Category: "Y", MPPKI: 30, MPKI: 3, Mispredicts: 9})
-	if s.TotalMPPKI() != 60 || s.TotalMPKI() != 6 || s.TotalMispredictions() != 21 {
-		t.Fatalf("totals wrong: %v %v %v", s.TotalMPPKI(), s.TotalMPKI(), s.TotalMispredictions())
-	}
-	byCat := s.ByCategory()
-	if byCat["X"] != 30 || byCat["Y"] != 30 {
-		t.Fatalf("by category: %v", byCat)
-	}
-	sub := s.Subset(map[string]bool{"A": true, "C": true})
-	if len(sub.Results) != 2 || sub.TotalMPPKI() != 40 {
-		t.Fatalf("subset wrong: %+v", sub)
-	}
-}
-
 func TestEmptyTrace(t *testing.T) {
 	p := bimodal.NewStandalone(6, 6)
 	res := runTrace(p, &trace.Trace{Name: "empty"}, Options{})
@@ -209,13 +191,13 @@ func TestPooledMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestAlsoRefusedWhereALaneCannotCarryIt: Runner.Run is one lane, and a
+// TestAlsoRefusedWhereALaneCannotCarryIt: Runner.RunTrace is one lane, and a
 // checkpoint holds one lane, so Also with either panics.
 func TestAlsoRefusedWhereALaneCannotCarryIt(t *testing.T) {
 	tr := benchTrace(200)
 	also := []predictor.Scenario{predictor.ScenarioB}
 	for name, run := range map[string]func(){
-		"Runner.Run": func() {
+		"Runner.RunTrace": func() {
 			var rn Runner[tage.Ctx]
 			rn.RunTrace(tage.New(smallTage()), tr, Options{Also: also})
 		},

@@ -2,9 +2,9 @@
 // sequence of conditional-branch records on the correct execution path,
 // each carrying its PC, its outcome, and the number of non-branch micro-ops
 // preceding it (so that per-kilo-instruction metrics can be computed, as in
-// the CBP-3 framework the paper uses). Traces can be generated on the fly
-// by a Source or materialised, and a compact binary encoding is provided
-// for storing them on disk.
+// the CBP-3 framework the paper uses). A trace is materialised in memory
+// and read through a Cursor, and a compact binary encoding is provided
+// for storing it on disk.
 package trace
 
 import (
@@ -28,21 +28,6 @@ type Branch struct {
 	OpsBefore uint8
 }
 
-// Source produces branches one at a time. Next reports false when the
-// trace is exhausted.
-type Source interface {
-	Next() (Branch, bool)
-}
-
-// Batcher is an optional Source extension for block decoding: NextBatch
-// fills dst with up to len(dst) branches and returns how many were
-// written (0 at end of trace). The simulator prefers it when available,
-// amortising the per-branch interface call of Next over a whole decode
-// block.
-type Batcher interface {
-	NextBatch(dst []Branch) int
-}
-
 // Trace is a fully materialised branch trace.
 type Trace struct {
 	// Name identifies the benchmark (e.g. "INT01").
@@ -62,34 +47,9 @@ func (t *Trace) MicroOps() uint64 {
 	return n
 }
 
-// Reader returns a Source iterating over the materialised branches.
-func (t *Trace) Reader() Source { return &sliceSource{t: t} }
-
-type sliceSource struct {
-	t *Trace
-	i int
-}
-
-func (s *sliceSource) Next() (Branch, bool) {
-	if s.i >= len(s.t.Branches) {
-		return Branch{}, false
-	}
-	b := s.t.Branches[s.i]
-	s.i++
-	return b, true
-}
-
-// NextBatch implements Batcher: one bulk copy out of the materialised
-// slice per decode block.
-func (s *sliceSource) NextBatch(dst []Branch) int {
-	n := copy(dst, s.t.Branches[s.i:])
-	s.i += n
-	return n
-}
-
-// Cursor is a reusable Source over materialised traces: Seek re-points it
-// at a trace and rewinds, so pooled simulation runs avoid the per-run
-// Reader allocation. The zero value is an exhausted source.
+// Cursor reads a materialised trace in blocks: Seek re-points it at a
+// trace and rewinds, so one Cursor serves every run of a pooled
+// simulation. The zero value is exhausted.
 type Cursor struct {
 	t *Trace
 	i int
@@ -98,18 +58,9 @@ type Cursor struct {
 // Seek points the cursor at the start of t (nil empties the cursor).
 func (c *Cursor) Seek(t *Trace) { c.t, c.i = t, 0 }
 
-// Next implements Source.
-func (c *Cursor) Next() (Branch, bool) {
-	if c.t == nil || c.i >= len(c.t.Branches) {
-		return Branch{}, false
-	}
-	b := c.t.Branches[c.i]
-	c.i++
-	return b, true
-}
-
-// NextBatch implements Batcher: one bulk copy out of the materialised
-// slice per decode block.
+// NextBatch fills dst with up to len(dst) branches, one bulk copy out
+// of the materialised slice, and returns how many it wrote (0 at the end
+// of the trace).
 func (c *Cursor) NextBatch(dst []Branch) int {
 	if c.t == nil {
 		return 0
@@ -141,23 +92,6 @@ func (c *Cursor) Skip(n int) int {
 	}
 	c.i += n
 	return n
-}
-
-// Collect materialises up to limit branches from a source (limit <= 0 means
-// no limit).
-func Collect(name, category string, src Source, limit int) *Trace {
-	t := &Trace{Name: name, Category: category}
-	for {
-		if limit > 0 && len(t.Branches) >= limit {
-			break
-		}
-		b, ok := src.Next()
-		if !ok {
-			break
-		}
-		t.Branches = append(t.Branches, b)
-	}
-	return t
 }
 
 // Binary format:

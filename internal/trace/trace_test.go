@@ -116,34 +116,6 @@ func TestMicroOps(t *testing.T) {
 	}
 }
 
-func TestReaderIteration(t *testing.T) {
-	tr := sampleTrace(10, 3)
-	src := tr.Reader()
-	var got []Branch
-	for {
-		b, ok := src.Next()
-		if !ok {
-			break
-		}
-		got = append(got, b)
-	}
-	if !reflect.DeepEqual(got, tr.Branches) {
-		t.Fatal("Reader did not reproduce the branches")
-	}
-}
-
-func TestCollectLimit(t *testing.T) {
-	tr := sampleTrace(100, 4)
-	got := Collect("X", "Y", tr.Reader(), 25)
-	if len(got.Branches) != 25 {
-		t.Fatalf("Collect limit: got %d branches", len(got.Branches))
-	}
-	got = Collect("X", "Y", tr.Reader(), 0)
-	if len(got.Branches) != 100 {
-		t.Fatalf("Collect unlimited: got %d branches", len(got.Branches))
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	tr := &Trace{Branches: []Branch{
 		{PC: 0x10, Taken: true, OpsBefore: 1},
@@ -170,9 +142,31 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
-// TestNextBatchMatchesNext: block decoding must yield exactly the branch
-// stream Next yields, across batch sizes that divide the trace evenly,
-// leave a remainder, or exceed it.
+// TestReaderIteration: a Cursor read one branch at a time reproduces
+// the branches, Len counts down as it goes, and Seek rewinds it so the
+// same Cursor reads the trace again.
+func TestReaderIteration(t *testing.T) {
+	tr := sampleTrace(10, 3)
+	var c Cursor
+	for pass := 0; pass < 2; pass++ {
+		c.Seek(tr)
+		var got []Branch
+		one := make([]Branch, 1)
+		for c.NextBatch(one) == 1 {
+			got = append(got, one[0])
+			if want := len(tr.Branches) - len(got); c.Len() != want {
+				t.Fatalf("pass %d: Len = %d after %d branches, want %d", pass, c.Len(), len(got), want)
+			}
+		}
+		if !reflect.DeepEqual(got, tr.Branches) {
+			t.Fatalf("pass %d: Cursor did not reproduce the branches", pass)
+		}
+	}
+}
+
+// TestNextBatchMatchesNext: block decoding yields exactly the branches
+// of the trace, in order, across batch sizes that divide the trace
+// evenly, leave a remainder, or exceed it.
 func TestNextBatchMatchesNext(t *testing.T) {
 	r := rng.NewXoshiro(7)
 	tr := &Trace{Name: "b", Category: "T"}
@@ -181,44 +175,79 @@ func TestNextBatchMatchesNext(t *testing.T) {
 			PC: uint64(r.Uint32()), Taken: r.Bool(0.5), OpsBefore: uint8(r.Intn(9)),
 		})
 	}
-	var viaNext []Branch
-	src := tr.Reader()
-	for {
-		b, ok := src.Next()
-		if !ok {
-			break
-		}
-		viaNext = append(viaNext, b)
-	}
+	var c Cursor
 	for _, batchSize := range []int{1, 7, 250, 1000, 4096} {
+		c.Seek(tr)
 		var got []Branch
-		batcher := tr.Reader().(Batcher)
 		buf := make([]Branch, batchSize)
 		for {
-			n := batcher.NextBatch(buf)
+			n := c.NextBatch(buf)
 			if n == 0 {
 				break
 			}
 			got = append(got, buf[:n]...)
 		}
-		if !reflect.DeepEqual(got, viaNext) {
-			t.Fatalf("batch size %d: stream differs from Next", batchSize)
+		if !reflect.DeepEqual(got, tr.Branches) {
+			t.Fatalf("batch size %d: stream differs from Branches", batchSize)
+		}
+		if c.Len() != 0 {
+			t.Fatalf("batch size %d: Len = %d after the last batch, want 0", batchSize, c.Len())
 		}
 	}
 }
 
-// TestNextBatchAfterNext: mixing the two APIs keeps a single cursor.
+// TestNextBatchAfterNext: advancing with Skip and reading with
+// NextBatch share one position.
 func TestNextBatchAfterNext(t *testing.T) {
 	tr := &Trace{Branches: []Branch{{PC: 1}, {PC: 2}, {PC: 3}}}
-	src := tr.Reader()
-	if b, ok := src.Next(); !ok || b.PC != 1 {
-		t.Fatalf("Next = %+v, %v", b, ok)
+	var c Cursor
+	c.Seek(tr)
+	if got := c.Skip(1); got != 1 {
+		t.Fatalf("Skip(1) = %d, want 1", got)
 	}
 	buf := make([]Branch, 8)
-	if n := src.(Batcher).NextBatch(buf); n != 2 || buf[0].PC != 2 || buf[1].PC != 3 {
+	if n := c.NextBatch(buf); n != 2 || buf[0].PC != 2 || buf[1].PC != 3 {
 		t.Fatalf("NextBatch = %d, %+v", n, buf[:n])
 	}
-	if n := src.(Batcher).NextBatch(buf); n != 0 {
+	if n := c.NextBatch(buf); n != 0 {
 		t.Fatalf("exhausted NextBatch = %d, want 0", n)
+	}
+}
+
+// TestCursor: Skip clamps to what is left and ignores a count below
+// one, Len counts what is left, and a nil or zero cursor is exhausted.
+func TestCursor(t *testing.T) {
+	tr := sampleTrace(1000, 7)
+	var c Cursor
+	c.Seek(tr)
+	if c.Len() != 1000 {
+		t.Fatalf("Len after Seek = %d, want 1000", c.Len())
+	}
+	if got := c.Skip(0); got != 0 {
+		t.Fatalf("Skip(0) = %d, want 0", got)
+	}
+	if got := c.Skip(-3); got != 0 {
+		t.Fatalf("Skip(-3) = %d, want 0", got)
+	}
+	if got := c.Skip(10); got != 10 || c.Len() != 990 {
+		t.Fatalf("Skip(10) = %d, Len %d; want 10, 990", got, c.Len())
+	}
+	buf := make([]Branch, 3)
+	if n := c.NextBatch(buf); n != 3 || !reflect.DeepEqual(buf, tr.Branches[10:13]) {
+		t.Fatalf("NextBatch after Skip(10) = %d, %+v; want branches 10..12", n, buf[:n])
+	}
+	if got := c.Skip(2000); got != 987 || c.Len() != 0 {
+		t.Fatalf("Skip past the end = %d, Len %d; want 987, 0", got, c.Len())
+	}
+	if n := c.NextBatch(buf); n != 0 {
+		t.Fatalf("exhausted NextBatch = %d, want 0", n)
+	}
+
+	c.Seek(nil)
+	var zero Cursor
+	for name, e := range map[string]*Cursor{"Seek(nil)": &c, "zero": &zero} {
+		if e.Len() != 0 || e.Skip(5) != 0 || e.NextBatch(buf) != 0 {
+			t.Fatalf("%s cursor is not exhausted", name)
+		}
 	}
 }

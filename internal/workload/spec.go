@@ -165,6 +165,9 @@ func ParseTraceSpec(s string) (TraceSpec, error) {
 		if p == "" {
 			return TraceSpec{}, fmt.Errorf("workload: %q needs a path, e.g. 'file:traces/gcc.bpt'", raw)
 		}
+		if strings.Contains(p, ",") {
+			return TraceSpec{}, fmt.Errorf("workload: %q: a file path may not hold a comma, because trace lists split on commas; rename the file", raw)
+		}
 		return TraceSpec{kind: fileKind, path: p}, nil
 	}
 	def := traceKindDefs[kind]

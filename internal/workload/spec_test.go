@@ -185,6 +185,7 @@ func TestParseErrors(t *testing.T) {
 		{"loopy:trip=1#zz", "bad seed"},
 		{"mix:", "at least one component"},
 		{"file:", "needs a path"},
+		{"file:a,b.bpt", "trace lists split on commas"},
 	}
 	for _, c := range cases {
 		_, err := ParseTraceSpec(c.spec)

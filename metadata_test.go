@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/models"
 )
 
 // A model's name and storage budget are functions of its configuration:
@@ -22,7 +23,7 @@ import (
 // suite's specs and the pool suite's random specs over several seeds.
 func metadataSpecs(t *testing.T) []string {
 	specs := ModelNames()
-	for _, name := range ScalableModelNames() {
+	for _, name := range models.ScalableNames() {
 		for d := -4; d <= 3; d++ {
 			specs = append(specs, fmt.Sprintf("%s@%+d", name, d))
 		}

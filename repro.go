@@ -60,8 +60,6 @@ type (
 	// results of Options.Also in a slice the runner reuses: it is valid
 	// until that runner's next call, so a caller that keeps it copies it.
 	Result = sim.Result
-	// Suite aggregates per-trace results.
-	Suite = sim.Suite
 	// AccessStats counts a run's predictor accesses (Result.Access).
 	AccessStats = memarray.Stats
 	// Scenario selects the update-timing policy of Section 4.1.2.

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"io"
 	"testing"
 )
 
@@ -136,18 +137,26 @@ func TestAccuracyOrderingSmall(t *testing.T) {
 		t.Skip("suite simulation in -short mode")
 	}
 	const n = 60000
-	run := func(mk func() *Model) float64 {
-		suite := &Suite{}
-		for _, tn := range TraceNames() {
-			suite.Add(mk().Run(MustGenerateTrace(tn, n), Options{Scenario: ScenarioA}))
-		}
-		return suite.TotalMPPKI()
+	m, err := NewBenchMatrix([]string{"tage-lsc", "isl-tage", "tage", "gehl", "gshare"}, nil, "A", []int{n})
+	if err != nil {
+		t.Fatal(err)
 	}
-	tagelsc := run(TAGELSC512K)
-	isl := run(ISLTAGE)
-	tage := run(ReferenceTAGE)
-	gehl := run(GEHL520K)
-	gsh := run(Gshare512K)
+	sink, err := NewBenchSink("jsonl", io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := RunBench(m, BenchConfig{NoAggregates: true}, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Jobs != 5*40 || sum.Failed != 0 {
+		t.Fatalf("summary: %d jobs, %d failed", sum.Jobs, sum.Failed)
+	}
+	suite := map[string]float64{}
+	for _, r := range sum.Records {
+		suite[r.Model] += r.MPPKI
+	}
+	tagelsc, isl, tage, gehl, gsh := suite["tage-lsc"], suite["isl-tage"], suite["tage"], suite["gehl"], suite["gshare"]
 	if !(tagelsc < isl && isl < tage && tage < gehl && gehl < gsh) {
 		t.Fatalf("ordering violated: TAGE-LSC=%.0f ISL=%.0f TAGE=%.0f GEHL=%.0f gshare=%.0f",
 			tagelsc, isl, tage, gehl, gsh)

@@ -34,26 +34,3 @@ func LookupModel(name string) (*Model, error) {
 
 // ModelNames lists the named models in sorted order.
 func ModelNames() []string { return models.Names() }
-
-// ScalableModelNames lists the named models usable with a storage delta
-// or a deltaLog axis, sorted.
-func ScalableModelNames() []string { return models.ScalableNames() }
-
-// SpecKinds lists the parameterised spec kinds in documentation order.
-func SpecKinds() []string { return models.Kinds() }
-
-// SpecFieldSweepsAsRange reports whether `bpbench -sweep` may expand the
-// field from an inclusive lo:hi integer range.
-func SpecFieldSweepsAsRange(key string) bool { return models.FieldSweepsAsRange(key) }
-
-// SplitSpecList splits a comma-separated -models flag value into specs
-// the spec-aware way: commas inside a spec's field list stay part of
-// that spec, so "tage:tables=9,hist=6:500,gshare:log=14" is two specs.
-func SplitSpecList(s string) []string { return models.SplitList(s) }
-
-// SweepSpecs expands one spec field across values for every base spec
-// (the bpbench -sweep axis), returning canonical spec strings and
-// erroring on duplicates.
-func SweepSpecs(bases []string, key string, values []string) ([]string, error) {
-	return models.SweepSpecs(bases, key, values)
-}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/models"
 	"repro/internal/workload"
 )
 
@@ -107,7 +108,7 @@ func TestNamedSpecsRoundTrip(t *testing.T) {
 			t.Fatalf("named model %q canonicalises to %q", name, spec.Canonical())
 		}
 	}
-	for _, name := range ScalableModelNames() {
+	for _, name := range models.ScalableNames() {
 		s := name + "@+2"
 		spec, err := ParseSpec(s)
 		if err != nil {
@@ -262,9 +263,9 @@ func TestSpecWithFieldAndDelta(t *testing.T) {
 	}
 }
 
-// TestSweepSpecs covers the -sweep expansion helper.
+// TestSweepSpecs covers the -sweep expansion (models.SweepSpecs).
 func TestSweepSpecs(t *testing.T) {
-	out, err := SweepSpecs([]string{"tage:tables=13"}, "tables", []string{"11", "12", "13"})
+	out, err := models.SweepSpecs([]string{"tage:tables=13"}, "tables", []string{"11", "12", "13"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestSweepSpecs(t *testing.T) {
 			t.Fatalf("sweep produced %v, want %v", out, want)
 		}
 	}
-	if _, err := SweepSpecs([]string{"tage", "tage:log=11"}, "log", []string{"11"}); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	if _, err := models.SweepSpecs([]string{"tage", "tage:log=11"}, "log", []string{"11"}); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate sweep error: %v", err)
 	}
 }
@@ -299,19 +300,19 @@ func TestSplitSpecList(t *testing.T) {
 		{"", nil},
 	}
 	for _, c := range cases {
-		got := SplitSpecList(c.in)
+		got := models.SplitList(c.in)
 		if len(got) != len(c.want) {
-			t.Fatalf("SplitSpecList(%q) = %v, want %v", c.in, got, c.want)
+			t.Fatalf("SplitList(%q) = %v, want %v", c.in, got, c.want)
 		}
 		for i := range got {
 			if got[i] != c.want[i] {
-				t.Fatalf("SplitSpecList(%q) = %v, want %v", c.in, got, c.want)
+				t.Fatalf("SplitList(%q) = %v, want %v", c.in, got, c.want)
 			}
 		}
 		// Every produced segment must round-trip through the matrix
 		// builder or fail with a spec error — never silently vanish.
 	}
-	if _, err := BenchModels(SplitSpecList("tage:tables=9,hist=6:500,gshare:log=14")); err != nil {
+	if _, err := BenchModels(models.SplitList("tage:tables=9,hist=6:500,gshare:log=14")); err != nil {
 		t.Fatalf("split specs failed to build: %v", err)
 	}
 }

@@ -31,7 +31,7 @@ func HardTraces() map[string]bool {
 
 // GenerateTrace materialises `branches` branches of a workload
 // deterministically. The spec may be a benchmark name ("INT01"), a
-// generator spec ("phased:period=4096#1" — see WorkloadKindSummaries), or an
+// generator spec ("phased:period=4096#1"; the README lists the kinds), or an
 // external trace ("file:path.bpt"). Errors on an unknown or malformed
 // spec or a non-positive branch count.
 func GenerateTrace(spec string, branches int) (*Trace, error) {
@@ -54,26 +54,6 @@ func MustGenerateTrace(spec string, branches int) *Trace {
 	}
 	return tr
 }
-
-// WorkloadKindSummaries renders one line per workload kind — its fields
-// with defaults and what it generates — for CLI listings.
-func WorkloadKindSummaries() []string { return workload.KindSummaries() }
-
-// SplitTraceList splits a comma-separated -traces flag value into
-// patterns the spec-aware way: commas inside a generator spec's field
-// list stay part of that spec.
-func SplitTraceList(s string) []string { return workload.SplitPatterns(s) }
-
-// SweepTraceSpecs expands one generator field across values for every
-// base trace spec (the bpbench -trace-sweep axis), returning canonical
-// spec strings and erroring on duplicates.
-func SweepTraceSpecs(bases []string, key string, values []string) ([]string, error) {
-	return workload.SweepSpecs(bases, key, values)
-}
-
-// TraceFieldSweepsAsRange reports whether -trace-sweep may expand the
-// field from an inclusive lo:hi integer range.
-func TraceFieldSweepsAsRange(key string) bool { return workload.FieldSweepsAsRange(key) }
 
 // TraceConvertStats reports what an external-trace conversion consumed
 // and kept.
