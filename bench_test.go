@@ -80,7 +80,7 @@ func benchPredictor(b *testing.B, mk func() *Model) {
 	tr := MustGenerateTrace("INT04", 100000)
 	m := mk()
 	b.ResetTimer()
-	for i := 0; i < b.N; i += len(tr.Branches) {
+	for i := 0; i < b.N; i += tr.Len() {
 		m.Run(tr, Options{Scenario: ScenarioA})
 	}
 }

@@ -57,9 +57,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"log/slog"
 	"net"
 	"net/http"
@@ -255,7 +257,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	m, err := repro.NewBenchMatrix(modelSpecs, tracePatterns, *scenarios, lengths)
 	if err != nil {
-		log.Error(fmt.Sprintf("bpbench: %v", err))
+		log.Error(fmt.Sprintf("bpbench: %v%s", err, cutPathHint(err, tracePatterns)))
 		return 2
 	}
 	m.Include = splitList(*include)
@@ -588,6 +590,22 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// cutPathHint explains a `file:` trace that could not be opened when
+// the -traces value continues after it: the list was split at a comma,
+// which may have cut the path.
+func cutPathHint(err error, patterns []string) string {
+	var pe *fs.PathError
+	if !errors.As(err, &pe) {
+		return ""
+	}
+	for _, seg := range patterns[:max(len(patterns)-1, 0)] {
+		if kind, path, ok := strings.Cut(seg, ":"); ok && strings.TrimSpace(kind) == "file" && strings.TrimSpace(path) == pe.Path {
+			return " (trace lists split on commas, so a file: path cannot contain one)"
+		}
+	}
+	return ""
 }
 
 // splitList splits a comma-separated flag, dropping empty elements.

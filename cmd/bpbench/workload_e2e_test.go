@@ -221,3 +221,38 @@ func TestExternalTraceLocalVsDistributed(t *testing.T) {
 		}
 	}
 }
+
+// TestCommaCutFilePath: a `file:` path holding a comma cannot travel in
+// a -traces list, which splits on commas. The run fails on the cut path
+// and says why, exit 2; a missing file at the end of the list, where
+// nothing was cut, fails without the comma note.
+func TestCommaCutFilePath(t *testing.T) {
+	dir := t.TempDir()
+	tr, err := repro.GenerateTrace("INT01", 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bpt := filepath.Join(dir, "x,y.bpt")
+	f, err := os.Create(bpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := repro.WriteTrace(f, tr); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	const note = "trace lists split on commas, so a file: path cannot contain one"
+	for _, c := range []struct {
+		traces, open string
+		noted        bool
+	}{
+		{"file:" + bpt, filepath.Join(dir, "x"), true},
+		{"file:" + filepath.Join(dir, "gone.bpt") + ",INT01", filepath.Join(dir, "gone.bpt"), true},
+		{"INT01,file:" + filepath.Join(dir, "gone.bpt"), filepath.Join(dir, "gone.bpt"), false},
+	} {
+		code, _, errOut := runCapture(t, "-models", "gshare", "-traces", c.traces, "-branches", "200")
+		if code != 2 || !strings.Contains(errOut, "open "+c.open+":") || strings.Contains(errOut, note) != c.noted {
+			t.Errorf("-traces %q: exit %d, stderr %q; want exit 2 naming %s, comma note %v", c.traces, code, errOut, c.open, c.noted)
+		}
+	}
+}

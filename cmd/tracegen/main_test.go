@@ -89,8 +89,8 @@ func TestConvertRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Name != "cbp-sample" || tr.Category != "EXT" || len(tr.Branches) != 400 {
-		t.Fatalf("read back %s/%s with %d branches", tr.Name, tr.Category, len(tr.Branches))
+	if tr.Name != "cbp-sample" || tr.Category != "EXT" || tr.Len() != 400 {
+		t.Fatalf("read back %s/%s with %d branches", tr.Name, tr.Category, tr.Len())
 	}
 }
 

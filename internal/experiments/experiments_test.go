@@ -298,7 +298,7 @@ func TestRunMatrixResultStore(t *testing.T) {
 		return sim.Result{
 			Trace: tr.Name, Category: tr.Category,
 			Window: sim.DefaultWindow, ExecDelay: sim.DefaultExecDelay,
-			Branches: uint64(len(tr.Branches)), MPKI: 2, MPPKI: 40,
+			Branches: uint64(tr.Len()), MPKI: 2, MPPKI: 40,
 		}
 	}}
 	specs, err := workload.Select([]string{"INT01", "INT02"})

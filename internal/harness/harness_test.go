@@ -59,7 +59,7 @@ func fakeModel(name string, mpki func(traceName string) float64) Model {
 		}
 		return sim.Result{
 			Trace: tr.Name, Category: tr.Category, Predictor: name,
-			Scenario: opt.Scenario, Branches: uint64(len(tr.Branches)),
+			Scenario: opt.Scenario, Branches: uint64(tr.Len()),
 			Window: w, ExecDelay: d,
 			MicroOps: 1000, Mispredicts: uint64(v), MPKI: v, MPPKI: 20 * v,
 			Misprediction: v / 1000,

@@ -19,8 +19,7 @@ import (
 // traffic without depending on the workload package.
 func benchTrace(n int) *trace.Trace {
 	r := rng.NewXoshiro(0xbe9c)
-	tr := &trace.Trace{Name: "bench-synth", Category: "BENCH"}
-	tr.Branches = make([]trace.Branch, 0, n)
+	tb := trace.NewBuilder("bench-synth", "BENCH", n)
 	hist := uint32(0)
 	for i := 0; i < n; i++ {
 		slot := r.Intn(400)
@@ -34,12 +33,10 @@ func benchTrace(n int) *trace.Trace {
 		default: // loop-like: taken except every 7th occurrence
 			taken = i%7 != 0
 		}
-		tr.Branches = append(tr.Branches, trace.Branch{
-			PC: pc, Taken: taken, OpsBefore: uint8(r.Intn(7)),
-		})
+		tb.Add(trace.Branch{PC: pc, Taken: taken, OpsBefore: uint8(r.Intn(7))})
 		hist = hist<<1 | uint32(b2i(taken))
 	}
-	return tr
+	return tb.Trace()
 }
 
 // benchPredictRetire measures the full per-branch hot path — Predict,
@@ -51,7 +48,7 @@ func benchPredictRetire[C any](b *testing.B, p predictor.Predictor[C], sc predic
 	opt := Options{Scenario: sc}
 	runTrace(p, tr, opt) // warm the tables
 	b.ResetTimer()
-	for i := 0; i < b.N; i += len(tr.Branches) {
+	for i := 0; i < b.N; i += tr.Len() {
 		runTrace(p, tr, opt)
 	}
 }
@@ -89,7 +86,7 @@ func BenchmarkPredictRetire(b *testing.B) {
 		opt := Options{Scenario: predictor.ScenarioA, Also: []predictor.Scenario{predictor.ScenarioB}}
 		run(tr, opt)
 		b.ResetTimer()
-		for i := 0; i < b.N; i += len(tr.Branches) {
+		for i := 0; i < b.N; i += tr.Len() {
 			run(tr, opt)
 		}
 	})

@@ -22,7 +22,7 @@ import (
 // histories, usefulness counters and the simulator's in-flight window
 // all busy, so a checkpoint exercises real state.
 func ckTrace(n int) *trace.Trace {
-	tr := &trace.Trace{Name: "ck", Category: "TEST"}
+	tb := trace.NewBuilder("ck", "TEST", n)
 	hist := 0
 	for i := 0; i < n; i++ {
 		pc := uint64(0x4000 + (i%13)*4)
@@ -30,10 +30,10 @@ func ckTrace(n int) *trace.Trace {
 		if i%13 == 5 {
 			taken = i%5 != 0
 		}
-		tr.Branches = append(tr.Branches, trace.Branch{PC: pc, Taken: taken, OpsBefore: uint8(2 + i%5)})
+		tb.Add(trace.Branch{PC: pc, Taken: taken, OpsBefore: uint8(2 + i%5)})
 		hist = hist<<1 | b2i(taken)
 	}
-	return tr
+	return tb.Trace()
 }
 
 func stripTiming(r Result) Result {

@@ -61,9 +61,9 @@ func fuzzResume[C any](t *testing.T, mk func() predictor.Predictor[C], tr *trace
 		return
 	}
 	// Accepted: the run must account for every branch of the trace.
-	if got.Branches != uint64(len(tr.Branches)) {
+	if got.Branches != uint64(tr.Len()) {
 		t.Fatalf("%s: accepted blob (%d bytes) lost branches: ran %d of %d",
-			cold.Predictor, len(blob), got.Branches, len(tr.Branches))
+			cold.Predictor, len(blob), got.Branches, tr.Len())
 	}
 }
 

@@ -15,17 +15,13 @@ import (
 // loopTrace builds the Figure 3 example: a single backward loop branch
 // taken iters-1 times then not taken, repeated body times.
 func loopTrace(iters, bodies int) *trace.Trace {
-	t := &trace.Trace{Name: "loop", Category: "TEST"}
+	tb := trace.NewBuilder("loop", "TEST", iters*bodies)
 	for b := 0; b < bodies; b++ {
 		for i := 0; i < iters; i++ {
-			t.Branches = append(t.Branches, trace.Branch{
-				PC:        0x1000,
-				Taken:     i < iters-1,
-				OpsBefore: 4,
-			})
+			tb.Add(trace.Branch{PC: 0x1000, Taken: i < iters-1, OpsBefore: 4})
 		}
 	}
-	return t
+	return tb.Trace()
 }
 
 // TestFigure3DelayedUpdate reproduces the loop example of Figure 3: with a
@@ -67,7 +63,7 @@ func TestScenarioOrderingGshare(t *testing.T) {
 	// Workload: branch outcomes correlated with recent outcomes, plus a
 	// loop, so delayed update hurts.
 	mk := func() *trace.Trace {
-		tr := &trace.Trace{Name: "corr", Category: "TEST"}
+		tb := trace.NewBuilder("corr", "TEST", 30000)
 		hist := 0
 		for i := 0; i < 30000; i++ {
 			pc := uint64(0x2000 + (i%7)*4)
@@ -75,10 +71,10 @@ func TestScenarioOrderingGshare(t *testing.T) {
 			if i%7 == 3 {
 				taken = i%3 != 0
 			}
-			tr.Branches = append(tr.Branches, trace.Branch{PC: pc, Taken: taken, OpsBefore: 4})
+			tb.Add(trace.Branch{PC: pc, Taken: taken, OpsBefore: 4})
 			hist = hist<<1 | b2i(taken)
 		}
-		return tr
+		return tb.Trace()
 	}
 	mispredicts := map[predictor.Scenario]uint64{}
 	for _, sc := range []predictor.Scenario{predictor.ScenarioI, predictor.ScenarioA, predictor.ScenarioB, predictor.ScenarioC} {
@@ -105,12 +101,13 @@ func b2i(b bool) int {
 }
 
 func TestMetricsComputation(t *testing.T) {
-	tr := &trace.Trace{Name: "m", Category: "TEST"}
+	tb := trace.NewBuilder("m", "TEST", 10)
 	// 10 branches, 5 ops each (4 before + branch), alternating outcome on
 	// one PC: bimodal at weakly-NT start mispredicts the takens.
 	for i := 0; i < 10; i++ {
-		tr.Branches = append(tr.Branches, trace.Branch{PC: 0x10, Taken: i%2 == 0, OpsBefore: 4})
+		tb.Add(trace.Branch{PC: 0x10, Taken: i%2 == 0, OpsBefore: 4})
 	}
+	tr := tb.Trace()
 	p := bimodal.NewStandalone(6, 6)
 	res := runTrace(p, tr, Options{Scenario: predictor.ScenarioI, PenaltyBase: 20})
 	if res.Branches != 10 || res.MicroOps != 50 {
@@ -181,7 +178,8 @@ func TestPooledMatchesFresh(t *testing.T) {
 	opt := Options{Scenario: predictor.ScenarioA}
 	run := Pooled[tage.Ctx](tage.New(tage.Reference()))
 	for i, n := range []int{2000, 3000, 1500, 2500, 1000, 4000, 3500} {
-		tr := &trace.Trace{Name: fmt.Sprintf("pooled-%d", i), Category: "BENCH", Branches: base.Branches[:n]}
+		tr := base.Prefix(n)
+		tr.Name = fmt.Sprintf("pooled-%d", i)
 		got, want := run(tr, opt), runTrace(tage.New(tage.Reference()), tr, opt)
 		got.Elapsed, got.BranchesPerSec = 0, 0
 		want.Elapsed, want.BranchesPerSec = 0, 0

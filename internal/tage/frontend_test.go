@@ -115,7 +115,9 @@ func TestFrontEndMatchesFullHistory(t *testing.T) {
 				sib := lead.Sibling().(*Predictor)
 				oracle := newFullHistory(c.cfg)
 				var lc, sc Ctx
-				for n, b := range tr.Branches {
+				n := -1
+				for b := range tr.Branches() {
+					n++
 					lp := lead.Predict(b.PC, &lc)
 					sp := sib.Predict(b.PC, &sc)
 					bim, idx, tags := oracle.predict(b.PC)

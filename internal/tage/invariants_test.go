@@ -56,14 +56,15 @@ func TestPipelineConservation(t *testing.T) {
 	f := func(seed uint64, windowRaw, scenarioRaw uint8) bool {
 		r := rng.NewXoshiro(seed)
 		n := 500 + r.Intn(2000)
-		tr := &trace.Trace{Name: "prop", Category: "T"}
+		tb := trace.NewBuilder("prop", "T", n)
 		for i := 0; i < n; i++ {
-			tr.Branches = append(tr.Branches, trace.Branch{
+			tb.Add(trace.Branch{
 				PC:        uint64(0x100 + r.Intn(40)*4),
 				Taken:     r.Bool(0.6),
 				OpsBefore: uint8(r.Intn(7)),
 			})
 		}
+		tr := tb.Trace()
 		scenario := predictor.Scenario(scenarioRaw % 4)
 		window := int(windowRaw%48) + 1
 		var rn sim.Runner[Ctx]
@@ -83,13 +84,13 @@ func TestPipelineConservation(t *testing.T) {
 func TestDeterminismAcrossRuns(t *testing.T) {
 	mk := func() *trace.Trace {
 		r := rng.NewXoshiro(99)
-		tr := &trace.Trace{Name: "det", Category: "T"}
+		tb := trace.NewBuilder("det", "T", 5000)
 		for i := 0; i < 5000; i++ {
-			tr.Branches = append(tr.Branches, trace.Branch{
+			tb.Add(trace.Branch{
 				PC: uint64(0x40 + r.Intn(30)*4), Taken: r.Bool(0.7), OpsBefore: 3,
 			})
 		}
-		return tr
+		return tb.Trace()
 	}
 	run := func() sim.Result {
 		var rn sim.Runner[Ctx]

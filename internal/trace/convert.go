@@ -55,7 +55,7 @@ func synthOps(pc uint64) uint8 { return uint8(2 + bitutil.Mix64(pc)%6) }
 // per line as `<pc> <T|N|1|0>`, PC in hex (with or without 0x). Blank
 // lines and lines starting with '#' are skipped.
 func ConvertCBP(r io.Reader, name string) (*Trace, ConvertStats, error) {
-	t := &Trace{Name: name, Category: "EXT"}
+	tb := NewBuilder(name, "EXT", 0)
 	var st ConvertStats
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -80,12 +80,12 @@ func ConvertCBP(r io.Reader, name string) (*Trace, ConvertStats, error) {
 			return nil, st, fmt.Errorf("trace: cbp line %d: %w", lineNo, err)
 		}
 		st.Conditional++
-		t.Branches = append(t.Branches, Branch{PC: pc, Taken: taken, OpsBefore: synthOps(pc)})
+		tb.Add(Branch{PC: pc, Taken: taken, OpsBefore: synthOps(pc)})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, st, fmt.Errorf("trace: cbp line %d: %w", lineNo, err)
 	}
-	return t, st, nil
+	return tb.Trace(), st, nil
 }
 
 // ConvertChampSim parses the ChampSim-style text format: one branch
@@ -93,7 +93,7 @@ func ConvertCBP(r io.Reader, name string) (*Trace, ConvertStats, error) {
 // kept), C (call), R (return), J (jump) — non-conditional records are
 // counted and skipped. PC is decimal or 0x-hex; taken is T/N/1/0.
 func ConvertChampSim(r io.Reader, name string) (*Trace, ConvertStats, error) {
-	t := &Trace{Name: name, Category: "EXT"}
+	tb := NewBuilder(name, "EXT", 0)
 	var st ConvertStats
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -120,7 +120,7 @@ func ConvertChampSim(r io.Reader, name string) (*Trace, ConvertStats, error) {
 				return nil, st, fmt.Errorf("trace: champsim line %d: %w", lineNo, err)
 			}
 			st.Conditional++
-			t.Branches = append(t.Branches, Branch{PC: pc, Taken: taken, OpsBefore: synthOps(pc)})
+			tb.Add(Branch{PC: pc, Taken: taken, OpsBefore: synthOps(pc)})
 		case "C":
 			st.Calls++
 		case "R":
@@ -134,7 +134,7 @@ func ConvertChampSim(r io.Reader, name string) (*Trace, ConvertStats, error) {
 	if err := sc.Err(); err != nil {
 		return nil, st, fmt.Errorf("trace: champsim line %d: %w", lineNo, err)
 	}
-	return t, st, nil
+	return tb.Trace(), st, nil
 }
 
 // parsePC parses a PC in defaultBase, honouring an explicit 0x prefix.

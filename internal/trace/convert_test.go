@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -23,6 +24,7 @@ func TestConvertCBP(t *testing.T) {
 	if tr.Name != "sample" || tr.Category != "EXT" {
 		t.Fatalf("identity %q/%q", tr.Name, tr.Category)
 	}
+	got := slices.Collect(tr.Branches())
 	want := []struct {
 		pc    uint64
 		taken bool
@@ -30,7 +32,7 @@ func TestConvertCBP(t *testing.T) {
 		{0x400100, true}, {0x400100, false}, {0x400200, true}, {0x400300, false},
 	}
 	for i, w := range want {
-		b := tr.Branches[i]
+		b := got[i]
 		if b.PC != w.pc || b.Taken != w.taken {
 			t.Fatalf("branch %d: %+v, want %+v", i, b, w)
 		}
@@ -71,12 +73,13 @@ func TestConvertChampSim(t *testing.T) {
 	if st.Lines != 6 || st.Conditional != 2 || st.Calls != 1 || st.Returns != 1 || st.Jumps != 1 || st.Other != 1 {
 		t.Fatalf("stats %+v", st)
 	}
-	if tr.Branches[0].PC != 4198400 || !tr.Branches[0].Taken {
-		t.Fatalf("branch 0: %+v", tr.Branches[0])
+	got := slices.Collect(tr.Branches())
+	if b := got[0]; b.PC != 4198400 || !b.Taken {
+		t.Fatalf("branch 0: %+v", b)
 	}
 	// 0x prefix overrides the decimal default base.
-	if tr.Branches[1].PC != 0x400300 || tr.Branches[1].Taken {
-		t.Fatalf("branch 1: %+v", tr.Branches[1])
+	if b := got[1]; b.PC != 0x400300 || b.Taken {
+		t.Fatalf("branch 1: %+v", b)
 	}
 }
 
@@ -94,11 +97,11 @@ func TestConvertDispatch(t *testing.T) {
 // extremes.
 func TestSummarizeMixFields(t *testing.T) {
 	// All-taken single PC: top-10 covers everything, zero entropy.
-	mono := &Trace{Name: "mono"}
+	mono := NewBuilder("mono", "", 0)
 	for i := 0; i < 100; i++ {
-		mono.Branches = append(mono.Branches, Branch{PC: 0x400000, Taken: true, OpsBefore: 3})
+		mono.Add(Branch{PC: 0x400000, Taken: true, OpsBefore: 3})
 	}
-	st := Summarize(mono)
+	st := Summarize(mono.Trace())
 	if st.Top10Coverage != 1 {
 		t.Fatalf("Top10Coverage = %v", st.Top10Coverage)
 	}
@@ -108,30 +111,30 @@ func TestSummarizeMixFields(t *testing.T) {
 
 	// Strict alternation is perfectly predictable from the previous
 	// direction: entropy 0 again.
-	alt := &Trace{Name: "alt"}
+	alt := NewBuilder("alt", "", 0)
 	for i := 0; i < 100; i++ {
-		alt.Branches = append(alt.Branches, Branch{PC: 0x400000, Taken: i%2 == 0, OpsBefore: 3})
+		alt.Add(Branch{PC: 0x400000, Taken: i%2 == 0, OpsBefore: 3})
 	}
-	if e := Summarize(alt).TransitionEntropy; e != 0 {
+	if e := Summarize(alt.Trace()).TransitionEntropy; e != 0 {
 		t.Fatalf("alternating entropy = %v, want 0", e)
 	}
 
 	// T T N N T T N N ... : the next direction is a coin flip given the
 	// current one — a full bit of conditional entropy.
-	pair := &Trace{Name: "pair"}
+	pair := NewBuilder("pair", "", 0)
 	for i := 0; i < 400; i++ {
-		pair.Branches = append(pair.Branches, Branch{PC: 0x400000, Taken: i%4 < 2, OpsBefore: 3})
+		pair.Add(Branch{PC: 0x400000, Taken: i%4 < 2, OpsBefore: 3})
 	}
-	if e := Summarize(pair).TransitionEntropy; e < 0.95 || e > 1.0 {
+	if e := Summarize(pair.Trace()).TransitionEntropy; e < 0.95 || e > 1.0 {
 		t.Fatalf("paired entropy = %v, want ~1 bit", e)
 	}
 
 	// 11 equally-hot PCs: top 10 cover 10/11 of the stream.
-	wide := &Trace{Name: "wide"}
+	wide := NewBuilder("wide", "", 0)
 	for i := 0; i < 110; i++ {
-		wide.Branches = append(wide.Branches, Branch{PC: 0x400000 + uint64(i%11)*16, Taken: true, OpsBefore: 3})
+		wide.Add(Branch{PC: 0x400000 + uint64(i%11)*16, Taken: true, OpsBefore: 3})
 	}
-	if c := Summarize(wide).Top10Coverage; c < 0.90 || c > 0.92 {
+	if c := Summarize(wide.Trace()).Top10Coverage; c < 0.90 || c > 0.92 {
 		t.Fatalf("Top10Coverage = %v, want 10/11", c)
 	}
 }

@@ -35,8 +35,8 @@ func FuzzConvert(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Read of a written %s trace: %v", format, err)
 		}
-		if back.Name != tr.Name || back.Category != tr.Category || !slices.Equal(back.Branches, tr.Branches) {
-			t.Fatalf("%s trace of %d branches changed through Write/Read", format, len(tr.Branches))
+		if back.Name != tr.Name || back.Category != tr.Category || !slices.Equal(slices.Collect(back.Branches()), slices.Collect(tr.Branches())) {
+			t.Fatalf("%s trace of %d branches changed through Write/Read", format, tr.Len())
 		}
 	})
 }

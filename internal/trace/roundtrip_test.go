@@ -3,7 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
-	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -36,18 +36,16 @@ func TestRoundTripProperty(t *testing.T) {
 		if len(ops) < n {
 			n = len(ops)
 		}
-		tr := &Trace{Name: name, Category: category}
-		for i := 0; i < n; i++ {
-			tr.Branches = append(tr.Branches, Branch{PC: pcs[i], Taken: dirs[i], OpsBefore: ops[i]})
+		want := make([]Branch, n)
+		for i := range want {
+			want[i] = Branch{PC: pcs[i], Taken: dirs[i], OpsBefore: ops[i]}
 		}
+		tr := FromBranches(name, category, want)
 		got := roundTrip(t, tr)
 		if got.Name != tr.Name || got.Category != tr.Category {
 			return false
 		}
-		if len(got.Branches) != len(tr.Branches) {
-			return false
-		}
-		return len(tr.Branches) == 0 || reflect.DeepEqual(got.Branches, tr.Branches)
+		return slices.Equal(slices.Collect(got.Branches()), want)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -57,16 +55,17 @@ func TestRoundTripProperty(t *testing.T) {
 func TestRoundTripOpsBeforeSaturation(t *testing.T) {
 	// Every representable OpsBefore value survives, in particular the
 	// saturated 255 and the 0 boundary.
-	tr := &Trace{Name: "OPS", Category: "EDGE"}
+	var want []Branch
 	for v := 0; v <= math.MaxUint8; v++ {
-		tr.Branches = append(tr.Branches, Branch{
+		want = append(want, Branch{
 			PC:        0x400000 + uint64(v)*16,
 			Taken:     v%2 == 0,
 			OpsBefore: uint8(v),
 		})
 	}
+	tr := FromBranches("OPS", "EDGE", want)
 	got := roundTrip(t, tr)
-	if !reflect.DeepEqual(got.Branches, tr.Branches) {
+	if !slices.Equal(slices.Collect(got.Branches()), want) {
 		t.Fatal("OpsBefore values corrupted by round trip")
 	}
 	if got.MicroOps() != tr.MicroOps() {
@@ -77,16 +76,16 @@ func TestRoundTripOpsBeforeSaturation(t *testing.T) {
 func TestRoundTripExtremePCDeltas(t *testing.T) {
 	// Delta encoding must survive the extremes of the PC space: zero,
 	// max-uint64, and alternating far jumps in both directions.
-	tr := &Trace{Name: "PC", Category: "EDGE"}
+	var want []Branch
 	for _, pc := range []uint64{
 		0, math.MaxUint64, 1, math.MaxUint64 - 1, 0x400000,
 		math.MaxInt64, uint64(math.MaxInt64) + 1, 42,
 	} {
-		tr.Branches = append(tr.Branches, Branch{PC: pc, Taken: true, OpsBefore: 3})
+		want = append(want, Branch{PC: pc, Taken: true, OpsBefore: 3})
 	}
-	got := roundTrip(t, tr)
-	if !reflect.DeepEqual(got.Branches, tr.Branches) {
-		t.Fatalf("extreme PCs corrupted: %+v", got.Branches)
+	got := slices.Collect(roundTrip(t, FromBranches("PC", "EDGE", want)).Branches())
+	if !slices.Equal(got, want) {
+		t.Fatalf("extreme PCs corrupted: %+v", got)
 	}
 }
 
@@ -98,7 +97,7 @@ func TestRoundTripEmptyVariants(t *testing.T) {
 		{Name: "ünïcode/名前", Category: "カテゴリ"},
 	} {
 		got := roundTrip(t, tr)
-		if got.Name != tr.Name || got.Category != tr.Category || len(got.Branches) != 0 {
+		if got.Name != tr.Name || got.Category != tr.Category || got.Len() != 0 {
 			t.Fatalf("empty-trace round trip: got %+v, want %+v", got, tr)
 		}
 	}

@@ -3,8 +3,12 @@
 // each carrying its PC, its outcome, and the number of non-branch micro-ops
 // preceding it (so that per-kilo-instruction metrics can be computed, as in
 // the CBP-3 framework the paper uses). A trace is materialised in memory
-// and read through a Cursor, and a compact binary encoding is provided
-// for storing it on disk.
+// as a table of its static branches plus one 16-bit word per dynamic
+// branch (see Trace), built by a Builder and decoded back into Branch
+// blocks by a Cursor, the simulator's one way to read it. A compact
+// binary encoding (BPT1: Write, Read) stores a trace on disk; Read sizes
+// what it keeps by the branches it decodes, not by the count in the
+// header.
 package trace
 
 import (
@@ -13,8 +17,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"math"
 	"sort"
+
+	"repro/internal/bitutil"
 )
 
 // Branch is one dynamic conditional branch on the correct path.
@@ -28,28 +35,214 @@ type Branch struct {
 	OpsBefore uint8
 }
 
-// Trace is a fully materialised branch trace.
+// Trace is a branch trace held in memory. Its storage is private: a
+// Builder (or FromBranches) makes one, and Len, Branches, Prefix and a
+// Cursor read it. A Trace with only Name and Category set is empty.
+//
+// A trace is stored in one of two forms, chosen by its content while it
+// is built. The compact form holds a table of the trace's distinct
+// (PC, OpsBefore) pairs and one 16-bit word per branch: the pair's
+// index (15 bits) above the outcome bit. Every built-in trace fits it,
+// at 2 bytes a branch plus 32 bytes a pair. A trace with more than
+// maxPairs pairs takes the wide form, 16 bytes a branch, the branches
+// themselves.
 type Trace struct {
 	// Name identifies the benchmark (e.g. "INT01").
 	Name string
 	// Category is the benchmark class (e.g. "INT").
 	Category string
-	Branches []Branch
+
+	// table holds the compact form's pairs, each as two branches: the
+	// not-taken one at 2*pair and the taken one at 2*pair+1. words holds
+	// one pair<<1|taken per branch, which indexes table directly.
+	table []Branch
+	words []uint16
+	// wide holds the wide form's branches; nil in the compact form.
+	wide []Branch
+}
+
+// maxPairs is the number of (PC, OpsBefore) pairs a compact word can
+// index.
+const maxPairs = 1 << 15
+
+// Len returns the number of branches in the trace.
+func (t *Trace) Len() int { return len(t.words) + len(t.wide) }
+
+// Branches iterates over the trace's branches in order.
+func (t *Trace) Branches() iter.Seq[Branch] {
+	return func(yield func(Branch) bool) {
+		for i := range t.Len() {
+			var b Branch
+			if t.wide != nil {
+				b = t.wide[i]
+			} else {
+				b = t.table[t.words[i]]
+			}
+			if !yield(b) {
+				return
+			}
+		}
+	}
+}
+
+// Prefix returns a view of the first n branches of t (all of them when
+// n is at least Len, none when it is below 1) that shares t's storage,
+// with t's Name and Category.
+func (t *Trace) Prefix(n int) *Trace {
+	n = max(0, min(n, t.Len()))
+	v := *t
+	if v.wide != nil {
+		v.wide = v.wide[:n]
+	} else {
+		v.words = v.words[:n]
+	}
+	return &v
+}
+
+// decode writes the branches from position i on into dst and returns
+// how many it wrote: len(dst), or fewer at the end of the trace.
+func (t *Trace) decode(dst []Branch, i int) int {
+	if t.wide != nil {
+		return copy(dst, t.wide[i:])
+	}
+	words := t.words[i:]
+	if len(words) > len(dst) {
+		words = words[:len(dst)]
+	}
+	dst = dst[:len(words)]
+	table := t.table
+	for k, w := range words {
+		dst[k] = table[w]
+	}
+	return len(words)
 }
 
 // MicroOps returns the total micro-op count of the trace (branches plus
 // the ops preceding each).
 func (t *Trace) MicroOps() uint64 {
 	var n uint64
-	for _, b := range t.Branches {
+	for b := range t.Branches() {
 		n += uint64(b.OpsBefore) + 1
 	}
 	return n
 }
 
-// Cursor reads a materialised trace in blocks: Seek re-points it at a
-// trace and rewinds, so one Cursor serves every run of a pooled
-// simulation. The zero value is exhausted.
+// A Builder appends branches to a new trace, in the compact form until
+// the trace holds more (PC, OpsBefore) pairs than a word can index and
+// in the wide form from then on. Generators intern each static branch
+// once and Emit its dynamic instances by index; Add takes whole
+// branches and interns them itself.
+type Builder struct {
+	t Trace
+	// slots is an open-addressed index of the pairs in t.table (pair
+	// index + 1, 0 for an empty slot), at most half full. The wide form
+	// drops it.
+	slots []uint16
+}
+
+// NewBuilder starts a trace with room for sizeHint branches.
+func NewBuilder(name, category string, sizeHint int) *Builder {
+	return &Builder{t: Trace{Name: name, Category: category, words: make([]uint16, 0, max(sizeHint, 0))}}
+}
+
+// Intern returns the index of the static branch (pc, opsBefore), adding
+// it to the trace's table if it is new. Emit takes the index.
+func (b *Builder) Intern(pc uint64, opsBefore uint8) int {
+	pairs := len(b.t.table) / 2
+	if b.t.wide != nil {
+		// The wide form stores whole branches: the table only serves
+		// Emit, and a repeated pair costs one entry.
+		b.t.table = append(b.t.table, Branch{PC: pc, OpsBefore: opsBefore}, Branch{PC: pc, Taken: true, OpsBefore: opsBefore})
+		return pairs
+	}
+	if 2*(pairs+1) > len(b.slots) && pairs < maxPairs {
+		b.rehash(max(16, 2*len(b.slots)))
+	}
+	mask := len(b.slots) - 1
+	h := slot(pc, opsBefore, mask)
+	for ; b.slots[h] != 0; h = (h + 1) & mask {
+		id := int(b.slots[h] - 1)
+		if p := b.t.table[2*id]; p.PC == pc && p.OpsBefore == opsBefore {
+			return id
+		}
+	}
+	id := pairs
+	b.t.table = append(b.t.table, Branch{PC: pc, OpsBefore: opsBefore}, Branch{PC: pc, Taken: true, OpsBefore: opsBefore})
+	if id == maxPairs {
+		b.widen()
+	} else {
+		b.slots[h] = uint16(id + 1)
+	}
+	return id
+}
+
+// rehash rebuilds the slot index at size n, a power of two.
+func (b *Builder) rehash(n int) {
+	b.slots = make([]uint16, n)
+	for id := range len(b.t.table) / 2 {
+		p := b.t.table[2*id]
+		h := slot(p.PC, p.OpsBefore, n-1)
+		for b.slots[h] != 0 {
+			h = (h + 1) & (n - 1)
+		}
+		b.slots[h] = uint16(id + 1)
+	}
+}
+
+// slot is where the probe for the pair (pc, opsBefore) starts in a slot
+// index of mask+1 slots.
+func slot(pc uint64, opsBefore uint8, mask int) int {
+	return int(bitutil.Mix64(pc^uint64(opsBefore)<<56)) & mask
+}
+
+// widen moves the trace to the wide form.
+func (b *Builder) widen() {
+	wide := make([]Branch, len(b.t.words), max(cap(b.t.words), len(b.t.words)+1))
+	b.t.decode(wide, 0)
+	b.t.wide, b.t.words, b.slots = wide, nil, nil
+}
+
+// Emit appends one branch of the interned static branch id.
+func (b *Builder) Emit(id int, taken bool) {
+	w := id<<1 | int(bitutil.B2u(taken))
+	if b.t.wide != nil {
+		b.t.wide = append(b.t.wide, b.t.table[w])
+		return
+	}
+	b.t.words = append(b.t.words, uint16(w))
+}
+
+// Add appends one branch.
+func (b *Builder) Add(br Branch) {
+	if b.t.wide != nil {
+		b.t.wide = append(b.t.wide, br)
+		return
+	}
+	b.Emit(b.Intern(br.PC, br.OpsBefore), br.Taken)
+}
+
+// Trace returns the trace built so far. The Builder must not be used
+// after.
+func (b *Builder) Trace() *Trace {
+	t := b.t
+	if t.wide != nil {
+		t.table = nil
+	}
+	return &t
+}
+
+// FromBranches builds a trace of the given branches.
+func FromBranches(name, category string, branches []Branch) *Trace {
+	b := NewBuilder(name, category, len(branches))
+	for _, br := range branches {
+		b.Add(br)
+	}
+	return b.Trace()
+}
+
+// Cursor reads a trace in blocks: Seek re-points it at a trace and
+// rewinds, so one Cursor serves every run of a pooled simulation. The
+// zero value is exhausted.
 type Cursor struct {
 	t *Trace
 	i int
@@ -58,14 +251,14 @@ type Cursor struct {
 // Seek points the cursor at the start of t (nil empties the cursor).
 func (c *Cursor) Seek(t *Trace) { c.t, c.i = t, 0 }
 
-// NextBatch fills dst with up to len(dst) branches, one bulk copy out
-// of the materialised slice, and returns how many it wrote (0 at the end
-// of the trace).
+// NextBatch fills dst with up to len(dst) branches, decoded from the
+// trace's words (or copied from a wide trace), and returns how many it
+// wrote (0 at the end of the trace).
 func (c *Cursor) NextBatch(dst []Branch) int {
 	if c.t == nil {
 		return 0
 	}
-	n := copy(dst, c.t.Branches[c.i:])
+	n := c.t.decode(dst, c.i)
 	c.i += n
 	return n
 }
@@ -77,7 +270,7 @@ func (c *Cursor) Len() int {
 	if c.t == nil {
 		return 0
 	}
-	return len(c.t.Branches) - c.i
+	return c.t.Len() - c.i
 }
 
 // Skip advances the cursor by up to n branches without yielding them
@@ -87,7 +280,7 @@ func (c *Cursor) Skip(n int) int {
 	if c.t == nil || n <= 0 {
 		return 0
 	}
-	if rem := len(c.t.Branches) - c.i; n > rem {
+	if rem := c.t.Len() - c.i; n > rem {
 		n = rem
 	}
 	c.i += n
@@ -130,12 +323,12 @@ func Write(w io.Writer, t *Trace) error {
 		return err
 	}
 	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(t.Branches)))
+	n := binary.PutUvarint(buf[:], uint64(t.Len()))
 	if _, err := bw.Write(buf[:n]); err != nil {
 		return err
 	}
 	prev := uint64(0)
-	for _, b := range t.Branches {
+	for b := range t.Branches() {
 		delta := int64(b.PC) - int64(prev)
 		n := binary.PutVarint(buf[:], delta)
 		if _, err := bw.Write(buf[:n]); err != nil {
@@ -155,6 +348,10 @@ func Write(w io.Writer, t *Trace) error {
 	}
 	return bw.Flush()
 }
+
+// readHint bounds the branches Read makes room for up front: a header's
+// count is a claim, and storage grows with the branches actually read.
+const readHint = 1 << 16
 
 // Read decodes a trace written by Write.
 func Read(r io.Reader) (*Trace, error) {
@@ -180,12 +377,12 @@ func Read(r io.Reader) (*Trace, error) {
 		}
 		return string(buf), nil
 	}
-	t := &Trace{}
-	var err error
-	if t.Name, err = readString(); err != nil {
+	name, err := readString()
+	if err != nil {
 		return nil, fmt.Errorf("trace: reading name: %w", err)
 	}
-	if t.Category, err = readString(); err != nil {
+	category, err := readString()
+	if err != nil {
 		return nil, fmt.Errorf("trace: reading category: %w", err)
 	}
 	count, err := binary.ReadUvarint(br)
@@ -195,7 +392,7 @@ func Read(r io.Reader) (*Trace, error) {
 	if count > 1<<32 {
 		return nil, fmt.Errorf("trace: unreasonable branch count %d", count)
 	}
-	t.Branches = make([]Branch, 0, count)
+	b := NewBuilder(name, category, int(min(count, readHint)))
 	prev := uint64(0)
 	for i := uint64(0); i < count; i++ {
 		delta, err := binary.ReadVarint(br)
@@ -211,10 +408,10 @@ func Read(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: branch %d ops: %w", i, err)
 		}
-		t.Branches = append(t.Branches, Branch{PC: pc, Taken: flags&1 != 0, OpsBefore: ops})
+		b.Add(Branch{PC: pc, Taken: flags&1 != 0, OpsBefore: ops})
 		prev = pc
 	}
-	return t, nil
+	return b.Trace(), nil
 }
 
 // Hash returns a content hash of the trace's branch sequence (FNV-1a
@@ -230,7 +427,7 @@ func (t *Trace) Hash() uint64 {
 	byte1 := func(b byte) {
 		h = (h ^ uint64(b)) * prime64
 	}
-	for _, b := range t.Branches {
+	for b := range t.Branches() {
 		pc := b.PC
 		for i := 0; i < 8; i++ {
 			byte1(byte(pc))
@@ -265,29 +462,24 @@ type Stats struct {
 	TransitionEntropy float64
 }
 
-// Summarize computes summary statistics for a trace.
+// Summarize computes summary statistics for a trace. StaticBranches
+// and Top10Coverage count the PCs the trace (or prefix view) emits.
 func Summarize(t *Trace) Stats {
 	taken := 0
 	static := make(map[uint64]int)
 	var bigram [2][2]int
-	for i, b := range t.Branches {
-		if b.Taken {
-			taken++
-		}
+	prev := -1
+	for b := range t.Branches() {
+		to := int(bitutil.B2u(b.Taken))
+		taken += to
 		static[b.PC]++
-		if i > 0 {
-			from, to := 0, 0
-			if t.Branches[i-1].Taken {
-				from = 1
-			}
-			if b.Taken {
-				to = 1
-			}
-			bigram[from][to]++
+		if prev >= 0 {
+			bigram[prev][to]++
 		}
+		prev = to
 	}
 	s := Stats{
-		Branches:       len(t.Branches),
+		Branches:       t.Len(),
 		MicroOps:       t.MicroOps(),
 		StaticBranches: len(static),
 	}

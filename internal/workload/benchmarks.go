@@ -171,10 +171,9 @@ func Generate(spec Spec, branches int) *trace.Trace {
 	}
 	b := newBuilder(spec.Seed)
 	program := spec.build(b)
-	e := &emitter{env: newEnv(b.r.Fork(0xeeee)), limit: branches}
-	e.buf = make([]trace.Branch, 0, branches)
+	e := &emitter{env: newEnv(b.r.Fork(0xeeee)), tb: trace.NewBuilder(spec.Name, spec.Category, branches), limit: branches}
 	(&repeat{body: program}).run(e)
-	return &trace.Trace{Name: spec.Name, Category: spec.Category, Branches: e.buf}
+	return e.tb.Trace()
 }
 
 // GenerateByName materialises a benchmark by name.

@@ -174,8 +174,8 @@ func init() {
 // churn that return-address-correlated predictors ride and pure global
 // history predictors drown in.
 type callTree struct {
-	callPC []uint64
-	retPC  []uint64
+	callPC []static
+	retPC  []static
 	leaf   node
 	fan    int
 	retP   float64
@@ -194,11 +194,11 @@ func (c *callTree) walk(e *emitter, lvl int) {
 	}
 	calls := c.r.Intn(c.fan + 1)
 	for i := 0; i < calls && !e.full(); i++ {
-		e.emit(c.callPC[lvl], true)
+		e.emit(&c.callPC[lvl], true)
 		c.walk(e, lvl+1)
-		e.emit(c.retPC[lvl], c.r.Bool(c.retP))
+		e.emit(&c.retPC[lvl], c.r.Bool(c.retP))
 	}
-	e.emit(c.callPC[lvl], false)
+	e.emit(&c.callPC[lvl], false)
 }
 
 // phaser dispatches on elapsed trace position: the running child flips
@@ -211,7 +211,7 @@ type phaser struct {
 }
 
 func (p *phaser) run(e *emitter) {
-	p.children[(len(e.buf)/p.period)%len(p.children)].run(e)
+	p.children[(e.n/p.period)%len(p.children)].run(e)
 }
 
 // flusher injects a burst of effectively random alien branches every
@@ -220,18 +220,18 @@ func (p *phaser) run(e *emitter) {
 type flusher struct {
 	period int
 	burst  int
-	pcs    []uint64
+	pcs    []static
 	r      *rng.Xoshiro
 	next   int
 }
 
 func (f *flusher) run(e *emitter) {
-	if len(e.buf) < f.next {
+	if e.n < f.next {
 		return
 	}
-	f.next = len(e.buf) + f.period
+	f.next = e.n + f.period
 	for i := 0; i < f.burst && !e.full(); i++ {
-		e.emit(f.pcs[i%len(f.pcs)], f.r.Bool(0.5))
+		e.emit(&f.pcs[i%len(f.pcs)], f.r.Bool(0.5))
 	}
 }
 
@@ -282,11 +282,11 @@ func callretProgram(ts TraceSpec, b *builder) node {
 	fan := ts.fieldInt("fan")
 	retP := ts.fieldFloat("ret")
 
-	callPC := make([]uint64, depth)
-	retPC := make([]uint64, depth)
+	callPC := make([]static, depth)
+	retPC := make([]static, depth)
 	for i := 0; i < depth; i++ {
-		callPC[i] = b.pc()
-		retPC[i] = b.pc()
+		callPC[i].pc = b.pc()
+		retPC[i].pc = b.pc()
 	}
 	return &callTree{
 		callPC: callPC,
@@ -345,9 +345,9 @@ func ctxflushProgram(ts TraceSpec, b *builder) node {
 	if nPCs > 256 {
 		nPCs = 256
 	}
-	pcs := make([]uint64, nPCs)
+	pcs := make([]static, nPCs)
 	for i := range pcs {
-		pcs[i] = b.pc()
+		pcs[i].pc = b.pc()
 	}
 	fl := &flusher{period: period, burst: burst, pcs: pcs, r: b.r.Fork(0xf1a5), next: period}
 	inner := seq{

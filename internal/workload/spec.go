@@ -263,11 +263,12 @@ func (s TraceSpec) Resolve() (Spec, error) {
 			Category: category,
 			spec:     fileKind + ":" + s.path,
 			gen: func(branches int) *trace.Trace {
-				br := loaded.Branches
-				if branches > 0 && branches < len(br) {
-					br = br[:branches]
+				if branches <= 0 {
+					branches = loaded.Len()
 				}
-				return &trace.Trace{Name: name, Category: category, Branches: br}
+				tr := loaded.Prefix(branches)
+				tr.Name, tr.Category = name, category
+				return tr
 			},
 		}, nil
 	default:

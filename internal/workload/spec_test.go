@@ -346,12 +346,12 @@ func TestFileSpecResolve(t *testing.T) {
 		t.Fatal("replayed branches differ from the stored trace")
 	}
 	short := Generate(s1, 100)
-	if len(short.Branches) != 100 {
-		t.Fatalf("truncation: got %d branches", len(short.Branches))
+	if short.Len() != 100 {
+		t.Fatalf("truncation: got %d branches", short.Len())
 	}
 	over := Generate(s1, 10000)
-	if len(over.Branches) != 500 {
-		t.Fatalf("over-request: got %d branches, want all 500", len(over.Branches))
+	if over.Len() != 500 {
+		t.Fatalf("over-request: got %d branches, want all 500", over.Len())
 	}
 
 	if _, err := ResolveSpec("file:" + filepath.Join(dir, "missing.bpt")); err == nil {

@@ -181,19 +181,44 @@ func (c copyDist) next(e *env) bool { return e.bit(c.dist) }
 // emitter accumulates the trace.
 type emitter struct {
 	env   *env
-	buf   []trace.Branch
+	tb    *trace.Builder
+	n     int // branches emitted
 	limit int
 }
 
-func (e *emitter) full() bool { return len(e.buf) >= e.limit }
+func (e *emitter) full() bool { return e.n >= e.limit }
 
-func (e *emitter) emit(pc uint64, taken bool) {
+// emit appends one branch of s. The first emit interns s in the trace's
+// table and caches its index on s, so later ones look nothing up.
+func (e *emitter) emit(s *static, taken bool) {
 	if e.full() {
 		return
 	}
-	ops := uint8(2 + bitutil.Mix64(pc)%6)
-	e.buf = append(e.buf, trace.Branch{PC: pc, Taken: taken, OpsBefore: ops})
+	if s.id == 0 {
+		s.id = e.tb.Intern(s.pc, uint8(2+bitutil.Mix64(s.pc)%6)) + 1
+	}
+	e.tb.Emit(s.id-1, taken)
+	e.n++
 	e.env.push(taken)
+}
+
+// static is one static branch of a generated program: its PC and, once
+// emitted, its index in the trace's table plus one. A program is built
+// for one trace, so the index is that trace's.
+type static struct {
+	pc uint64
+	id int
+}
+
+// routers returns the router branches of a dispatch over n children:
+// ceil(log2(n)) statics at consecutive 4-byte PCs from pc, the one for
+// bit b of the chosen index at routers[b].
+func routers(pc uint64, n int) []static {
+	s := make([]static, bitutil.Log2(bitutil.CeilPow2(n)))
+	for i := range s {
+		s[i].pc = pc + uint64(i)*4
+	}
+	return s
 }
 
 // node is a program structure element.
@@ -215,18 +240,18 @@ func (s seq) run(e *emitter) {
 
 // site is a single static branch.
 type site struct {
-	pc uint64
+	pc static
 	b  behavior
 }
 
-func (s *site) run(e *emitter) { e.emit(s.pc, s.b.next(e.env)) }
+func (s *site) run(e *emitter) { e.emit(&s.pc, s.b.next(e.env)) }
 
 // loop runs body a number of times given by trips(), emitting the
 // backward loop-control branch (taken while iterating) after each body.
 type loop struct {
-	ctrlPC uint64
-	trips  func() int
-	body   node
+	ctrl  static
+	trips func() int
+	body  node
 }
 
 func (l *loop) run(e *emitter) {
@@ -235,7 +260,7 @@ func (l *loop) run(e *emitter) {
 		if l.body != nil {
 			l.body.run(e)
 		}
-		e.emit(l.ctrlPC, i < n-1)
+		e.emit(&l.ctrl, i < n-1)
 	}
 }
 
@@ -243,12 +268,11 @@ func (l *loop) run(e *emitter) {
 // "router" branches whose outcomes encode the chosen index — the way an
 // if/else chain imprints the path on the global history.
 type choose struct {
-	routerPC uint64
+	routers  []static // none when silent
 	weights  []int
 	total    int
 	children []node
 	r        *rng.Xoshiro
-	silent   bool // no router branches: pure control-flow scrambling
 }
 
 func newChoose(routerPC uint64, r *rng.Xoshiro, weights []int, children []node, silent bool) *choose {
@@ -256,7 +280,11 @@ func newChoose(routerPC uint64, r *rng.Xoshiro, weights []int, children []node, 
 	for _, w := range weights {
 		t += w
 	}
-	return &choose{routerPC: routerPC, weights: weights, total: t, children: children, r: r, silent: silent}
+	c := &choose{weights: weights, total: t, children: children, r: r}
+	if !silent {
+		c.routers = routers(routerPC, len(children))
+	}
+	return c
 }
 
 func (c *choose) run(e *emitter) {
@@ -269,11 +297,8 @@ func (c *choose) run(e *emitter) {
 		}
 		pick -= w
 	}
-	if !c.silent {
-		bits := bitutil.Log2(bitutil.CeilPow2(len(c.children)))
-		for b := int(bits) - 1; b >= 0; b-- {
-			e.emit(c.routerPC+uint64(b)*4, (idx>>uint(b))&1 == 1)
-		}
+	for b := len(c.routers) - 1; b >= 0; b-- {
+		e.emit(&c.routers[b], (idx>>uint(b))&1 == 1)
 	}
 	if !e.full() {
 		c.children[idx].run(e)
@@ -286,7 +311,7 @@ func (c *choose) run(e *emitter) {
 // within TAGE's geometric reach — the realistic "repetitive dispatch"
 // behaviour that separates long-history from short-history predictors.
 type cycle struct {
-	routerPC uint64
+	routers  []static
 	schedule []int
 	pos      int
 	children []node
@@ -298,9 +323,8 @@ func (c *cycle) run(e *emitter) {
 	if c.pos == len(c.schedule) {
 		c.pos = 0
 	}
-	bits := bitutil.Log2(bitutil.CeilPow2(len(c.children)))
-	for b := int(bits) - 1; b >= 0; b-- {
-		e.emit(c.routerPC+uint64(b)*4, (idx>>uint(b))&1 == 1)
+	for b := len(c.routers) - 1; b >= 0; b-- {
+		e.emit(&c.routers[b], (idx>>uint(b))&1 == 1)
 	}
 	if !e.full() {
 		c.children[idx].run(e)
@@ -332,7 +356,7 @@ func (b *builder) pc() uint64 {
 	return p
 }
 
-func (b *builder) site(bh behavior) node { return &site{pc: b.pc(), b: bh} }
+func (b *builder) site(bh behavior) node { return &site{pc: static{pc: b.pc()}, b: bh} }
 
 func (b *builder) bern(p float64) node {
 	return b.site(&bernoulli{p: p, r: b.r.Fork(b.nextPC)})
@@ -347,12 +371,12 @@ func (b *builder) pat(length int) node {
 }
 
 func (b *builder) fixedLoop(trip int, body node) node {
-	return &loop{ctrlPC: b.pc(), trips: func() int { return trip }, body: body}
+	return &loop{ctrl: static{pc: b.pc()}, trips: func() int { return trip }, body: body}
 }
 
 func (b *builder) jitterLoop(base, spread int, body node) node {
 	r := b.r.Fork(b.nextPC)
-	return &loop{ctrlPC: b.pc(), trips: func() int { return base + r.Intn(spread+1) }, body: body}
+	return &loop{ctrl: static{pc: b.pc()}, trips: func() int { return base + r.Intn(spread+1) }, body: body}
 }
 
 func (b *builder) pick(weights []int, silent bool, children ...node) node {
@@ -370,7 +394,7 @@ func (b *builder) cycle(scheduleLen int, children ...node) node {
 			sched[i] = 1 + b.r.Intn(len(children)-1)
 		}
 	}
-	return &cycle{routerPC: b.pc(), schedule: sched, children: children}
+	return &cycle{routers: routers(b.pc(), len(children)), schedule: sched, children: children}
 }
 
 func uniform(n int) []int {

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -39,13 +41,11 @@ func TestGenerateDeterministic(t *testing.T) {
 	spec, _ := Find("INT03")
 	a := Generate(spec, 5000)
 	b := Generate(spec, 5000)
-	if len(a.Branches) != len(b.Branches) {
+	if a.Len() != b.Len() {
 		t.Fatal("lengths differ")
 	}
-	for i := range a.Branches {
-		if a.Branches[i] != b.Branches[i] {
-			t.Fatalf("branch %d differs", i)
-		}
+	if !slices.Equal(slices.Collect(a.Branches()), slices.Collect(b.Branches())) {
+		t.Fatal("branches differ")
 	}
 }
 
@@ -55,8 +55,8 @@ func TestGenerateRespectsLimit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(tr.Branches) != 2000 {
-			t.Fatalf("%s: got %d branches", name, len(tr.Branches))
+		if tr.Len() != 2000 {
+			t.Fatalf("%s: got %d branches", name, tr.Len())
 		}
 	}
 }
@@ -96,10 +96,13 @@ func TestCategoriesDistinct(t *testing.T) {
 	a, _ := GenerateByName("WS01", 2000)
 	b, _ := GenerateByName("WS02", 2000)
 	same := 0
-	for i := range a.Branches {
-		if a.Branches[i].PC == b.Branches[i].PC && a.Branches[i].Taken == b.Branches[i].Taken {
+	bs := slices.Collect(b.Branches())
+	i := 0
+	for x := range a.Branches() {
+		if y := bs[i]; x.PC == y.PC && x.Taken == y.Taken {
 			same++
 		}
+		i++
 	}
 	if same > 1500 {
 		t.Fatalf("WS01 and WS02 nearly identical: %d/2000 equal", same)
@@ -165,7 +168,7 @@ func TestCopyDistBehavior(t *testing.T) {
 func TestOpsBeforeDeterministicPerPC(t *testing.T) {
 	tr, _ := GenerateByName("CLIENT03", 20000)
 	ops := map[uint64]uint8{}
-	for _, b := range tr.Branches {
+	for b := range tr.Branches() {
 		if prev, ok := ops[b.PC]; ok && prev != b.OpsBefore {
 			t.Fatalf("PC %#x has varying OpsBefore", b.PC)
 		}
@@ -196,5 +199,26 @@ func TestSelectGlobs(t *testing.T) {
 	}
 	if _, err := Select([]string{"[oops"}); err == nil {
 		t.Fatal("malformed pattern must error")
+	}
+}
+
+// TestGenerateAllocatesTwoBytesABranch: a generated trace is stored as
+// one 16-bit word a branch plus a table of its static branches, so
+// generating INT01 at 1M branches allocates about 2 MB (16 MB as a
+// []trace.Branch).
+func TestGenerateAllocatesTwoBytesABranch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	spec, _ := Find("INT01")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := Generate(spec, 1_000_000)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 2_500_000 {
+		t.Fatalf("Generate(INT01, 1M) allocated %d bytes, want < 2.5 MB", n)
+	}
+	if tr.Len() != 1_000_000 {
+		t.Fatalf("generated %d branches", tr.Len())
 	}
 }

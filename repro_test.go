@@ -115,7 +115,7 @@ func TestTraceRoundTripThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Branches) != len(tr.Branches) || back.Name != tr.Name {
+	if back.Len() != tr.Len() || back.Name != tr.Name {
 		t.Fatal("round trip mismatch")
 	}
 }
