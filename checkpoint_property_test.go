@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/checkpoint"
 )
 
 // The checkpoint/resume property suite. PR 8's contract: for any model
@@ -207,6 +209,56 @@ func TestCheckpointRefusesNewerFormat(t *testing.T) {
 	g.ResumeErr = nil
 	if !reflect.DeepEqual(stripResumeTiming(g), want) {
 		t.Fatalf("cold fallback after refusal diverges from a cold run:\n  got:  %+v\n  want: %+v", stripResumeTiming(g), want)
+	}
+}
+
+// TestRestoreKeepsNoViewOfItsBlob: a restored predictor owns its state.
+// A warm-cache worker reads every blob into one buffer that its next
+// load overwrites, which is safe only while Restore copies what it
+// decodes. For random specs of every randSpec kind, a predictor
+// restored from a copy of a warmed predictor's sections must snapshot
+// to those same bytes after the copy is overwritten.
+func TestRestoreKeepsNoViewOfItsBlob(t *testing.T) {
+	type state interface {
+		Snapshot(enc *checkpoint.Encoder)
+		Restore(dec *checkpoint.Decoder)
+	}
+	rng := rand.New(rand.NewSource(0xb10b))
+	tr := MustGenerateTrace("MM05", 3000)
+	drawn := make(map[string]int)
+	for range 24 {
+		spec := randSpec(rng)
+		drawn[spec[:strings.Index(spec, ":")]]++
+		m, err := LookupModel(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		var blob []byte
+		m.Run(tr, Options{Scenario: ScenarioA, OnCheckpoint: func(b []byte, at uint64) {
+			blob = append(blob[:0], b...)
+		}})
+		want := predictorSections(t, blob)
+
+		p := m.NewPredictor().(state)
+		view := bytes.Clone(want)
+		dec := checkpoint.NewDecoder(view)
+		p.Restore(dec)
+		if err := dec.Err(); err != nil {
+			t.Fatalf("%s: restoring its own sections: %v", spec, err)
+		}
+		for i := range view {
+			view[i] = ^view[i]
+		}
+		enc := checkpoint.NewEncoder()
+		p.Snapshot(enc)
+		if !bytes.Equal(enc.Blob(), want) {
+			t.Errorf("%s: snapshot after its restore blob was overwritten differs from the blob (%d vs %d bytes)", spec, len(enc.Blob()), len(want))
+		}
+	}
+	for _, kind := range []string{"tage", "gshare", "gehl", "composed"} {
+		if drawn[kind] == 0 {
+			t.Errorf("no %s spec drawn: %v", kind, drawn)
+		}
 	}
 }
 

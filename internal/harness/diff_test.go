@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -152,8 +154,12 @@ func TestDiffAggregatesComparedByKey(t *testing.T) {
 func TestReadRecordsRoundTripThroughJSONLSink(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf)
+	// A line far longer than the line buffer's first size.
+	long := cell("tage", "INT02", "A", 1000, 4.5)
+	long.Err = strings.Repeat("x", 200<<10)
 	recs := []Record{
 		cell("tage", "INT01", "A", 1000, 3.25),
+		long,
 		{Kind: KindSuite, Model: "tage", Scenario: "A", Branches: 1000, MPKI: 3.25, MPKISum: 3.25, Cells: 1},
 	}
 	for _, r := range recs {
@@ -175,6 +181,10 @@ func TestReadRecordsRoundTripThroughJSONLSink(t *testing.T) {
 	}
 	if _, err := ReadRecords(strings.NewReader("{not json}\n")); err == nil {
 		t.Fatal("malformed line must error")
+	}
+	over := strings.Repeat("x", 5<<20) + "\n"
+	if _, err := ReadRecords(strings.NewReader(over)); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("a line over the 4 MiB cap returned %v, want bufio.ErrTooLong", err)
 	}
 }
 

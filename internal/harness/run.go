@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -207,12 +208,18 @@ func RunJobs(jobs []Job, cfg Config, sink Sink) (*Summary, error) {
 }
 
 // runnerArena holds one worker's pooled run functions, keyed by the
-// model's canonical spec (name when the model was built without one). It
-// is only ever touched from the goroutine that owns it, so lookups are
-// lock-free; the hit/miss counters feed the pool's telemetry.
+// model's canonical spec (name when the model was built without one),
+// and its warm-cache buffers. It is only ever touched from the goroutine
+// that owns it, so lookups are lock-free; the hit/miss counters feed the
+// pool's telemetry.
 type runnerArena struct {
 	m            map[string]func(tr *trace.Trace, opt sim.Options) sim.Result
 	hits, misses *metrics.Counter
+	// frame holds the last frame warmCache.load read, and hdr builds the
+	// header of each frame the worker saves; both keep their capacity
+	// across cells and, in RunWorker's pool, across leases.
+	frame []byte
+	hdr   checkpoint.Encoder
 }
 
 // modelKey is the key a model's runner is pooled under.
@@ -429,9 +436,9 @@ func executeJobs(jobs []Job, cfg Config, rm *runMetrics, pool *runnerPool, visit
 			opt.Metrics = cfg.Metrics
 			if wc != nil {
 				key := wc.key(lead, hash)
-				opt.Resume = wc.load(key)
+				opt.Resume = wc.load(key, &arena.frame)
 				opt.CheckpointEvery = cfg.checkpointEvery()
-				opt.OnCheckpoint = func(blob []byte, at uint64) { wc.save(key, blob, at) }
+				opt.OnCheckpoint = wc.onCheckpoint(key, opt.Resume, &arena.hdr)
 			}
 			for _, i := range pass[1:] {
 				opt.Also = append(opt.Also, jobs[i].Scenario)

@@ -5,15 +5,20 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/predictor"
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // fakeResolver builds a fake model for any spec — the worker-side
@@ -344,5 +349,158 @@ func TestWorkerReportsUnresolvableCellsAsFailures(t *testing.T) {
 	}
 	if !strings.Contains(got[0].Err, "resolving model") {
 		t.Fatalf("failure does not explain itself: %q", got[0].Err)
+	}
+}
+
+// TestServiceRestartLosesNoStoredCell: a coordinator keeps its lease
+// queue in memory only, so a restart drops the leases it had out but
+// not what its store holds. A store-backed Service closed mid-sweep,
+// after one lease's results were appended, leaves those cells stored
+// (and may store failures for the cells it withdrew); a new Service on
+// the same store, given the same sweep, reuses every stored result
+// without leasing its cell again, and the final store holds one result
+// per cell.
+func TestServiceRestartLosesNoStoredCell(t *testing.T) {
+	store := t.TempDir() + "/dist.jsonl"
+	req := SweepRequest{
+		Models: []string{"fm1"}, Traces: []string{"INT01", "INT02", "MM05", "MM07", "WS03", "WS04"},
+		Branches: []int{100},
+	}
+	serve := func() *httptest.Server {
+		svc := &Service{Queue: NewLeaseQueue(time.Minute, 2, nil), Resolve: fakeResolver(3), Store: store}
+		mux := http.NewServeMux()
+		svc.Register(mux)
+		return httptest.NewServer(mux)
+	}
+	// cellsRun resolves models that call ran with each cell they
+	// simulate.
+	cellsRun := func(ran func(string)) ModelResolver {
+		return func(spec string) (Model, error) {
+			m := fakeModel(spec, flat(3))
+			run := m.Run
+			m.Run = func(tr *trace.Trace, opt sim.Options) sim.Result {
+				ran(tr.Name)
+				return run(tr, opt)
+			}
+			return m, nil
+		}
+	}
+	work := func(url, id string, resolve ModelResolver) (stop func() error) {
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			done <- RunWorker(ctx, WorkerOptions{BaseURL: url, ID: id, Resolve: resolve, Poll: 10 * time.Millisecond})
+		}()
+		stop = sync.OnceValue(func() error { cancel(); return <-done })
+		t.Cleanup(func() { stop() })
+		return stop
+	}
+	successes := func() map[string]int {
+		n := make(map[string]int)
+		recs, _, err := ReadStoreFile(store)
+		if errors.Is(err, os.ErrNotExist) {
+			return n
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if r.Kind == KindCell && !r.Failed() {
+				n[r.Trace]++
+			}
+		}
+		return n
+	}
+
+	// The first coordinator's worker runs one lease and wedges on the
+	// next, as if the coordinator went down while it was busy.
+	srv1 := serve()
+	wedge := make(chan struct{})
+	var started atomic.Int32
+	stop1 := work(srv1.URL, "w1", cellsRun(func(string) {
+		if started.Add(1) > 2 {
+			<-wedge
+		}
+	}))
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted := make(chan struct{})
+	go func() {
+		defer close(submitted)
+		resp, err := http.Post(srv1.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	// Closing ends the submission, then frees the wedged worker, whose
+	// last post goes to a closed coordinator.
+	close1 := sync.OnceFunc(func() {
+		srv1.CloseClientConnections()
+		srv1.Close()
+		<-submitted
+		close(wedge)
+		stop1()
+	})
+	t.Cleanup(close1)
+	var stored map[string]int
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if stored = successes(); len(stored) >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no lease's results reached the store: %v", stored)
+		}
+	}
+	close1()
+	stored = successes()
+	if len(stored) == 0 || len(stored) == len(req.Traces) {
+		t.Fatalf("the closed coordinator stored %d of %d cells; want a partial sweep", len(stored), len(req.Traces))
+	}
+
+	// The restarted coordinator over the same store.
+	srv2 := serve()
+	t.Cleanup(srv2.Close)
+	var mu sync.Mutex
+	var rerun []string
+	stop2 := work(srv2.URL, "w2", cellsRun(func(tr string) {
+		mu.Lock()
+		rerun = append(rerun, tr)
+		mu.Unlock()
+	}))
+	appended := submitSweep(t, srv2.URL, req)
+	if err := stop2(); err != nil {
+		t.Fatalf("worker w2: %v", err)
+	}
+	for _, tr := range rerun {
+		if stored[tr] > 0 {
+			t.Errorf("cell %s was stored before the restart but leased again", tr)
+		}
+	}
+	if len(rerun) != len(req.Traces)-len(stored) {
+		t.Errorf("the restarted coordinator ran %v; want each of the %d unstored cells once", rerun, len(req.Traces)-len(stored))
+	}
+	for _, r := range appended {
+		if r.Kind == KindCell && stored[r.Trace] > 0 {
+			t.Errorf("resubmission appended stored cell %s again", r.Trace)
+		}
+	}
+	final := successes()
+	for _, tr := range req.Traces {
+		if final[tr] != 1 {
+			t.Errorf("final store holds %d results for cell %s, want 1", final[tr], tr)
+		}
+	}
+	if len(final) != len(req.Traces) {
+		t.Errorf("final store holds results for %d cells, want %d: %v", len(final), len(req.Traces), final)
+	}
+	recs, _, err := ReadStoreFile(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, st := Compact(recs); st.CellsOut != len(req.Traces) || st.FailedKept != 0 {
+		t.Errorf("compacting the final store keeps %d cells, %d of them failed; want %d, none failed", st.CellsOut, st.FailedKept, len(req.Traces))
 	}
 }

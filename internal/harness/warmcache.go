@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -89,14 +91,29 @@ const warmCacheSection = "warmcache"
 
 // load returns the cached checkpoint for key, or nil when there is
 // none — or when the blob is unreadable, from a newer format, or was
-// written under a colliding key (all misses, never errors). The
-// checkpoint's blob is read in place: it is a view of the file buffer.
-func (wc *warmCache) load(key string) *sim.Checkpoint {
-	blob, err := os.ReadFile(wc.path(key))
+// written under a colliding key (all misses, never errors). The frame
+// is read into *frame, a worker's buffer that grows only when a larger
+// frame arrives, and the checkpoint's blob is a view of it: valid until
+// the next load into the same buffer.
+func (wc *warmCache) load(key string, frame *[]byte) *sim.Checkpoint {
+	f, err := os.Open(wc.path(key))
 	if err != nil {
 		return nil
 	}
-	dec := checkpoint.NewDecoder(blob)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil
+	}
+	n := int(fi.Size())
+	if cap(*frame) < n {
+		*frame = make([]byte, n)
+	}
+	buf := (*frame)[:n]
+	if _, err := io.ReadFull(f, buf); err != nil {
+		return nil
+	}
+	dec := checkpoint.NewDecoder(buf)
 	dec.Open(warmCacheSection, 1)
 	storedKey := dec.String()
 	at := dec.U64()
@@ -108,14 +125,30 @@ func (wc *warmCache) load(key string) *sim.Checkpoint {
 	return &sim.Checkpoint{At: at, Blob: inner}
 }
 
+// onCheckpoint returns the OnCheckpoint callback of a cell cached under
+// key that resumed from ck (nil on a miss). It saves each blob, building
+// frame headers in hdr, but skips one taken at ck's branch that equals
+// ck's blob byte for byte: that blob is already on disk. So a repeat run
+// leaves a complete cell's file untouched, while a blob the simulator
+// refused is still replaced by its cold run's.
+func (wc *warmCache) onCheckpoint(key string, ck *sim.Checkpoint, hdr *checkpoint.Encoder) func(blob []byte, at uint64) {
+	return func(blob []byte, at uint64) {
+		if ck != nil && at == ck.At && bytes.Equal(blob, ck.Blob) {
+			return
+		}
+		wc.save(key, blob, at, hdr)
+	}
+}
+
 // save writes (or overwrites — later checkpoints of one cell supersede
 // earlier ones) the blob for key atomically: temp file plus rename, so
 // a reader never sees a torn blob and a crash mid-save leaves the
 // previous checkpoint intact. The frame is a small header (the
-// warmcache section up to the blob's length prefix) followed by the
-// blob itself, written in place rather than copied into the frame.
-func (wc *warmCache) save(key string, blob []byte, at uint64) {
-	hdr := checkpoint.NewEncoder()
+// warmcache section up to the blob's length prefix), built in the
+// worker's encoder hdr, followed by the blob itself, written in place
+// rather than copied into the frame.
+func (wc *warmCache) save(key string, blob []byte, at uint64, hdr *checkpoint.Encoder) {
+	hdr.Reset()
 	hdr.Begin(warmCacheSection, 1)
 	hdr.String(key)
 	hdr.U64(at)

@@ -3,9 +3,12 @@ package harness
 import (
 	"bytes"
 	"log/slog"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -80,6 +83,152 @@ func TestWarmCacheByteIdentical(t *testing.T) {
 		if warm[i] != cold[i] {
 			t.Errorf("record %d diverges:\n  cold: %+v\n  warm: %+v", i, cold[i], warm[i])
 		}
+	}
+}
+
+// TestWarmRerunRewritesNoBlob: a warm pass over complete cells writes
+// nothing. Each cell resumes at the end of its trace, re-encodes the
+// blob it resumed from byte for byte, and leaves the file alone, so
+// every blob keeps its inode, size and mtime while the records equal the
+// cold pass's. A blob the simulator refuses (its frame intact, the blob
+// inside it truncated) is replaced by its cold run's in the same pass.
+func TestWarmRerunRewritesNoBlob(t *testing.T) {
+	models := []Model{
+		{Name: "gshare12", Spec: "gshare:12", Run: func(tr *trace.Trace, opt sim.Options) sim.Result {
+			return sim.Pooled(gshare.New(12))(tr, opt)
+		}},
+		{Name: "tage-lsc", Spec: "tage-lsc", Run: func(tr *trace.Trace, opt sim.Options) sim.Result {
+			return sim.Pooled(composed.New(composed.TAGELSC(composed.Budget512K(), "TAGE-LSC")))(tr, opt)
+		}},
+	}
+	m := testMatrix(t, models, []string{"INT01", "MM05"},
+		[]predictor.Scenario{predictor.ScenarioA, predictor.ScenarioC}, []int{5000})
+	dir := WarmCacheDir(t.TempDir() + "/store.jsonl")
+	pass := func() ([]Record, float64) {
+		reg := metrics.NewRegistry()
+		sink := &collectSink{}
+		cfg := Config{Parallelism: 2, WarmCache: dir, CheckpointEvery: 1500, Metrics: reg}
+		if _, err := Run(m, cfg, sink); err != nil {
+			t.Fatal(err)
+		}
+		clearRecTiming(sink.recs)
+		hits, _ := reg.Snapshot().Sample(MetricWarmCacheHits)
+		return sink.recs, hits.Value
+	}
+	blobs := func() map[string]os.FileInfo {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]os.FileInfo, len(ents))
+		for _, e := range ents {
+			fi, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = fi
+		}
+		return out
+	}
+	sameRecords := func(what string, got, want []Record) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s records diverge from the cold pass's:\n  got:  %+v\n  want: %+v", what, got, want)
+		}
+	}
+
+	cold, _ := pass()
+	before := blobs()
+	if len(before) != 8 {
+		t.Fatalf("cold pass left %d blobs, want 8 (one per cell)", len(before))
+	}
+	warm, hits := pass()
+	sameRecords("warm pass", warm, cold)
+	if hits != 8 {
+		t.Fatalf("warm pass reported %v hits, want 8", hits)
+	}
+	after := blobs()
+	if len(after) != len(before) {
+		t.Fatalf("warm pass left %d files, cold pass %d", len(after), len(before))
+	}
+	for name, b := range before {
+		a, ok := after[name]
+		if !ok || !os.SameFile(a, b) || a.Size() != b.Size() || !a.ModTime().Equal(b.ModTime()) {
+			t.Errorf("warm pass rewrote %s", name)
+		}
+	}
+
+	// Re-frame one blob around the first half of its simulator blob.
+	victim := slices.Min(slices.Collect(maps.Keys(before)))
+	path := filepath.Join(dir, victim)
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := checkpoint.NewDecoder(orig)
+	dec.Open(warmCacheSection, 1)
+	key, at, inner := dec.String(), dec.U64(), dec.Bytes()
+	dec.Close()
+	if dec.Err() != nil {
+		t.Fatal(dec.Err())
+	}
+	wc := newWarmCache(dir, nil, nil)
+	wc.save(key, inner[:len(inner)/2], at, new(checkpoint.Encoder))
+
+	refused, hits := pass()
+	sameRecords("pass over a refused blob", refused, cold)
+	if hits != 7 {
+		t.Fatalf("pass over one refused blob reported %v hits, want 7", hits)
+	}
+	final := blobs()
+	for name, b := range before {
+		switch {
+		case name == victim:
+			// The file system may hand the replacement the truncated
+			// frame's inode again, so compare contents.
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, orig) {
+				t.Errorf("the refused blob %s was not replaced by its cold run's (err %v)", name, err)
+			}
+		case !os.SameFile(final[name], b):
+			t.Errorf("pass over a refused blob rewrote %s too", name)
+		}
+	}
+}
+
+// TestWarmCacheLoadReusesBuffer: a worker reads every frame into the one
+// buffer it keeps, so once a load has grown it, a load of a frame no
+// larger allocates almost nothing: no buffer, only the file handle and
+// the decoder.
+func TestWarmCacheLoadReusesBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	wc := newWarmCache(t.TempDir(), nil, nil)
+	var hdr checkpoint.Encoder
+	big := bytes.Repeat([]byte{0x5a}, 300<<10)
+	small := bytes.Repeat([]byte{0xa5}, 100<<10)
+	wc.save("big", big, 1, &hdr)
+	wc.save("small", small, 2, &hdr)
+
+	var frame []byte
+	if ck := wc.load("big", &frame); ck == nil || !bytes.Equal(ck.Blob, big) {
+		t.Fatal("first load missed or returned the wrong blob")
+	}
+	first := &frame[0]
+	const loads = 20
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for range loads {
+		if ck := wc.load("small", &frame); ck == nil || ck.At != 2 || !bytes.Equal(ck.Blob, small) {
+			t.Fatal("load into a kept buffer missed or returned the wrong blob")
+		}
+	}
+	runtime.ReadMemStats(&ms1)
+	if per := (ms1.TotalAlloc - ms0.TotalAlloc) / loads; per >= 4<<10 {
+		t.Errorf("a load into a grown buffer allocated %d bytes, want under 4 KiB", per)
+	}
+	if &frame[0] != first {
+		t.Error("a load of a smaller frame replaced the worker's buffer")
 	}
 }
 
@@ -194,7 +343,7 @@ func TestWarmCacheFrameIdentity(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			key := "tage-lsc@+2|00000000deadbeef|A|w0|d0|p0|" + name
 			at := uint64(len(blob))*7 + 3
-			wc.save(key, blob, at)
+			wc.save(key, blob, at, new(checkpoint.Encoder))
 
 			enc := checkpoint.NewEncoder()
 			enc.Begin(warmCacheSection, 1)
@@ -210,14 +359,14 @@ func TestWarmCacheFrameIdentity(t *testing.T) {
 				t.Fatalf("saved frame (%d bytes) differs from the field-by-field frame (%d bytes)", len(got), len(want))
 			}
 
-			ck := wc.load(key)
+			ck := wc.load(key, new([]byte))
 			if ck == nil {
 				t.Fatal("load missed a frame save just wrote")
 			}
 			if ck.At != at || !bytes.Equal(ck.Blob, blob) {
 				t.Fatalf("load returned at=%d and a %d-byte blob, want at=%d and the %d-byte blob saved", ck.At, len(ck.Blob), at, len(blob))
 			}
-			if wc.load(key+"-other") != nil {
+			if wc.load(key+"-other", new([]byte)) != nil {
 				t.Fatal("load of an unsaved key hit")
 			}
 		})
@@ -246,8 +395,8 @@ func TestWarmCacheWriteErrorsCounted(t *testing.T) {
 	}
 	wc.dir = broken
 
-	wc.save("cell-a", []byte("blob"), 1)
-	wc.save("cell-b", []byte("blob"), 2)
+	wc.save("cell-a", []byte("blob"), 1, new(checkpoint.Encoder))
+	wc.save("cell-b", []byte("blob"), 2, new(checkpoint.Encoder))
 	if got, _ := reg.Snapshot().Sample(MetricWarmCacheWriteErrors); got.Value != 2 {
 		t.Fatalf("write-error counter = %v, want 2", got.Value)
 	}
@@ -258,7 +407,7 @@ func TestWarmCacheWriteErrorsCounted(t *testing.T) {
 	// A nil logger (library embedding) and nil metrics stay safe.
 	quiet := newWarmCache(t.TempDir(), nil, nil)
 	quiet.dir = broken
-	quiet.save("cell-c", []byte("blob"), 3)
+	quiet.save("cell-c", []byte("blob"), 3, new(checkpoint.Encoder))
 }
 
 // syncBuffer is a mutex-guarded bytes.Buffer for handlers that may log
