@@ -13,9 +13,12 @@
 //
 // Predictor and simulator state is not written against the Encoder and
 // Decoder directly: each state type declares it once as a Walker walk
-// (walk.go), and snapshot, restore and reset are that walk's three
-// modes. A walk reads exactly the section version it declares, so a
-// layout change bumps the version and older blobs cold-start.
+// (walk.go), and snapshot, restore and reset are that walk's encode,
+// decode and reset modes. Its fourth mode counts: a Sizer runs the walk
+// to learn a blob's length without building it, so the Encoder can be
+// grown to the blob in one allocation before the encode. A walk reads
+// exactly the section version it declares, so a layout change bumps the
+// version and older blobs cold-start.
 //
 // The Decoder is total over arbitrary bytes: every primitive is
 // bounds-checked, every slice length is validated against both the
@@ -40,10 +43,14 @@ const FormatVersion = 1
 // checkpoint).
 const magic = "BPCK"
 
+// headerLen is the length of a blob's header: magic plus format version.
+const headerLen = len(magic) + 2
+
 // Encoder builds a checkpoint blob. Construct one with NewEncoder, or
 // Reset a zero or used Encoder: either writes the header. One Encoder
 // reused through Reset builds blob after blob in the same buffer, so
-// once it has grown to a blob's size, encoding allocates nothing.
+// once it has grown to a blob's size, encoding allocates nothing; Grow
+// sizes it to a blob a Sizer has counted.
 type Encoder struct {
 	buf []byte
 	// open holds the byte offsets of the unpatched length fields of the
@@ -52,6 +59,40 @@ type Encoder struct {
 	// trailer counts the bytes announced by Trailer, which follow the
 	// blob instead of sitting in buf; trailerAt is len(buf) at Trailer.
 	trailer, trailerAt int
+	// counting marks a Sizer's Encoder: its Walker counts into n.
+	counting bool
+	n        int
+}
+
+// Sizer counts the bytes that encoding a blob would take, without
+// encoding it: its walks run in the Walker's count mode, which writes
+// no state and adds up a Records block or a scalar slice in O(1). Walk
+// state through Walker, or hand Encoder to a Snapshot; Len is then the
+// length of the blob that a Reset Encoder would hold after the same
+// walks. The zero Sizer is ready to count.
+type Sizer struct{ enc Encoder }
+
+// Reset starts a new count.
+func (s *Sizer) Reset() { s.enc.n = 0 }
+
+// Walker returns a walker that counts into s.
+func (s *Sizer) Walker() Walker { return s.Encoder().Walker() }
+
+// Encoder returns s as the Encoder a Snapshot takes: its Walker counts
+// into s. A Snapshot must walk its state; writing to the Encoder
+// directly makes Len panic.
+func (s *Sizer) Encoder() *Encoder {
+	s.enc.counting = true
+	return &s.enc
+}
+
+// Len returns the length, header included, of the blob that encoding
+// the walks counted since Reset would build.
+func (s *Sizer) Len() int {
+	if len(s.enc.buf) > 0 {
+		panic("checkpoint: a Snapshot wrote to a Sizer's Encoder instead of walking its state")
+	}
+	return headerLen + s.enc.n
 }
 
 // NewEncoder starts a blob: magic plus format version.
@@ -69,6 +110,20 @@ func (e *Encoder) Reset() {
 	e.open = e.open[:0]
 	e.trailer, e.trailerAt = 0, 0
 	e.U16(FormatVersion)
+}
+
+// Grow makes room for a blob of n bytes in all, header included, so a
+// blob counted by a Sizer is encoded in one allocation of its own size.
+// A buffer too small is replaced by one of n bytes rounded up only to
+// the allocator's size class: that slack costs nothing, and leaves room
+// for a later blob a little larger (say, one with more branches in
+// flight).
+func (e *Encoder) Grow(n int) {
+	if n > cap(e.buf) {
+		buf := slices.Grow([]byte(nil), n)[:len(e.buf)]
+		copy(buf, e.buf)
+		e.buf = buf
+	}
 }
 
 // Blob returns the finished blob. Every Begin must have been closed by
@@ -240,7 +295,7 @@ type Decoder struct {
 // mirroring the result store's schema discipline.
 func NewDecoder(data []byte) *Decoder {
 	d := &Decoder{data: data}
-	if len(data) < len(magic)+2 {
+	if len(data) < headerLen {
 		d.fail("blob too short for header (%d bytes)", len(data))
 		return d
 	}

@@ -3,13 +3,14 @@ package checkpoint
 import "encoding/binary"
 
 // Walker visits a predictor's dynamic state in one declared order and
-// runs in one of three modes: encode (append every visited value to an
-// Encoder), decode (overwrite every visited value from a Decoder) or
-// reset (set every visited value to its construction value). Each state
-// type declares its state once, as a walk; Snapshot, Restore and Reset
-// are that walk in the three modes, so a field cannot be snapshotted
+// runs in one of four modes: encode (append every visited value to an
+// Encoder), decode (overwrite every visited value from a Decoder), reset
+// (set every visited value to its construction value) or count (add up
+// the bytes an encode would append, writing nothing). Each state type
+// declares its state once, as a walk; Snapshot, Restore and Reset are
+// that walk in the first three modes, so a field cannot be snapshotted
 // but forgotten by Reset, or restored in a different order than it was
-// written.
+// written, and a Snapshot through a Sizer's Encoder counts it.
 //
 // A walk visits typed scalars (U8 … Bool) and slices of scalars (U8s …
 // Bools), each with its construction value, and slices of fixed-layout
@@ -19,11 +20,16 @@ import "encoding/binary"
 // domain. A failed decode leaves the state unspecified until a reset.
 //
 // The zero Walker resets; Encoder.Walker and Decoder.Walker return the
-// other two, and Fresh the reset a constructor runs. A Walker is passed
-// by value, so a reset walk allocates nothing.
+// encoder and the decoder, Sizer.Walker the count, and Fresh the reset a
+// constructor runs. A count visits a Records block or a scalar slice in
+// O(1), whatever its length. A Walker is passed by value, so a reset or
+// a count allocates nothing.
 type Walker struct {
 	enc *Encoder
 	dec *Decoder
+	// n, when set, makes the walk count: each visit adds the bytes an
+	// encode would append.
+	n *int
 	// fresh skips the zero fills of a reset: the walk runs over storage
 	// just allocated, which is already zero.
 	fresh bool
@@ -35,14 +41,20 @@ type Walker struct {
 // budget) touches no more of its tables than it must.
 func Fresh() Walker { return Walker{fresh: true} }
 
-// Walker returns a walker that appends the visited state to e.
-func (e *Encoder) Walker() Walker { return Walker{enc: e} }
+// Walker returns a walker that appends the visited state to e, or, for
+// a Sizer's Encoder, one that counts into the Sizer.
+func (e *Encoder) Walker() Walker {
+	if e.counting {
+		return Walker{n: &e.n}
+	}
+	return Walker{enc: e}
+}
 
 // Walker returns a walker that overwrites the visited state from d.
 func (d *Decoder) Walker() Walker { return Walker{dec: d} }
 
 // Failf sticks a domain error onto the decoder; it does nothing when
-// encoding or resetting, where the state is the program's own.
+// encoding, resetting or counting, where the state is the program's own.
 func (w Walker) Failf(format string, args ...any) {
 	if w.dec != nil {
 		w.dec.fail(format, args...)
@@ -62,6 +74,8 @@ func (w Walker) Begin(name string, version uint16) {
 		if v := w.dec.Open(name, version); w.dec.err == nil && v != version {
 			w.dec.fail("section %q written under version %d, but this binary reads only version %d; the blob predates the current layout, so the run starts cold", name, v, version)
 		}
+	case w.n != nil:
+		*w.n += 4 + len(name) + 2 + 4 // name, version, length
 	}
 }
 
@@ -82,6 +96,8 @@ func (w Walker) Len(n int, what string) {
 	switch {
 	case w.enc != nil:
 		w.enc.U32(uint32(n))
+	case w.n != nil:
+		*w.n += 4
 	case w.dec != nil:
 		if got := int(w.dec.U32()); w.dec.err == nil && got != n {
 			w.dec.fail("%s is %d, this configuration needs %d (checkpoint does not match the predictor configuration)", what, got, n)
@@ -95,6 +111,8 @@ func (w Walker) Index(v *uint32, n int, what string) {
 	switch {
 	case w.enc != nil:
 		w.enc.U32(*v)
+	case w.n != nil:
+		*w.n += 4
 	case w.dec != nil:
 		if x := w.dec.U32(); w.dec.err == nil {
 			if uint64(x) >= uint64(n) {
@@ -114,6 +132,8 @@ func (w Walker) IntIn(v *int, init, lo, hi int, what string) {
 	switch {
 	case w.enc != nil:
 		w.enc.Int(*v)
+	case w.n != nil:
+		*w.n += 8
 	case w.dec != nil:
 		if x := w.dec.Int(); w.dec.err == nil {
 			if x < lo || x >= hi {
@@ -129,79 +149,87 @@ func (w Walker) IntIn(v *int, init, lo, hi int, what string) {
 
 // --- scalars and slices of scalars, each with its construction value ---
 
-// visit moves one scalar in the walk's direction, or sets it to init.
-func visit[T any](w Walker, v *T, init T, put func(*Encoder, T), get func(*Decoder) T) {
-	switch {
-	case w.enc != nil:
+// visit moves one scalar of width encoded bytes in the walk's direction,
+// counts it, or sets it to init. (An if chain, not a switch: it keeps
+// visit cheap enough for the scalar methods below to inline.)
+func visit[T any](w Walker, v *T, init T, width int, put func(*Encoder, T), get func(*Decoder) T) {
+	if w.enc != nil {
 		put(w.enc, *v)
-	case w.dec != nil:
+	} else if w.dec != nil {
 		*v = get(w.dec)
-	default:
+	} else if w.n != nil {
+		*w.n += width
+	} else {
 		*v = init
 	}
 }
 
-// visitSlice moves a length-prefixed slice (decoding requires the stored
-// length to equal len(s)), or fills it with init.
-func visitSlice[T comparable](w Walker, s []T, init T, put func(*Encoder, []T), get func(*Decoder, []T)) {
+// visitSlice moves a length-prefixed slice of width-byte elements
+// (decoding requires the stored length to equal len(s)), counts it, or
+// fills it with init.
+func visitSlice[T comparable](w Walker, s []T, init T, width int, put func(*Encoder, []T), get func(*Decoder, []T)) {
 	switch {
 	case w.enc != nil:
 		put(w.enc, s)
 	case w.dec != nil:
 		get(w.dec, s)
+	case w.n != nil:
+		*w.n += 4 + width*len(s)
 	default:
 		fill(s, init, w.fresh)
 	}
 }
 
 // U8 visits a byte.
-func (w Walker) U8(v *uint8, init uint8) { visit(w, v, init, (*Encoder).U8, (*Decoder).U8) }
+func (w Walker) U8(v *uint8, init uint8) { visit(w, v, init, 1, (*Encoder).U8, (*Decoder).U8) }
 
 // I8 visits a signed byte.
-func (w Walker) I8(v *int8, init int8) { visit(w, v, init, (*Encoder).I8, (*Decoder).I8) }
+func (w Walker) I8(v *int8, init int8) { visit(w, v, init, 1, (*Encoder).I8, (*Decoder).I8) }
 
 // U16 visits a 16-bit value.
-func (w Walker) U16(v *uint16, init uint16) { visit(w, v, init, (*Encoder).U16, (*Decoder).U16) }
+func (w Walker) U16(v *uint16, init uint16) { visit(w, v, init, 2, (*Encoder).U16, (*Decoder).U16) }
 
 // U32 visits a 32-bit value.
-func (w Walker) U32(v *uint32, init uint32) { visit(w, v, init, (*Encoder).U32, (*Decoder).U32) }
+func (w Walker) U32(v *uint32, init uint32) { visit(w, v, init, 4, (*Encoder).U32, (*Decoder).U32) }
 
 // I32 visits a signed 32-bit value.
-func (w Walker) I32(v *int32, init int32) { visit(w, v, init, (*Encoder).I32, (*Decoder).I32) }
+func (w Walker) I32(v *int32, init int32) { visit(w, v, init, 4, (*Encoder).I32, (*Decoder).I32) }
 
 // U64 visits a 64-bit value.
-func (w Walker) U64(v *uint64, init uint64) { visit(w, v, init, (*Encoder).U64, (*Decoder).U64) }
+func (w Walker) U64(v *uint64, init uint64) { visit(w, v, init, 8, (*Encoder).U64, (*Decoder).U64) }
 
 // Int visits a machine int stored as 64 bits.
-func (w Walker) Int(v *int, init int) { visit(w, v, init, (*Encoder).Int, (*Decoder).Int) }
+func (w Walker) Int(v *int, init int) { visit(w, v, init, 8, (*Encoder).Int, (*Decoder).Int) }
 
 // F64 visits a float64 by bit pattern.
-func (w Walker) F64(v *float64, init float64) { visit(w, v, init, (*Encoder).F64, (*Decoder).F64) }
+func (w Walker) F64(v *float64, init float64) { visit(w, v, init, 8, (*Encoder).F64, (*Decoder).F64) }
 
 // Bool visits a bool stored as one byte.
-func (w Walker) Bool(v *bool, init bool) { visit(w, v, init, (*Encoder).Bool, (*Decoder).Bool) }
+func (w Walker) Bool(v *bool, init bool) { visit(w, v, init, 1, (*Encoder).Bool, (*Decoder).Bool) }
 
 // U8s visits a uint8 slice.
 func (w Walker) U8s(s []uint8, init uint8) {
-	visitSlice(w, s, init, (*Encoder).U8s, (*Decoder).U8sInto)
+	visitSlice(w, s, init, 1, (*Encoder).U8s, (*Decoder).U8sInto)
 }
 
 // I8s visits an int8 slice.
-func (w Walker) I8s(s []int8, init int8) { visitSlice(w, s, init, (*Encoder).I8s, (*Decoder).I8sInto) }
+func (w Walker) I8s(s []int8, init int8) {
+	visitSlice(w, s, init, 1, (*Encoder).I8s, (*Decoder).I8sInto)
+}
 
 // U32s visits a uint32 slice.
 func (w Walker) U32s(s []uint32, init uint32) {
-	visitSlice(w, s, init, (*Encoder).U32s, (*Decoder).U32sInto)
+	visitSlice(w, s, init, 4, (*Encoder).U32s, (*Decoder).U32sInto)
 }
 
 // U64s visits a uint64 slice.
 func (w Walker) U64s(s []uint64, init uint64) {
-	visitSlice(w, s, init, (*Encoder).U64s, (*Decoder).U64sInto)
+	visitSlice(w, s, init, 8, (*Encoder).U64s, (*Decoder).U64sInto)
 }
 
 // Bools visits a bool slice.
 func (w Walker) Bools(s []bool, init bool) {
-	visitSlice(w, s, init, (*Encoder).Bools, (*Decoder).BoolsInto)
+	visitSlice(w, s, init, 1, (*Encoder).Bools, (*Decoder).BoolsInto)
 }
 
 // fill sets every element of s to v, skipping zero fills of fresh
@@ -229,9 +257,10 @@ func fill[T comparable](s []T, v T, fresh bool) {
 
 // Records visits s as a block of fixed-layout records of size encoded
 // bytes each, with no length prefix (declare one with Len). Resetting
-// clears s (unless it is fresh): records construct as their zero value. Encoding and
-// decoding return a Rec over the block, which the caller drains in one
-// loop that visits every field of every record, in order:
+// clears s (unless it is fresh): records construct as their zero value.
+// Counting adds the block's bytes at once. Encoding and decoding return
+// a Rec over the block, which the caller drains in one loop that visits
+// every field of every record, in order:
 //
 //	r := checkpoint.Records(w, s, 6)
 //	for i := range r.N {
@@ -253,6 +282,9 @@ func Records[T any](w Walker, s []T, size int) Rec {
 			return Rec{N: len(s), b: b, dec: true}
 		}
 		return Rec{}
+	case w.n != nil:
+		*w.n += len(s) * size
+		return Rec{}
 	}
 	if !w.fresh {
 		clear(s)
@@ -261,7 +293,8 @@ func Records[T any](w Walker, s []T, size int) Rec {
 }
 
 // Rec is the field cursor of one Records block. N is the number of
-// records to visit: 0 when resetting or after a decode failure.
+// records to visit: 0 when resetting or counting, or after a decode
+// failure.
 type Rec struct {
 	N   int
 	b   []byte

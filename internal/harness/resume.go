@@ -307,7 +307,11 @@ func ResumeStoreFile(path string, jobs []Job, cfg Config, onPlan func(*ResumePla
 // additionally streamed to tee (nil means none): how `bpbench serve`
 // both persists a submission into its store and streams the records
 // back over the HTTP response without double-running anything. The tee
-// sees exactly the records the store append sees, in the same order.
+// sees exactly the records the store append sees, in the same order,
+// until an Emit to it fails (the submitting client went away): from
+// then on the tee gets nothing, while the store still receives every
+// record and the aggregates, and the tee's error is returned once the
+// run is done.
 func ResumeStoreFileTee(path string, jobs []Job, cfg Config, onPlan func(*ResumePlan) error, tee Sink) (*Summary, error) {
 	var head Provenance
 	if cfg.Provenance != nil {
@@ -353,9 +357,31 @@ func ResumeStoreFileTee(path string, jobs []Job, cfg Config, onPlan func(*Resume
 	}
 	sink := NewJSONLSink(sm.meter(f))
 	if tee != nil {
-		sink = MultiSink(sink, tee)
+		sink = MultiSink(sink, &teeSink{Sink: tee})
 	}
 	return RunResume(plan, cfg, sink)
+}
+
+// teeSink forwards records to its Sink until an Emit fails, and drops
+// the rest without failing, so a failed tee stops only itself and the
+// sinks beside it keep receiving. Close reports the failure.
+type teeSink struct {
+	Sink
+	err error
+}
+
+func (t *teeSink) Emit(r Record) error {
+	if t.err == nil {
+		t.err = t.Sink.Emit(r)
+	}
+	return nil
+}
+
+func (t *teeSink) Close() error {
+	if err := t.Sink.Close(); t.err == nil {
+		return err
+	}
+	return t.err
 }
 
 // RunResume executes only the plan's Todo jobs, streaming the new cell

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
@@ -363,5 +364,51 @@ func TestRunResumeSinkFailureStillCloses(t *testing.T) {
 	}
 	if !sink.closed {
 		t.Fatal("sink must be closed after an emit failure")
+	}
+}
+
+// TestStoreTeeFailureStopsOnlyTheTee: a store-backed run whose tee
+// fails after k records (a `bpbench serve` client gone mid-stream)
+// sends the tee nothing more, while the store still receives every
+// cell and the aggregates, as a run without a tee stores them; the
+// tee's error is returned and the tee closed.
+func TestStoreTeeFailureStopsOnlyTheTee(t *testing.T) {
+	m := resumeTestMatrix(t, []Model{fakeModel("m", flat(1))})
+	jobs, err := m.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	stored := func(path string) []Record {
+		t.Helper()
+		recs, _, err := ReadStoreFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range recs {
+			recs[i].SimBranches, recs[i].ElapsedSec, recs[i].BranchesPerSec = 0, 0, 0
+		}
+		return recs
+	}
+	if _, err := ResumeStoreFile(dir+"/plain.jsonl", jobs, Config{Parallelism: 2}, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := stored(dir + "/plain.jsonl")
+	if len(want) <= len(jobs) {
+		t.Fatalf("the plain store holds %d records for %d cells, want the aggregates too", len(want), len(jobs))
+	}
+	for k := range want {
+		path := fmt.Sprintf("%s/tee%d.jsonl", dir, k)
+		tee := &failingSink{after: k}
+		_, err := ResumeStoreFileTee(path, jobs, Config{Parallelism: 2}, nil, tee)
+		if err == nil || !strings.Contains(err.Error(), "sink full") {
+			t.Fatalf("k=%d: the tee's failure must surface, got %v", k, err)
+		}
+		if tee.emits != k+1 || !tee.closed {
+			t.Fatalf("k=%d: the tee got %d emits (want %d) and closed=%v", k, tee.emits, k+1, tee.closed)
+		}
+		if got := stored(path); !reflect.DeepEqual(got, want) {
+			t.Fatalf("k=%d: the store holds %d records, a run without a tee %d:\n  got:  %+v\n  want: %+v", k, len(got), len(want), got, want)
+		}
 	}
 }

@@ -438,7 +438,7 @@ func executeJobs(jobs []Job, cfg Config, rm *runMetrics, pool *runnerPool, visit
 				key := wc.key(lead, hash)
 				opt.Resume = wc.load(key, &arena.frame)
 				opt.CheckpointEvery = cfg.checkpointEvery()
-				opt.OnCheckpoint = wc.onCheckpoint(key, opt.Resume, &arena.hdr)
+				opt.OnCheckpoint = func(blob []byte, at uint64) { wc.save(key, blob, at, &arena.hdr) }
 			}
 			for _, i := range pass[1:] {
 				opt.Also = append(opt.Also, jobs[i].Scenario)

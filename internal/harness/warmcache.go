@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -125,28 +124,16 @@ func (wc *warmCache) load(key string, frame *[]byte) *sim.Checkpoint {
 	return &sim.Checkpoint{At: at, Blob: inner}
 }
 
-// onCheckpoint returns the OnCheckpoint callback of a cell cached under
-// key that resumed from ck (nil on a miss). It saves each blob, building
-// frame headers in hdr, but skips one taken at ck's branch that equals
-// ck's blob byte for byte: that blob is already on disk. So a repeat run
-// leaves a complete cell's file untouched, while a blob the simulator
-// refused is still replaced by its cold run's.
-func (wc *warmCache) onCheckpoint(key string, ck *sim.Checkpoint, hdr *checkpoint.Encoder) func(blob []byte, at uint64) {
-	return func(blob []byte, at uint64) {
-		if ck != nil && at == ck.At && bytes.Equal(blob, ck.Blob) {
-			return
-		}
-		wc.save(key, blob, at, hdr)
-	}
-}
-
 // save writes (or overwrites — later checkpoints of one cell supersede
 // earlier ones) the blob for key atomically: temp file plus rename, so
 // a reader never sees a torn blob and a crash mid-save leaves the
 // previous checkpoint intact. The frame is a small header (the
 // warmcache section up to the blob's length prefix), built in the
 // worker's encoder hdr, followed by the blob itself, written in place
-// rather than copied into the frame.
+// rather than copied into the frame. A cell resumed at its trace's end
+// takes no checkpoint, so a repeat run rewrites no complete cell's
+// blob, while a blob the simulator refused is replaced by its cold
+// run's.
 func (wc *warmCache) save(key string, blob []byte, at uint64, hdr *checkpoint.Encoder) {
 	hdr.Reset()
 	hdr.Begin(warmCacheSection, 1)

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"repro/internal/checkpoint"
 	"repro/internal/predictor"
 )
@@ -97,12 +99,24 @@ func (ln *lane[C]) restore(st simState) {
 // encodeCheckpoint serializes the simulator section of lane ln, with
 // the counters st carries, followed by the predictor's own sections
 // into the Runner's encoder; the blob is valid until the next
-// checkpoint.
+// checkpoint. The same walks run first through the Runner's sizer, so
+// an encoder too small for the blob grows once, to exactly its size; a
+// blob of another length means a walk that counts what it does not
+// encode, and panics.
 func (rn *Runner[C]) encodeCheckpoint(ln *lane[C], opt Options, st simState) []byte {
+	rn.sizer.Reset()
+	walkSim(rn.sizer.Walker(), ln, opt, &st)
+	ln.p.Snapshot(rn.sizer.Encoder())
+	n := rn.sizer.Len()
 	rn.enc.Reset()
+	rn.enc.Grow(n)
 	walkSim(rn.enc.Walker(), ln, opt, &st)
 	ln.p.Snapshot(&rn.enc)
-	return rn.enc.Blob()
+	blob := rn.enc.Blob()
+	if len(blob) != n {
+		panic(fmt.Sprintf("sim: a checkpoint counted as %d bytes encoded as %d", n, len(blob)))
+	}
+	return blob
 }
 
 // decodeCheckpoint restores the simulator section into the ring of a

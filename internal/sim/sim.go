@@ -72,13 +72,18 @@ type Options struct {
 	// different configuration falls back to a cold start (the predictor
 	// is Reset); Result.ResumeErr reports why.
 	Resume *Checkpoint
-	// OnCheckpoint, when non-nil, receives a checkpoint blob at the end
-	// of the trace (always) and, when CheckpointEvery > 0, every
-	// CheckpointEvery branches along the way (taken between decode
-	// batches, so the granularity is the batch size). The blob is
-	// self-contained but valid only until the callback returns: the
-	// Runner encodes the next checkpoint into the same buffer, so a
-	// callback that keeps a blob must copy it.
+	// OnCheckpoint, when non-nil, receives a checkpoint blob every
+	// CheckpointEvery branches along the way when that is > 0 (taken
+	// between decode batches, so the granularity is the batch size), and
+	// one at the end of the trace, after the pipeline drains. It is
+	// called at most once per branch position: the end-of-trace blob
+	// supersedes a periodic one due after the last batch, and a run
+	// resumed at its trace's end with no branch in flight makes no call
+	// at all, since the blob it resumed from already is its end-of-trace
+	// checkpoint. A resume the simulator refuses runs, and checkpoints,
+	// as a cold run does. The blob is self-contained but valid only
+	// until the callback returns: the Runner encodes the next checkpoint
+	// into the same buffer, so a callback that keeps a blob must copy it.
 	OnCheckpoint func(blob []byte, at uint64)
 	// CheckpointEvery is the approximate branch interval between
 	// periodic OnCheckpoint emissions (0 = only the end-of-trace blob).
@@ -199,9 +204,11 @@ type Runner[C any] struct {
 	// batch is the decode buffer, kept on the Runner rather than in
 	// run's 4KB stack frame.
 	batch [decodeBatch]trace.Branch
-	// enc encodes every checkpoint the Runner takes, Reset for each, so
-	// once it has grown to a blob's size checkpoints allocate nothing.
-	enc checkpoint.Encoder
+	// enc encodes every checkpoint the Runner takes, Reset for each and
+	// grown to the size sizer counts first, so once it holds a blob's
+	// size checkpoints allocate nothing.
+	enc   checkpoint.Encoder
+	sizer checkpoint.Sizer
 }
 
 // lane is one predictor of a pass with a pipeline of its own: the
@@ -318,6 +325,10 @@ func (rn *Runner[C]) run(lead predictor.Predictor[C], sibs []predictor.Predictor
 	var resumedAt uint64
 	var resumeErr error
 	var restoredMispreds uint64
+	// resumedAtEnd marks a resume at the trace's end with nothing in
+	// flight: the blob it resumed from already is the end-of-trace
+	// checkpoint this run would take.
+	var resumedAtEnd bool
 	if opt.Resume != nil && len(opt.Resume.Blob) > 0 {
 		st, err := rn.decodeCheckpoint(first, opt, opt.Resume.Blob)
 		if err == nil {
@@ -334,6 +345,7 @@ func (rn *Runner[C]) run(lead predictor.Predictor[C], sibs []predictor.Predictor
 			first.restore(st)
 			restoredMispreds = st.mispreds
 			resumedAt = uint64(src.Skip(int(branches)))
+			resumedAtEnd = src.Len() == 0 && first.count == 0
 		} else {
 			resumeErr = err
 			lead.Reset()
@@ -419,7 +431,9 @@ func (rn *Runner[C]) run(lead predictor.Predictor[C], sibs []predictor.Predictor
 			microOps += uint64(b.OpsBefore) + 1
 			seq++
 		}
-		if nextCk > 0 && branches >= nextCk {
+		// After the last batch, the end-of-trace checkpoint stands in
+		// for a periodic one at the same branch.
+		if nextCk > 0 && branches >= nextCk && src.Len() > 0 {
 			emitCheckpoint()
 			for nextCk <= branches {
 				nextCk += opt.CheckpointEvery
@@ -435,7 +449,7 @@ func (rn *Runner[C]) run(lead predictor.Predictor[C], sibs []predictor.Predictor
 	// The end-of-trace checkpoint is taken after the drain and before
 	// the stats flush: restoring it and "continuing" over zero branches
 	// reproduces the final counters exactly.
-	if opt.OnCheckpoint != nil {
+	if opt.OnCheckpoint != nil && !resumedAtEnd {
 		emitCheckpoint()
 	}
 	// The pass's time splits evenly across its lanes.
